@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import sys
@@ -143,7 +144,6 @@ def build_flow_config(config: dict, imm: Immersion) -> FlowConfig:
             t_end=float(flow.get("t_end", 0.1)),
             scheme=flow.get("scheme", "RK4"),
             output_every=int(flow.get("output_every", 1)),
-            seed=int(flow.get("seed", 0)),
         )
     except ValueError as exc:
         raise ConfigError(f"flow: {exc}") from exc
@@ -226,10 +226,7 @@ def task_verify(config: dict, out_dir: Path) -> int:
         if name in ("theorem1", "theorem1_mcf"):
             flow_config = build_flow_config(config, imm)
             # the time derivative needs consecutive states, so record every step
-            flow_config = FlowConfig(
-                flow_kind=flow_config.flow_kind, dt=flow_config.dt, t_end=flow_config.t_end,
-                scheme=flow_config.scheme, output_every=1, seed=flow_config.seed,
-            )
+            flow_config = dataclasses.replace(flow_config, output_every=1)
             traj = run(imm, flow_config)
             if len(traj) < 3:
                 raise ConfigError(
@@ -253,6 +250,9 @@ def task_converge(config: dict, out_dir: Path) -> int:
     resolutions = config.get("resolutions")
     if not resolutions or len(resolutions) < 2:
         raise ConfigError("converge: need 'resolutions' with at least two entries")
+    # also checked by convergence_study, but the threaded path below runs the jobs first
+    if len({int(r) for r in resolutions}) < len(resolutions):
+        raise ConfigError(f"converge: 'resolutions' must be distinct, got {resolutions}")
     geometry = config.get("geometry", {})
     kwargs = {}
     for key in ("a", "b", "eps", "seed"):

@@ -21,9 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels
 from .errors import DegenerateImmersionError
-from .geometry import RANK_TOL, Immersion, _locate, diff2, rotate_normal_field, tangent_data
+from .geometry import Immersion, _check_rank, generalized_cross, tangent_data
 
 FLOW_KINDS = ("SMCF", "MCF")
 SCHEMES = ("RK4", "Euler", "IMEX")
@@ -36,17 +35,16 @@ class FlowConfig:
     t_end: float = 0.1
     scheme: str = "RK4"
     output_every: int = 1
-    seed: int = 0
 
     def __post_init__(self):
         if self.flow_kind not in FLOW_KINDS:
             raise ValueError(f"flow_kind must be one of {FLOW_KINDS}, got {self.flow_kind!r}")
         if self.scheme not in SCHEMES:
             raise ValueError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-        if self.t_end < 0:
-            raise ValueError("t_end must be nonnegative")
+        if not (np.isfinite(self.dt) and self.dt > 0):
+            raise ValueError(f"dt must be finite and positive, got {self.dt}")
+        if not (np.isfinite(self.t_end) and self.t_end >= 0):
+            raise ValueError(f"t_end must be finite and nonnegative, got {self.t_end}")
         if self.output_every < 1:
             raise ValueError("output_every must be >= 1")
 
@@ -85,131 +83,47 @@ def stable_dt(imm: Immersion, factor: float = 0.1) -> float:
     return factor * min(imm.grid.spacings) ** 2
 
 
-def _check_rank(min_sv: np.ndarray, sizes, time):
-    if not np.all(min_sv >= RANK_TOL):
-        finite = np.isfinite(min_sv)
-        if not np.all(finite):
-            bad = _locate(int(np.argmax(~finite)), sizes)
-            raise DegenerateImmersionError(
-                f"tangent data is non-finite at node {bad}", node=bad, time=time
-            )
-        bad = _locate(int(np.argmin(min_sv)), sizes)
-        raise DegenerateImmersionError(
-            f"tangent map is degenerate at node {bad} "
-            f"(min singular value {np.min(min_sv):.3e})",
-            node=bad,
-            time=time,
-        )
+def _velocity(F: np.ndarray, grid, kind: str, time: float | None) -> np.ndarray:
+    """Flow velocity at node positions F, for curves and tori alike.
 
-
-def _velocity_m2(F: np.ndarray, grid, kind: str, time: float | None) -> np.ndarray:
-    """Torus velocity; this is the hot loop of every flow run.
-
-    Dispatches to the fused jit kernel when numba is available; the numpy
-    fallback below works on one contiguous 2-d array per ambient component,
-    which keeps operations cache-resident and avoids strided reductions.
-    The two paths agree to machine precision (tested).
+    With w = g^{ij} D_ij F, the skew velocity is J w = (t_0 x ... x t_{m-1} x w)
+    / sqrt(det g), where x is the generalized cross product with the
+    coordinate tangents t_i: J kills tangent vectors, so no orthonormal
+    frame and no normal projection are needed.  The mean curvature flow
+    takes the normal part w - t_i g^{ij} <t_j, w>.  Components sit on axis
+    0 so each stencil works on contiguous grids, and one set of rolls of F
+    serves the tangents and the second differences.  This is the hot loop
+    of every explicit flow run.
     """
-    if _kernels.HAVE_NUMBA:
-        h0, h1 = grid.spacings
-        out = np.empty_like(F)
-        min_sv2 = _kernels.torus_velocity_kernel(
-            np.ascontiguousarray(F), h0, h1, kind != "MCF", out
-        )
-        if min_sv2 < RANK_TOL * RANK_TOL:
-            # slow path reproduces the located error message
-            _check_rank(_tangent_min_sv(F, grid), grid.sizes, time)
-            raise DegenerateImmersionError("tangent map is degenerate", time=time)
-        return out
-    return _velocity_m2_numpy(F, grid, kind, time)
-
-
-def _tangent_min_sv(F: np.ndarray, grid) -> np.ndarray:
-    h0, h1 = grid.spacings
-    t0 = (np.roll(F, -1, axis=0) - np.roll(F, 1, axis=0)) / (2.0 * h0)
-    t1 = (np.roll(F, -1, axis=1) - np.roll(F, 1, axis=1)) / (2.0 * h1)
-    g00 = np.sum(t0 * t0, axis=-1)
-    g01 = np.sum(t0 * t1, axis=-1)
-    g11 = np.sum(t1 * t1, axis=-1)
-    half = 0.5 * (g00 + g11)
-    gap = np.sqrt(np.maximum((0.5 * (g00 - g11)) ** 2 + g01 * g01, 0.0))
-    return np.sqrt(np.maximum(half - gap, 0.0))
-
-
-def _velocity_m2_numpy(F: np.ndarray, grid, kind: str, time: float | None) -> np.ndarray:
-    """Pure-numpy torus velocity, also the reference for the jit kernel."""
-    h0, h1 = grid.spacings
-    f = [np.ascontiguousarray(F[..., c]) for c in range(4)]
-    f_p0 = [np.roll(c, -1, axis=0) for c in f]
-    f_m0 = [np.roll(c, 1, axis=0) for c in f]
-    f_p1 = [np.roll(c, -1, axis=1) for c in f]
-    f_m1 = [np.roll(c, 1, axis=1) for c in f]
-    t0 = [(p - q) / (2.0 * h0) for p, q in zip(f_p0, f_m0)]
-    t1 = [(p - q) / (2.0 * h1) for p, q in zip(f_p1, f_m1)]
-
-    def dot(u, v):
-        return u[0] * v[0] + u[1] * v[1] + u[2] * v[2] + u[3] * v[3]
-
-    g00, g01, g11 = dot(t0, t0), dot(t0, t1), dot(t1, t1)
-    det = g00 * g11 - g01 * g01
-    half = 0.5 * (g00 + g11)
-    gap = np.sqrt(np.maximum((0.5 * (g00 - g11)) ** 2 + g01 * g01, 0.0))
-    _check_rank(np.sqrt(np.maximum(half - gap, 0.0)), grid.sizes, time)
-
-    inv_n0 = 1.0 / np.sqrt(g00)
-    e0 = [c * inv_n0 for c in t0]
-    pr = dot(t1, e0)
-    u = [c - pr * d for c, d in zip(t1, e0)]
-    inv_nu = 1.0 / np.sqrt(dot(u, u))
-    e1 = [c * inv_nu for c in u]
-
-    w00, w01, w11 = g11 / det, -g01 / det, g00 / det
-    s00, s11 = 1.0 / (h0 * h0), 1.0 / (h1 * h1)
-    s01 = 1.0 / (4.0 * h0 * h1)
-    h_raw = []
-    for c in range(4):
-        d00 = (f_p0[c] - 2.0 * f[c] + f_m0[c]) * s00
-        d11 = (f_p1[c] - 2.0 * f[c] + f_m1[c]) * s11
-        d01 = (
-            np.roll(f_p0[c], -1, axis=1) - np.roll(f_p0[c], 1, axis=1)
-            - np.roll(f_m0[c], -1, axis=1) + np.roll(f_m0[c], 1, axis=1)
-        ) * s01
-        h_raw.append(w00 * d00 + 2.0 * w01 * d01 + w11 * d11)
-    pr0, pr1 = dot(h_raw, e0), dot(h_raw, e1)
-    hv = [c - pr0 * a - pr1 * b for c, a, b in zip(h_raw, e0, e1)]
-    if kind == "MCF":
-        return np.stack(hv, axis=-1)
-    # generalized cross product with (e0, e1): quarter-turn in the normal plane
-    b01 = e0[0] * e1[1] - e0[1] * e1[0]
-    b02 = e0[0] * e1[2] - e0[2] * e1[0]
-    b03 = e0[0] * e1[3] - e0[3] * e1[0]
-    b12 = e0[1] * e1[2] - e0[2] * e1[1]
-    b13 = e0[1] * e1[3] - e0[3] * e1[1]
-    b23 = e0[2] * e1[3] - e0[3] * e1[2]
-    return np.stack(
-        [
-            -hv[1] * b23 + hv[2] * b13 - hv[3] * b12,
-            hv[0] * b23 - hv[2] * b03 + hv[3] * b02,
-            -hv[0] * b13 + hv[1] * b03 - hv[3] * b01,
-            hv[0] * b12 - hv[1] * b02 + hv[2] * b01,
-        ],
-        axis=-1,
-    )
-
-
-def _velocity_arrays(F: np.ndarray, imm_template: Immersion, kind: str, time: float | None) -> np.ndarray:
-    """Velocity field on positions F, reusing the template's grid."""
-    grid = imm_template.grid
-    if grid.m == 2:
-        return _velocity_m2(F, grid, kind, time)
-    imm = Immersion(grid=grid, F=F)
-    _, e, _, g_inv, _, _, _ = tangent_data(imm, time=time)
-    d2 = diff2(F, grid, 0, 0)
-    d2_perp = d2 - np.einsum("...l,...ln->...n", np.einsum("...n,...ln->...l", d2, e), e)
-    H = g_inv[..., 0, 0, None] * d2_perp
-    if kind == "MCF":
-        return H
-    return rotate_normal_field(e, H)
+    m = grid.m
+    h = grid.spacings
+    f = np.ascontiguousarray(np.moveaxis(F, -1, 0))  # (n, *sizes)
+    plus = [np.roll(f, -1, axis=i + 1) for i in range(m)]
+    minus = [np.roll(f, 1, axis=i + 1) for i in range(m)]
+    t = [(p - q) / (2.0 * hi) for p, q, hi in zip(plus, minus, h)]
+    d2 = [(p - 2.0 * f + q) / (hi * hi) for p, q, hi in zip(plus, minus, h)]
+    g00 = np.sum(t[0] * t[0], axis=0)
+    if m == 1:
+        det_g = g00
+        _check_rank(np.sqrt(np.maximum(g00, 0.0)), grid.sizes, time)
+        w = d2[0] / g00
+        if kind == "MCF":
+            return np.moveaxis(w - t[0] * (np.sum(t[0] * w, axis=0) / g00), 0, -1)
+    else:
+        g01, g11 = np.sum(t[0] * t[1], axis=0), np.sum(t[1] * t[1], axis=0)
+        det_g = g00 * g11 - g01 * g01
+        half = 0.5 * (g00 + g11)
+        gap = np.sqrt(np.maximum((0.5 * (g00 - g11)) ** 2 + g01 * g01, 0.0))
+        _check_rank(np.sqrt(np.maximum(half - gap, 0.0)), grid.sizes, time)
+        # cross difference D_01 as the centered difference of t_0 along axis 1
+        d01 = (np.roll(t[0], -1, axis=2) - np.roll(t[0], 1, axis=2)) / (2.0 * h[1])
+        w = (g11 * d2[0] - 2.0 * g01 * d01 + g00 * d2[1]) / det_g
+        if kind == "MCF":
+            p0, p1 = np.sum(t[0] * w, axis=0), np.sum(t[1] * w, axis=0)
+            c0 = (g11 * p0 - g01 * p1) / det_g
+            c1 = (g00 * p1 - g01 * p0) / det_g
+            return np.moveaxis(w - t[0] * c0 - t[1] * c1, 0, -1)
+    return np.moveaxis(generalized_cross(*t, w) / np.sqrt(det_g), 0, -1)
 
 
 def velocity(imm, kind: str = "SMCF", time: float | None = None) -> np.ndarray:
@@ -222,7 +136,7 @@ def velocity(imm, kind: str = "SMCF", time: float | None = None) -> np.ndarray:
         imm = imm.immersion
     if kind not in FLOW_KINDS:
         raise ValueError(f"unknown flow kind {kind!r}")
-    return _velocity_arrays(imm.F, imm, kind, time)
+    return _velocity(imm.F, imm.grid, kind, time)
 
 
 def _curve_coefficients(F: np.ndarray, grid, kind: str, time: float | None) -> np.ndarray:
@@ -291,7 +205,7 @@ def step(state: FlowState, config: FlowConfig, velocity_fn=None, dt: float | Non
     dt = config.dt if dt is None else dt
     imm = state.immersion
     _check_scheme(imm.grid, config, velocity_fn)
-    vf = velocity_fn or (lambda F, t: _velocity_arrays(F, imm, config.flow_kind, t))
+    vf = velocity_fn or (lambda F, t: _velocity(F, imm.grid, config.flow_kind, t))
     F, t = imm.F, state.t
     if config.scheme == "IMEX":
         F_new = _imex_step(F, imm.grid, config.flow_kind, t, dt)

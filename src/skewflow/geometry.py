@@ -116,6 +116,25 @@ def _locate(flat_index: int, sizes: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(int(i) for i in np.unravel_index(flat_index, sizes))
 
 
+def _check_rank(min_sv: np.ndarray, sizes: tuple[int, ...], time: float | None) -> None:
+    """Raise, naming the node, unless every tangent singular value is finite and >= RANK_TOL."""
+    if np.all(min_sv >= RANK_TOL):
+        return
+    finite = np.isfinite(min_sv)
+    if not np.all(finite):
+        bad = _locate(int(np.argmax(~finite)), sizes)
+        raise DegenerateImmersionError(
+            f"tangent data is non-finite at node {bad}", node=bad, time=time
+        )
+    bad = _locate(int(np.argmin(min_sv)), sizes)
+    raise DegenerateImmersionError(
+        f"tangent map is degenerate at node {bad} "
+        f"(min singular value {np.min(min_sv):.3e})",
+        node=bad,
+        time=time,
+    )
+
+
 def tangent_data(imm: Immersion, time: float | None = None):
     """Coordinate tangents, induced metric and orthonormalized tangent frame.
 
@@ -137,20 +156,7 @@ def tangent_data(imm: Immersion, time: float | None = None):
         half_tr = 0.5 * (g00 + g11)
         gap = np.sqrt(np.maximum((0.5 * (g00 - g11)) ** 2 + g01 * g01, 0.0))
         min_sv = np.sqrt(np.maximum(half_tr - gap, 0.0))
-    if not np.all(min_sv >= RANK_TOL):
-        finite = np.isfinite(min_sv)
-        if not np.all(finite):
-            bad = _locate(int(np.argmax(~finite)), grid.sizes)
-            raise DegenerateImmersionError(
-                f"tangent data is non-finite at node {bad}", node=bad, time=time
-            )
-        bad = _locate(int(np.argmin(min_sv)), grid.sizes)
-        raise DegenerateImmersionError(
-            f"tangent map is degenerate at node {bad} "
-            f"(min singular value {np.min(min_sv):.3e})",
-            node=bad,
-            time=time,
-        )
+    _check_rank(min_sv, grid.sizes, time)
     if m == 1:
         g_inv = 1.0 / g[..., 0, 0][..., None, None]
     else:
@@ -335,36 +341,32 @@ def project_field(e: np.ndarray, nu: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.einsum("...ikc,...c->...ik", basis, w)
 
 
-def psi_field(e: np.ndarray, nu: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """Multivector field with given tangent coefficients."""
-    basis = tangent_basis_field(e, nu)
-    return np.einsum("...ik,...ikc->...c", coeffs, basis)
-
-
 def jtilde_field(coeffs: np.ndarray) -> np.ndarray:
     """Complex structure on (..., m, 2) coefficient fields."""
     return np.stack([-coeffs[..., 1], coeffs[..., 0]], axis=-1)
 
 
-def normal_project_field(e: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Remove the tangential part of an ambient vector field."""
-    return w - np.einsum("...i,...in->...n", np.einsum("...in,...n->...i", e, w), e)
+def generalized_cross(*vectors: np.ndarray, axis: int = 0) -> np.ndarray:
+    """The vector X with <X, u> = det(v_1, ..., v_{n-1}, u), for n = 3 or 4.
 
-
-def _rotate4(e0: np.ndarray, e1: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Generalized cross product in R^4: the vector with <Jw, u> = det(e0, e1, w, u)."""
-    b = wedge_pair_field(e0, e1)
-    b01, b02, b03 = b[..., 0], b[..., 1], b[..., 2]
-    b12, b13, b23 = b[..., 3], b[..., 4], b[..., 5]
-    w0, w1, w2, w3 = w[..., 0], w[..., 1], w[..., 2], w[..., 3]
+    Takes n - 1 vector fields with their n components on ``axis``, and puts
+    the components of X there too.  X is orthogonal to every v_i; with
+    (v_1, ..., v_{n-1}) = (t_1, ..., t_m, w) it is the quarter-turn J of the
+    normal part of w, times the volume of the frame t.
+    """
+    if len(vectors) == 2:
+        return np.cross(*vectors, axis=axis)
+    a, b, w = (np.moveaxis(v, axis, 0) for v in vectors)
+    b01, b02, b03 = a[0] * b[1] - a[1] * b[0], a[0] * b[2] - a[2] * b[0], a[0] * b[3] - a[3] * b[0]
+    b12, b13, b23 = a[1] * b[2] - a[2] * b[1], a[1] * b[3] - a[3] * b[1], a[2] * b[3] - a[3] * b[2]
     return np.stack(
         [
-            -w1 * b23 + w2 * b13 - w3 * b12,
-            w0 * b23 - w2 * b03 + w3 * b02,
-            -w0 * b13 + w1 * b03 - w3 * b01,
-            w0 * b12 - w1 * b02 + w2 * b01,
+            -w[1] * b23 + w[2] * b13 - w[3] * b12,
+            w[0] * b23 - w[2] * b03 + w[3] * b02,
+            -w[0] * b13 + w[1] * b03 - w[3] * b01,
+            w[0] * b12 - w[1] * b02 + w[2] * b01,
         ],
-        axis=-1,
+        axis=axis,
     )
 
 
@@ -374,12 +376,10 @@ def rotate_normal_field(e: np.ndarray, w: np.ndarray) -> np.ndarray:
     Defined by <Jw, u> = det(e_1, ..., e_m, w, u); smooth wherever the
     tangent frame is, which matters when differentiating rotated fields.
     """
-    n = e.shape[-1]
-    if e.shape[-2] == 1 and n == 3:
-        return np.cross(e[..., 0, :], w)
-    if e.shape[-2] == 2 and n == 4:
-        return _rotate4(e[..., 0, :], e[..., 1, :], w)
-    raise UnsupportedCaseError(f"normal rotation fields need (m, n) in {{(1,3),(2,4)}}, got {(e.shape[-2], n)}")
+    m, n = e.shape[-2], e.shape[-1]
+    if (m, n) not in ((1, 3), (2, 4)):
+        raise UnsupportedCaseError(f"normal rotation fields need (m, n) in {{(1,3),(2,4)}}, got {(m, n)}")
+    return generalized_cross(*(e[..., i, :] for i in range(m)), w, axis=-1)
 
 
 @dataclass
@@ -485,6 +485,8 @@ def load_immersion_csv(path, sizes, periods=None) -> Immersion:
     """Node positions from CSV (columns x1..xn, rows in row-major grid order)."""
     with open(path, newline="") as fh:
         rows = [row for row in csv.reader(fh) if row]
+    if not rows:
+        raise ValueError(f"CSV {path} holds no rows")
     start = 0
     try:
         [float(v) for v in rows[0]]

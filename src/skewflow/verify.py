@@ -349,7 +349,7 @@ def fit_order(hs, norms, floor: float = RESIDUAL_FLOOR):
 def _problem_theorem1(size, a=1.0, b=0.6, eps=0.05, seed=7, flow_kind="SMCF", dt_factor=0.1):
     imm = make_perturbed_torus(a, b, eps, seed, size)
     dt = stable_dt(imm, dt_factor)
-    config = FlowConfig(flow_kind=flow_kind, dt=dt, t_end=2 * dt, output_every=1, seed=seed)
+    config = FlowConfig(flow_kind=flow_kind, dt=dt, t_end=2 * dt, output_every=1)
     traj = run(imm, config)
     return residual_theorem1(
         traj, 1, use_jtilde=(flow_kind == "SMCF"),
@@ -415,6 +415,8 @@ def convergence_study(problem, resolutions, norm_key: str = "max", **problem_kwa
     resolutions = [int(r) for r in resolutions]
     if len(resolutions) < 2:
         raise ValueError("need at least two resolutions")
+    if len(set(resolutions)) < len(resolutions):
+        raise ValueError(f"resolutions must be distinct, got {resolutions}")
     runner = PROBLEMS[problem] if isinstance(problem, str) else problem
     rows = []
     reports = []

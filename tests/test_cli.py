@@ -190,6 +190,12 @@ def test_unknown_task_or_geometry_exit_one(tmp_path, capsys):
     cfg = torus_config(tmp_path, out, flow={"scheme": "IMEX", "dt": 1e-3, "t_end": 1e-2})
     assert main(["simulate", "--config", cfg]) == 1
     assert "curves only" in capsys.readouterr().err
+    cfg = circle_config(tmp_path, out, dt=float("nan"))
+    assert main(["simulate", "--config", cfg]) == 1
+    assert "dt must be finite" in capsys.readouterr().err
+    cfg = torus_config(tmp_path, out, resolutions=[16, 16], verify_name="codazzi")
+    assert main(["converge", "--config", cfg]) == 1
+    assert "distinct" in capsys.readouterr().err
 
 
 def test_malformed_config_lists_fields(tmp_path, capsys):

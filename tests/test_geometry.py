@@ -345,3 +345,11 @@ def test_immersion_csv_round_trip(tmp_path):
     assert np.max(np.abs(back.F - imm.F)) < 1e-12
     with pytest.raises(ValueError):
         load_immersion_csv(path, (16, 32))
+
+
+def test_immersion_csv_empty_or_header_only_rejected(tmp_path):
+    for name, text in [("empty.csv", ""), ("header.csv", "x1,x2,x3\n")]:
+        path = tmp_path / name
+        path.write_text(text)
+        with pytest.raises(ValueError):
+            load_immersion_csv(path, (16,))

@@ -27,6 +27,7 @@ from skewflow import (
     volume,
 )
 from skewflow.verify import (
+    PROBLEMS,
     Report,
     fit_order,
     report_to_dict,
@@ -298,6 +299,18 @@ def test_convergence_study_non_monotone_flagged():
 def test_convergence_study_needs_two_resolutions():
     with pytest.raises(ValueError):
         convergence_study("diff1", [32])
+
+
+def test_convergence_study_rejects_repeated_resolutions():
+    calls = []
+
+    def counted(size, **_):
+        calls.append(size)
+        return PROBLEMS["diff1"](size)
+
+    with pytest.raises(ValueError, match="distinct"):
+        convergence_study(counted, [16, 16])
+    assert calls == []  # rejected before any residual is computed
 
 
 def test_fit_order_floor():

@@ -32,12 +32,12 @@ from .flow import FlowConfig, fitted_torus_radii, run, stable_dt
 from .geometry import (
     Immersion,
     fundamental_forms,
+    induced_metric,
     load_immersion_csv,
     make_circle,
     make_perturbed_torus,
     make_product_torus,
     save_immersion_csv,
-    tangent_data,
     volume,
 )
 from .verify import (
@@ -174,10 +174,10 @@ def task_simulate(config: dict, out_dir: Path) -> int:
         header = ["t", "volume", "min_sv"] + (["a_fit", "b_fit"] if torus else [])
         writer.writerow(header)
         for state in traj.states:
-            _, _, _, _, sqrt_det_g, min_sv, _ = tangent_data(state.immersion)
+            _, _, det_g, min_sv = induced_metric(state.immersion)
             row = [
                 repr(state.t),
-                repr(float(np.sum(sqrt_det_g) * state.immersion.grid.cell_measure())),
+                repr(float(np.sum(np.sqrt(det_g)) * state.immersion.grid.cell_measure())),
                 repr(float(np.min(min_sv))),
             ]
             if torus:

@@ -13,6 +13,14 @@ velocity is linear in the second differences, V = C(F) (D2 F) with per-node
 F, corrector at the midpoint) is second order in time and not limited by
 the h^2 bound (the small-scale decomposition of Hou, Lowengrub and Shelley,
 JCP 114, 1994).  Tori and caller-supplied velocities have no IMEX step.
+
+One velocity kernel, ``_velocity``, serves curves and tori.  ``run`` keeps
+the positions in component-first layout (n, *sizes) for the whole
+integration and gives the kernel and the RK4/Euler stepper one workspace of
+preallocated grid-sized buffers, so an explicit step allocates no
+grid-sized array; the recorded states are copied out in the (*sizes, n)
+layout of ``Immersion.F``.  ``step`` and ``velocity`` allocate a workspace
+per call.
 """
 
 from __future__ import annotations
@@ -22,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateImmersionError
-from .geometry import Immersion, _check_rank, generalized_cross, tangent_data
+from .geometry import Immersion, _check_rank, _det_and_min_sv, _minor, generalized_cross, tangent_data
 
 FLOW_KINDS = ("SMCF", "MCF")
 SCHEMES = ("RK4", "Euler", "IMEX")
@@ -83,47 +91,123 @@ def stable_dt(imm: Immersion, factor: float = 0.1) -> float:
     return factor * min(imm.grid.spacings) ** 2
 
 
-def _velocity(F: np.ndarray, grid, kind: str, time: float | None) -> np.ndarray:
-    """Flow velocity at node positions F, for curves and tori alike.
+class _Workspace:
+    """The grid-sized buffers of explicit stepping, allocated once per run.
+
+    All are in component-first layout (n, *sizes).  ``pad`` holds the
+    positions with one periodic ghost cell on each side of every grid axis,
+    and ``center``, ``plus[i]`` and ``minus[i]`` are its views shifted along
+    axis i.  ``t_store[i]`` receives the coordinate tangent t_i and ``t[i]``
+    views it; t_0 is stored over the padded width of the axes after the
+    first, so that on a torus D_01 is its centered difference
+    ``t0_plus - t0_minus``.  ``vec`` holds the second differences, then w
+    and vector scratch; ``scal`` the metric and the other scalar fields.
+    ``k``, ``stage`` and ``acc`` are the stepper's.
+    """
+
+    def __init__(self, grid):
+        m, sizes = grid.m, grid.sizes
+        shape = (m + 2,) + sizes
+        pad = self.pad = np.empty((m + 2,) + tuple(s + 2 for s in sizes))
+
+        def shifted(axis, by):
+            index = [slice(None)] + [slice(1, -1)] * m
+            index[axis + 1] = slice(1 + by, sizes[axis] + 1 + by)
+            return pad[tuple(index)]
+
+        self.center = shifted(0, 0)
+        self.plus = [shifted(i, 1) for i in range(m)]
+        self.minus = [shifted(i, -1) for i in range(m)]
+        # (ghost, source) pairs, axis by axis so that the corners come out right
+        self.ghosts = []
+        for axis in range(1, m + 1):
+            lead, rest = (slice(None),) * axis, (slice(1, -1),) * (m - axis)
+            self.ghosts += [(pad[lead + (0,) + rest], pad[lead + (-2,) + rest])]
+            self.ghosts += [(pad[lead + (-1,) + rest], pad[lead + (1,) + rest])]
+        t0 = np.empty(shape[:2] + pad.shape[2:])
+        self.t_store = [t0] + [np.empty(shape) for _ in range(1, m)]
+        self.t_stencil = [(pad[:, 2:], pad[:, :-2])] + list(zip(self.plus, self.minus))[1:]
+        self.t = [t0[..., 1:-1] if m == 2 else t0] + self.t_store[1:]
+        self.t0_plus, self.t0_minus = t0[..., 2:], t0[..., :-2]
+        self.vec = np.empty((m + 1,) + shape)
+        self.scal = np.empty((9,) + sizes)
+        self.k, self.stage, self.acc = (np.empty(shape) for _ in range(3))
+
+
+def _velocity(f: np.ndarray, grid, kind: str, time: float | None, ws: _Workspace, out: np.ndarray) -> np.ndarray:
+    """Flow velocity at node positions f into ``out``, for curves and tori alike.
 
     With w = g^{ij} D_ij F, the skew velocity is J w = (t_0 x ... x t_{m-1} x w)
     / sqrt(det g), where x is the generalized cross product with the
     coordinate tangents t_i: J kills tangent vectors, so no orthonormal
     frame and no normal projection are needed.  The mean curvature flow
-    takes the normal part w - t_i g^{ij} <t_j, w>.  Components sit on axis
-    0 so each stencil works on contiguous grids, and one set of rolls of F
-    serves the tangents and the second differences.  This is the hot loop
-    of every explicit flow run.
+    takes the normal part w - t_i g^{ij} <t_j, w>.  f and out are in
+    component-first layout (n, *sizes).  f is copied once into the padded
+    buffer, whose ghost cells let shifted slices serve every stencil, and
+    each intermediate is written into ``ws``: a call allocates no grid-sized
+    array.  This is the hot loop of every explicit flow run.
     """
     m = grid.m
     h = grid.spacings
-    f = np.ascontiguousarray(np.moveaxis(F, -1, 0))  # (n, *sizes)
-    plus = [np.roll(f, -1, axis=i + 1) for i in range(m)]
-    minus = [np.roll(f, 1, axis=i + 1) for i in range(m)]
-    t = [(p - q) / (2.0 * hi) for p, q, hi in zip(plus, minus, h)]
-    d2 = [(p - 2.0 * f + q) / (hi * hi) for p, q, hi in zip(plus, minus, h)]
-    g00 = np.sum(t[0] * t[0], axis=0)
+    sc = ws.scal
+    np.copyto(ws.center, f)
+    for ghost, source in ws.ghosts:
+        np.copyto(ghost, source)
+    w, prod = ws.vec[0], ws.vec[m]  # w overwrites D_00; prod is vector scratch
+    two_f = np.multiply(f, 2.0, out=prod)
+    for i, ((p, q), ti, d2) in enumerate(zip(ws.t_stencil, ws.t_store, ws.vec)):
+        np.subtract(p, q, out=ti)
+        ti /= 2.0 * h[i]
+        np.subtract(ws.plus[i], two_f, out=d2)
+        d2 += ws.minus[i]
+        d2 /= h[i] * h[i]
+    t = ws.t
+
+    def dot(a, b, into):
+        np.multiply(a, b, out=prod)
+        return np.add.reduce(prod, axis=0, out=into)
+
+    det_g = sc[0]
     if m == 1:
-        det_g = g00
-        _check_rank(np.sqrt(np.maximum(g00, 0.0)), grid.sizes, time)
-        w = d2[0] / g00
+        g00 = dot(t[0], t[0], det_g)
+        min_sv = np.sqrt(np.maximum(g00, 0.0, out=sc[1]), out=sc[1])
+        _check_rank(min_sv, grid.sizes, time)
+        w /= g00
         if kind == "MCF":
-            return np.moveaxis(w - t[0] * (np.sum(t[0] * w, axis=0) / g00), 0, -1)
+            p0 = dot(t[0], w, sc[1])
+            p0 /= g00
+            return np.subtract(w, np.multiply(t[0], p0, out=prod), out=out)
     else:
-        g01, g11 = np.sum(t[0] * t[1], axis=0), np.sum(t[1] * t[1], axis=0)
-        det_g = g00 * g11 - g01 * g01
-        half = 0.5 * (g00 + g11)
-        gap = np.sqrt(np.maximum((0.5 * (g00 - g11)) ** 2 + g01 * g01, 0.0))
-        _check_rank(np.sqrt(np.maximum(half - gap, 0.0)), grid.sizes, time)
+        g00, g01, g11, tmp, min_sv, gap, c0, c1 = sc[1:]
+        for gij, a, b in ((g00, t[0], t[0]), (g01, t[0], t[1]), (g11, t[1], t[1])):
+            dot(a, b, gij)
+        _det_and_min_sv(g00, g01, g11, det_g, min_sv, gap, tmp)
+        _check_rank(min_sv, grid.sizes, time)
         # cross difference D_01 as the centered difference of t_0 along axis 1
-        d01 = (np.roll(t[0], -1, axis=2) - np.roll(t[0], 1, axis=2)) / (2.0 * h[1])
-        w = (g11 * d2[0] - 2.0 * g01 * d01 + g00 * d2[1]) / det_g
+        d01 = ws.vec[2]
+        np.subtract(ws.t0_plus, ws.t0_minus, out=d01)
+        d01 /= 2.0 * h[1]
+        # w = (g11 D_00 - 2 g01 D_01 + g00 D_11) / det g
+        w *= g11
+        d01 *= np.multiply(g01, 2.0, out=tmp)
+        w -= d01
+        d11 = ws.vec[1]
+        d11 *= g00
+        w += d11
+        w /= det_g
         if kind == "MCF":
-            p0, p1 = np.sum(t[0] * w, axis=0), np.sum(t[1] * w, axis=0)
-            c0 = (g11 * p0 - g01 * p1) / det_g
-            c1 = (g00 * p1 - g01 * p0) / det_g
-            return np.moveaxis(w - t[0] * c0 - t[1] * c1, 0, -1)
-    return np.moveaxis(generalized_cross(*t, w) / np.sqrt(det_g), 0, -1)
+            p0, p1 = dot(t[0], w, min_sv), dot(t[1], w, gap)
+            _minor(c0, g11, p0, g01, p1, tmp)
+            c0 /= det_g
+            _minor(c1, g00, p1, g01, p0, tmp)
+            c1 /= det_g
+            np.subtract(w, np.multiply(t[0], c0, out=prod), out=out)
+            out -= np.multiply(t[1], c1, out=prod)
+            return out
+    sqrt_det_g = np.sqrt(det_g, out=det_g)
+    generalized_cross(*t, w, out=out, scratch=sc[1:8])
+    out /= sqrt_det_g
+    return out
 
 
 def velocity(imm, kind: str = "SMCF", time: float | None = None) -> np.ndarray:
@@ -136,7 +220,9 @@ def velocity(imm, kind: str = "SMCF", time: float | None = None) -> np.ndarray:
         imm = imm.immersion
     if kind not in FLOW_KINDS:
         raise ValueError(f"unknown flow kind {kind!r}")
-    return _velocity(imm.F, imm.grid, kind, time)
+    out = np.empty((imm.n,) + imm.grid.sizes)
+    _velocity(np.moveaxis(imm.F, -1, 0), imm.grid, kind, time, _Workspace(imm.grid), out)
+    return np.moveaxis(out, 0, -1)
 
 
 def _curve_coefficients(F: np.ndarray, grid, kind: str, time: float | None) -> np.ndarray:
@@ -197,6 +283,60 @@ def _check_scheme(grid, config: FlowConfig, velocity_fn) -> None:
         )
 
 
+def _advance(f: np.ndarray, t: float, dt: float, vf, scheme: str, k, stage, acc) -> None:
+    """One classical RK4 or forward Euler step of f, in place.
+
+    ``vf(f, t, out)`` writes the right-hand side into ``out``.  The
+    arithmetic is that of F + (dt/6)(k1 + 2 k2 + 2 k3 + k4) with the stages
+    F + 0.5 dt k1, F + 0.5 dt k2 and F + dt k3 (or of F + dt k1 for Euler),
+    with the buffers ``k``, ``stage`` and the running sum ``acc``.
+    """
+    vf(f, t, k)
+    if scheme == "Euler":
+        k *= dt
+        f += k
+        return
+    np.copyto(acc, k)
+    for c, weight in ((0.5 * dt, 2.0), (0.5 * dt, 2.0), (dt, 1.0)):
+        np.multiply(k, c, out=stage)
+        stage += f
+        vf(stage, t + c, k)
+        if weight == 1.0:
+            acc += k
+        else:
+            acc += np.multiply(k, weight, out=stage)
+    acc *= dt / 6.0
+    f += acc
+
+
+def _stepper(grid, config: FlowConfig, velocity_fn):
+    """``advance(f, t, dt)``: one step of component-first positions f, in place.
+
+    RK4 and Euler share one workspace over all the steps of the returned
+    function; a caller's ``velocity_fn(F, t)`` sees and returns positions in
+    the (*sizes, n) layout of ``Immersion.F``.
+    """
+    if config.scheme == "IMEX":
+
+        def imex(f, t, dt):
+            F = np.moveaxis(f, 0, -1).copy()
+            f[...] = np.moveaxis(_imex_step(F, grid, config.flow_kind, t, dt), -1, 0)
+
+        return imex
+    ws = _Workspace(grid)
+    if velocity_fn is None:
+
+        def vf(f, t, out):
+            _velocity(f, grid, config.flow_kind, t, ws, out)
+
+    else:
+
+        def vf(f, t, out):
+            out[...] = np.moveaxis(velocity_fn(np.moveaxis(f, 0, -1).copy(), t), -1, 0)
+
+    return lambda f, t, dt: _advance(f, t, dt, vf, config.scheme, ws.k, ws.stage, ws.acc)
+
+
 def step(state: FlowState, config: FlowConfig, velocity_fn=None, dt: float | None = None) -> FlowState:
     """One step on node positions: classical RK4, forward Euler or, for curves, IMEX.
 
@@ -205,19 +345,9 @@ def step(state: FlowState, config: FlowConfig, velocity_fn=None, dt: float | Non
     dt = config.dt if dt is None else dt
     imm = state.immersion
     _check_scheme(imm.grid, config, velocity_fn)
-    vf = velocity_fn or (lambda F, t: _velocity(F, imm.grid, config.flow_kind, t))
-    F, t = imm.F, state.t
-    if config.scheme == "IMEX":
-        F_new = _imex_step(F, imm.grid, config.flow_kind, t, dt)
-    elif config.scheme == "Euler":
-        F_new = F + dt * vf(F, t)
-    else:
-        k1 = vf(F, t)
-        k2 = vf(F + 0.5 * dt * k1, t + 0.5 * dt)
-        k3 = vf(F + 0.5 * dt * k2, t + 0.5 * dt)
-        k4 = vf(F + dt * k3, t + dt)
-        F_new = F + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return FlowState(t=t + dt, immersion=Immersion(grid=imm.grid, F=F_new))
+    f = np.moveaxis(imm.F, -1, 0).copy()
+    _stepper(imm.grid, config, velocity_fn)(f, state.t, dt)
+    return FlowState(t=state.t + dt, immersion=Immersion(grid=imm.grid, F=np.moveaxis(f, 0, -1).copy()))
 
 
 def run(imm: Immersion, config: FlowConfig, velocity_fn=None) -> Trajectory:
@@ -225,18 +355,22 @@ def run(imm: Immersion, config: FlowConfig, velocity_fn=None) -> Trajectory:
 
     The final step is shortened when t_end is not a step multiple, so the
     last state lands exactly on t_end.  A scheme the immersion cannot use
-    raises ``ValueError`` before the first step.
+    raises ``ValueError`` before the first step.  The positions stay in
+    component-first layout (n, *sizes) between steps and are copied out for
+    the recorded states only.
     """
     _check_scheme(imm.grid, config, velocity_fn)
-    state = FlowState(t=0.0, immersion=imm)
-    states = [state]
-    steps_done = 0
-    while state.t < config.t_end - 1e-12:
-        dt = min(config.dt, config.t_end - state.t)
-        state = step(state, config, velocity_fn=velocity_fn, dt=dt)
+    advance = _stepper(imm.grid, config, velocity_fn)
+    f = np.moveaxis(imm.F, -1, 0).copy()
+    states = [FlowState(t=0.0, immersion=imm)]
+    t, steps_done = 0.0, 0
+    while t < config.t_end - 1e-12:
+        dt = min(config.dt, config.t_end - t)
+        advance(f, t, dt)
+        t += dt
         steps_done += 1
-        if steps_done % config.output_every == 0 or state.t >= config.t_end - 1e-12:
-            states.append(state)
+        if steps_done % config.output_every == 0 or t >= config.t_end - 1e-12:
+            states.append(FlowState(t=t, immersion=Immersion(grid=imm.grid, F=np.moveaxis(f, 0, -1).copy())))
     return Trajectory(states=states)
 
 
@@ -262,20 +396,17 @@ def product_torus_ode_oracle(
     if a0 <= 0 or b0 <= 0:
         raise ValueError("radii must be positive")
 
-    def rhs(y):
-        return np.array([-s / y[1], s / y[0]])
+    def rhs(y, t, out):
+        out[0], out[1] = -s / y[1], s / y[0]
 
     y = np.array([a0, b0], dtype=float)
+    buffers = np.empty((3, 2))
     t = 0.0
     ts, a_s, b_s = [0.0], [a0], [b0]
     n_step = 0
     while t < t_end - 1e-12:
         h = min(dt, t_end - t)
-        k1 = rhs(y)
-        k2 = rhs(y + 0.5 * h * k1)
-        k3 = rhs(y + 0.5 * h * k2)
-        k4 = rhs(y + h * k3)
-        y = y + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        _advance(y, t, h, rhs, "RK4", *buffers)
         t += h
         n_step += 1
         if np.any(y <= 0) or not np.all(np.isfinite(y)):

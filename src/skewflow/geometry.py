@@ -118,7 +118,7 @@ def _locate(flat_index: int, sizes: tuple[int, ...]) -> tuple[int, ...]:
 
 def _check_rank(min_sv: np.ndarray, sizes: tuple[int, ...], time: float | None) -> None:
     """Raise, naming the node, unless every tangent singular value is finite and >= RANK_TOL."""
-    if np.all(min_sv >= RANK_TOL):
+    if min_sv.min() >= RANK_TOL:  # False on NaN as well
         return
     finite = np.isfinite(min_sv)
     if not np.all(finite):
@@ -135,12 +135,19 @@ def _check_rank(min_sv: np.ndarray, sizes: tuple[int, ...], time: float | None) 
     )
 
 
-def tangent_data(imm: Immersion, time: float | None = None):
-    """Coordinate tangents, induced metric and orthonormalized tangent frame.
+def _minor(out, p, q, r, s, tmp):
+    """out = p q - r s, elementwise, with one scratch field."""
+    np.multiply(p, q, out=out)
+    np.multiply(r, s, out=tmp)
+    out -= tmp
 
-    Returns (t, e, g, g_inv, sqrt_det_g, min_sv, R) where R expresses the
-    orthonormal frame in coordinate tangents, e_i = sum_l R[i, l] d_l F.
-    Raises when the smallest tangent singular value drops below threshold.
+
+def induced_metric(imm: Immersion, time: float | None = None):
+    """Coordinate tangents, induced metric, its determinant and the rank check.
+
+    Returns (t, g, det_g, min_sv) with t of shape sizes + (m, n) and min_sv
+    the smallest singular value of the tangent map per node.  Raises when
+    min_sv drops below RANK_TOL anywhere.
     """
     grid, F = imm.grid, imm.F
     m = grid.m
@@ -151,12 +158,37 @@ def tangent_data(imm: Immersion, time: float | None = None):
         min_sv = np.sqrt(np.maximum(g00, 0.0))
         det_g = g00
     else:
-        g00, g01, g11 = g[..., 0, 0], g[..., 0, 1], g[..., 1, 1]
-        det_g = g00 * g11 - g01 * g01
-        half_tr = 0.5 * (g00 + g11)
-        gap = np.sqrt(np.maximum((0.5 * (g00 - g11)) ** 2 + g01 * g01, 0.0))
-        min_sv = np.sqrt(np.maximum(half_tr - gap, 0.0))
+        det_g, min_sv, gap, tmp = (np.empty(grid.sizes) for _ in range(4))
+        _det_and_min_sv(g[..., 0, 0], g[..., 0, 1], g[..., 1, 1], det_g, min_sv, gap, tmp)
     _check_rank(min_sv, grid.sizes, time)
+    return t, g, det_g, min_sv
+
+
+def _det_and_min_sv(g00, g01, g11, det_g, min_sv, gap, tmp) -> None:
+    """det g and the smallest singular value of a 2-dimensional tangent map into
+    ``det_g`` and ``min_sv``, from the metric coefficients; ``gap`` and ``tmp``
+    are scratch fields."""
+    _minor(det_g, g00, g11, g01, g01, tmp)  # leaves g01^2 in tmp
+    np.add(g00, g11, out=min_sv)
+    min_sv *= 0.5  # half the trace
+    np.subtract(g00, g11, out=gap)
+    gap *= 0.5
+    np.power(gap, 2, out=gap)
+    gap += tmp
+    np.sqrt(np.maximum(gap, 0.0, out=gap), out=gap)
+    min_sv -= gap
+    np.sqrt(np.maximum(min_sv, 0.0, out=min_sv), out=min_sv)
+
+
+def tangent_data(imm: Immersion, time: float | None = None):
+    """Coordinate tangents, induced metric and orthonormalized tangent frame.
+
+    Returns (t, e, g, g_inv, sqrt_det_g, min_sv, R) where R expresses the
+    orthonormal frame in coordinate tangents, e_i = sum_l R[i, l] d_l F.
+    Raises when the smallest tangent singular value drops below threshold.
+    """
+    m = imm.grid.m
+    t, g, det_g, min_sv = induced_metric(imm, time)
     if m == 1:
         g_inv = 1.0 / g[..., 0, 0][..., None, None]
     else:
@@ -296,8 +328,8 @@ def fundamental_forms(imm: Immersion) -> GeometryCache:
 
 def volume(imm: Immersion) -> float:
     """Total length (m = 1) or area (m = 2) of the discrete immersion."""
-    _, _, _, _, sqrt_det_g, _, _ = tangent_data(imm)
-    return float(np.sum(sqrt_det_g) * imm.grid.cell_measure())
+    _, _, det_g, _ = induced_metric(imm)
+    return float(np.sum(np.sqrt(det_g)) * imm.grid.cell_measure())
 
 
 # ---------------------------------------------------------------------------
@@ -346,28 +378,50 @@ def jtilde_field(coeffs: np.ndarray) -> np.ndarray:
     return np.stack([-coeffs[..., 1], coeffs[..., 0]], axis=-1)
 
 
-def generalized_cross(*vectors: np.ndarray, axis: int = 0) -> np.ndarray:
+def generalized_cross(*vectors: np.ndarray, axis: int = 0, out=None, scratch=None) -> np.ndarray:
     """The vector X with <X, u> = det(v_1, ..., v_{n-1}, u), for n = 3 or 4.
 
     Takes n - 1 vector fields with their n components on ``axis``, and puts
     the components of X there too.  X is orthogonal to every v_i; with
     (v_1, ..., v_{n-1}) = (t_1, ..., t_m, w) it is the quarter-turn J of the
-    normal part of w, times the volume of the frame t.
+    normal part of w, times the volume of the frame t.  ``out`` receives X
+    and ``scratch`` holds at least 1 (n = 3) or 7 (n = 4) fields of one
+    component's shape; both are allocated when not given.
     """
-    if len(vectors) == 2:
-        return np.cross(*vectors, axis=axis)
-    a, b, w = (np.moveaxis(v, axis, 0) for v in vectors)
-    b01, b02, b03 = a[0] * b[1] - a[1] * b[0], a[0] * b[2] - a[2] * b[0], a[0] * b[3] - a[3] * b[0]
-    b12, b13, b23 = a[1] * b[2] - a[2] * b[1], a[1] * b[3] - a[3] * b[1], a[2] * b[3] - a[3] * b[2]
-    return np.stack(
-        [
-            -w[1] * b23 + w[2] * b13 - w[3] * b12,
-            w[0] * b23 - w[2] * b03 + w[3] * b02,
-            -w[0] * b13 + w[1] * b03 - w[3] * b01,
-            w[0] * b12 - w[1] * b02 + w[2] * b01,
-        ],
-        axis=axis,
-    )
+    n = len(vectors) + 1
+    v = vectors if axis == 0 else [np.moveaxis(x, axis, 0) for x in vectors]
+    if out is None:
+        n_comp, *shape = np.broadcast_shapes(*(x.shape for x in v))
+        shape.insert(axis % (len(shape) + 1), n_comp)  # components back on ``axis``
+        out = np.empty(shape)
+    X = out if axis == 0 else np.moveaxis(out, axis, 0)
+    if scratch is None:
+        scratch = np.empty((1 if n == 3 else 7,) + X.shape[1:])
+    tmp = scratch[0]
+    if n == 3:
+        a, b = v
+        _minor(X[0], a[1], b[2], a[2], b[1], tmp)
+        _minor(X[1], a[2], b[0], a[0], b[2], tmp)
+        _minor(X[2], a[0], b[1], a[1], b[0], tmp)
+        return out
+    a, b, w = v
+    b01, b02, b03, b12, b13, b23 = scratch[1:7]
+    _minor(b01, a[0], b[1], a[1], b[0], tmp)
+    _minor(b02, a[0], b[2], a[2], b[0], tmp)
+    _minor(b03, a[0], b[3], a[3], b[0], tmp)
+    _minor(b12, a[1], b[2], a[2], b[1], tmp)
+    _minor(b13, a[1], b[3], a[3], b[1], tmp)
+    _minor(b23, a[2], b[3], a[3], b[2], tmp)
+    # X_0 = -w_1 b_23 + w_2 b_13 - w_3 b_12, and so on
+    _minor(X[0], w[2], b13, w[1], b23, tmp)
+    X[0] -= np.multiply(w[3], b12, out=tmp)
+    _minor(X[1], w[0], b23, w[2], b03, tmp)
+    X[1] += np.multiply(w[3], b02, out=tmp)
+    _minor(X[2], w[1], b03, w[0], b13, tmp)
+    X[2] -= np.multiply(w[3], b01, out=tmp)
+    _minor(X[3], w[0], b12, w[1], b02, tmp)
+    X[3] += np.multiply(w[2], b01, out=tmp)
+    return out
 
 
 def rotate_normal_field(e: np.ndarray, w: np.ndarray) -> np.ndarray:

@@ -172,6 +172,61 @@ def test_unstable_step_aborts_with_location():
     assert err.value.time < 5.0
 
 
+def test_unstable_torus_step_aborts_with_location():
+    # the torus counterpart: dt is about 30 times the RK4 bound of a 16^2 grid
+    imm = make_product_torus(1.0, 1.0, 16)
+    cfg = FlowConfig(flow_kind="SMCF", dt=0.5, t_end=50.0, scheme="RK4")
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DegenerateImmersionError) as err:
+            run(imm, cfg)
+    assert err.value.time is not None and err.value.time < cfg.t_end
+    assert err.value.node is not None and len(err.value.node) == 2
+
+
+def _run_by_steps(imm, cfg):
+    """The states ``run`` records, from repeated public ``step`` calls."""
+    state, states, steps_done = FlowState(t=0.0, immersion=imm), [], 0
+    states.append(state)
+    while state.t < cfg.t_end - 1e-12:
+        state = step(state, cfg, dt=min(cfg.dt, cfg.t_end - state.t))
+        steps_done += 1
+        if steps_done % cfg.output_every == 0 or state.t >= cfg.t_end - 1e-12:
+            states.append(state)
+    return states
+
+
+@pytest.mark.parametrize("scheme", ["RK4", "Euler"])
+@pytest.mark.parametrize("kind", ["SMCF", "MCF"])
+def test_run_equals_repeated_step_bitwise(scheme, kind):
+    for imm in (make_perturbed_circle(1.0, 0.2, 3, 32), make_perturbed_torus(1.0, 0.7, 0.05, 3, 16)):
+        dt = stable_dt(imm)
+        # t_end is no step multiple, so the last step is shortened
+        cfg = FlowConfig(flow_kind=kind, dt=dt, t_end=7.4 * dt, scheme=scheme, output_every=3)
+        traj, states = run(imm, cfg), _run_by_steps(imm, cfg)
+        assert [s.t for s in traj.states] == [s.t for s in states]
+        assert traj[-1].t == cfg.t_end
+        for got, want in zip(traj.states, states):
+            assert np.array_equal(got.immersion.F, want.immersion.F)
+
+
+@pytest.mark.parametrize("kind", ["SMCF", "MCF"])
+def test_run_velocity_fn_adapter_and_state_buffers(kind):
+    for imm in (make_perturbed_torus(1.0, 0.7, 0.05, 3, 16), make_perturbed_circle(1.0, 0.2, 3, 32)):
+        F0 = imm.F.copy()
+        cfg = FlowConfig(flow_kind=kind, dt=stable_dt(imm), t_end=5.5 * stable_dt(imm), output_every=2)
+        own = run(imm, cfg)
+        adapted = run(imm, cfg, velocity_fn=lambda F, t: velocity(Immersion(imm.grid, F), kind, t))
+        assert np.array_equal(imm.F, F0)
+        assert len(own) == len(adapted) == 4
+        for a, b in zip(own.states, adapted.states):
+            assert a.t == b.t
+            assert np.array_equal(a.immersion.F, b.immersion.F)
+        arrays = [s.immersion.F for s in own.states]
+        for i, a in enumerate(arrays):
+            for b in arrays[i + 1:]:
+                assert not np.shares_memory(a, b)
+
+
 def test_imex_frozen_operator_matches_velocity():
     from skewflow.flow import _curve_coefficients
 

@@ -18,6 +18,8 @@ from skewflow import (
 )
 from skewflow.errors import DegenerateImmersionError
 from skewflow.geometry import (
+    generalized_cross,
+    induced_metric,
     normal_completion,
     project_field,
     rho_field,
@@ -211,6 +213,29 @@ def test_volume_scaling_homogeneity():
     imm = make_circle(1.0, 64)
     scaled = Immersion(grid=imm.grid, F=3.0 * imm.F)
     assert volume(scaled) == pytest.approx(3.0 * volume(imm), rel=1e-12)
+
+
+def test_volume_equals_tangent_data_sum_exactly():
+    for imm in (make_circle(1.0, 64), make_perturbed_torus(1.0, 0.6, 0.05, 7, 24)):
+        _, _, _, _, sqrt_det_g, min_sv, _ = tangent_data(imm)
+        assert volume(imm) == float(np.sum(sqrt_det_g) * imm.grid.cell_measure())
+        assert np.array_equal(induced_metric(imm)[3], min_sv)
+
+
+def test_generalized_cross_into_buffers():
+    rng = np.random.default_rng(5)
+    a, b = rng.standard_normal((2, 3, 40))
+    assert np.array_equal(generalized_cross(a, b), np.cross(a, b, axis=0))
+    for n, axis in ((3, 0), (4, 0), (4, -1)):
+        vs = list(rng.standard_normal((n - 1, n, 40)))
+        if axis:
+            vs = [np.moveaxis(v, 0, -1) for v in vs]
+        fresh = generalized_cross(*vs, axis=axis)
+        out = np.full_like(fresh, np.nan)
+        assert generalized_cross(*vs, axis=axis, out=out, scratch=np.empty((7, 40))) is out
+        assert np.array_equal(out, fresh)
+        for v in vs:  # orthogonal to its arguments
+            assert np.max(np.abs(np.sum(fresh * v, axis=axis))) < 1e-12
 
 
 def test_gauss_field_circle_great_circle():

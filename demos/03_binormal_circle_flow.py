@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from skewflow import FlowConfig, gauss_field, make_circle, run, stable_dt, velocity
+from skewflow import FlowConfig, fundamental_forms, make_circle, run, stable_dt, velocity
 
 size, radius, T = 128, 1.0, 0.25
 imm = make_circle(radius, size)
@@ -28,12 +28,12 @@ traj = run(imm, cfg)
 h = imm.grid.spacings[0]
 stencil = 2.0 / (1.0 + np.cos(h))  # discrete curvature of the sampled circle
 print("\n   t        height       radius drift   tangent-field drift")
-rho0 = gauss_field(traj[0].immersion).rho
+rho0 = fundamental_forms(traj[0].immersion).rho
 for state in traj.states:
     F = state.immersion.F
     height = float(np.mean(F[:, 2]))
     drift = float(np.max(np.abs(np.hypot(F[:, 0], F[:, 1]) - radius)))
-    gdrift = float(np.max(np.abs(gauss_field(state.immersion).rho - rho0)))
+    gdrift = float(np.max(np.abs(fundamental_forms(state.immersion).rho - rho0)))
     print(f"  {state.t:5.3f}   {height:10.6f}   {drift:12.2e}   {gdrift:12.2e}")
 
 print(f"\npredicted height at T: curvature x T = {stencil / radius * T:.6f}")

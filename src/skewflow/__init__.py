@@ -33,16 +33,12 @@ from .grassmann import (
     tangent_basis,
 )
 from .geometry import (
-    GaussField,
     GeometryCache,
-    FrameField,
     Immersion,
     PeriodicGrid,
     diff1,
     diff2,
-    frame_field,
     fundamental_forms,
-    gauss_field,
     load_immersion_csv,
     make_circle,
     make_perturbed_circle,

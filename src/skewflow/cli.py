@@ -32,7 +32,6 @@ from .flow import FlowConfig, fitted_torus_radii, run, stable_dt
 from .geometry import (
     Immersion,
     fundamental_forms,
-    induced_metric,
     load_immersion_csv,
     make_circle,
     make_perturbed_torus,
@@ -174,11 +173,11 @@ def task_simulate(config: dict, out_dir: Path) -> int:
         header = ["t", "volume", "min_sv"] + (["a_fit", "b_fit"] if torus else [])
         writer.writerow(header)
         for state in traj.states:
-            _, _, det_g, min_sv = induced_metric(state.immersion)
+            geom = fundamental_forms(state.immersion)
             row = [
                 repr(state.t),
-                repr(float(np.sum(np.sqrt(det_g)) * state.immersion.grid.cell_measure())),
-                repr(float(np.min(min_sv))),
+                repr(float(np.sum(geom.sqrt_det_g) * state.immersion.grid.cell_measure())),
+                repr(float(np.min(geom.min_sv))),
             ]
             if torus:
                 a_fit, b_fit, _ = fitted_torus_radii(state.immersion)
@@ -250,30 +249,13 @@ def task_converge(config: dict, out_dir: Path) -> int:
     resolutions = config.get("resolutions")
     if not resolutions or len(resolutions) < 2:
         raise ConfigError("converge: need 'resolutions' with at least two entries")
-    # also checked by convergence_study, but the threaded path below runs the jobs first
-    if len({int(r) for r in resolutions}) < len(resolutions):
-        raise ConfigError(f"converge: 'resolutions' must be distinct, got {resolutions}")
     geometry = config.get("geometry", {})
     kwargs = {}
     for key in ("a", "b", "eps", "seed"):
         if key in geometry:
             kwargs[key] = geometry[key]
-    workers = _worker_count()
-    if workers > 1:
-        # resolution jobs are independent; collect in input order
-        runner = PROBLEMS[name]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(runner, int(size), **kwargs) for size in resolutions]
-            reports = [f.result() for f in futures]
-
-        def replay(size, **_):
-            return reports[[int(r) for r in resolutions].index(int(size))]
-
-        table = convergence_study(replay, resolutions)
-        table.name = name
-        table.metadata.update(kwargs)
-    else:
-        table = convergence_study(name, resolutions, **kwargs)
+    with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
+        table = convergence_study(name, resolutions, map_fn=pool.map, **kwargs)
     save_json(table_to_dict(table), out_dir / "convergence_table.json")
     save_table_csv(table, out_dir / "convergence_table.csv")
     print(f"converge {name}: observed_order={table.observed_order}")

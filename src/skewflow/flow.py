@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateImmersionError
-from .geometry import Immersion, _check_rank, _det_and_min_sv, _minor, generalized_cross, tangent_data
+from .geometry import Immersion, _check_rank, _det_and_min_sv, _minor, fundamental_forms, generalized_cross
 
 FLOW_KINDS = ("SMCF", "MCF")
 SCHEMES = ("RK4", "Euler", "IMEX")
@@ -232,8 +232,8 @@ def _curve_coefficients(F: np.ndarray, grid, kind: str, time: float | None) -> n
     skew flow (the cross product kills the tangential part of D2 F) and
     C = g^{00} (I - T T^T) for the mean curvature flow.
     """
-    _, e, _, g_inv, _, _, _ = tangent_data(Immersion(grid=grid, F=F), time=time)
-    T = e[:, 0, :]
+    geom = fundamental_forms(Immersion(grid=grid, F=F), time=time)
+    T = geom.e[:, 0, :]
     if kind == "MCF":
         C = np.eye(3) - T[:, :, None] * T[:, None, :]
     else:
@@ -241,7 +241,7 @@ def _curve_coefficients(F: np.ndarray, grid, kind: str, time: float | None) -> n
         C[:, 0, 1], C[:, 0, 2] = -T[:, 2], T[:, 1]
         C[:, 1, 0], C[:, 1, 2] = T[:, 2], -T[:, 0]
         C[:, 2, 0], C[:, 2, 1] = -T[:, 1], T[:, 0]
-    return g_inv[:, 0, :, None] * C
+    return geom.g_inv[:, 0, :, None] * C
 
 
 def _imex_step(F: np.ndarray, grid, kind: str, t: float, dt: float) -> np.ndarray:

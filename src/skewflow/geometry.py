@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -142,28 +143,6 @@ def _minor(out, p, q, r, s, tmp):
     out -= tmp
 
 
-def induced_metric(imm: Immersion, time: float | None = None):
-    """Coordinate tangents, induced metric, its determinant and the rank check.
-
-    Returns (t, g, det_g, min_sv) with t of shape sizes + (m, n) and min_sv
-    the smallest singular value of the tangent map per node.  Raises when
-    min_sv drops below RANK_TOL anywhere.
-    """
-    grid, F = imm.grid, imm.F
-    m = grid.m
-    t = np.stack([diff1(F, grid, i) for i in range(m)], axis=-2)  # (..., m, n)
-    g = np.einsum("...in,...jn->...ij", t, t)
-    if m == 1:
-        g00 = g[..., 0, 0]
-        min_sv = np.sqrt(np.maximum(g00, 0.0))
-        det_g = g00
-    else:
-        det_g, min_sv, gap, tmp = (np.empty(grid.sizes) for _ in range(4))
-        _det_and_min_sv(g[..., 0, 0], g[..., 0, 1], g[..., 1, 1], det_g, min_sv, gap, tmp)
-    _check_rank(min_sv, grid.sizes, time)
-    return t, g, det_g, min_sv
-
-
 def _det_and_min_sv(g00, g01, g11, det_g, min_sv, gap, tmp) -> None:
     """det g and the smallest singular value of a 2-dimensional tangent map into
     ``det_g`` and ``min_sv``, from the metric coefficients; ``gap`` and ``tmp``
@@ -180,32 +159,17 @@ def _det_and_min_sv(g00, g01, g11, det_g, min_sv, gap, tmp) -> None:
     np.sqrt(np.maximum(min_sv, 0.0, out=min_sv), out=min_sv)
 
 
-def tangent_data(imm: Immersion, time: float | None = None):
-    """Coordinate tangents, induced metric and orthonormalized tangent frame.
+def tangent_data(t: np.ndarray) -> np.ndarray:
+    """Orthonormal tangent frame from coordinate tangents t, shape sizes + (m, n).
 
-    Returns (t, e, g, g_inv, sqrt_det_g, min_sv, R) where R expresses the
-    orthonormal frame in coordinate tangents, e_i = sum_l R[i, l] d_l F.
-    Raises when the smallest tangent singular value drops below threshold.
+    Gram-Schmidt in fixed direction order, so e_1 is the unit first tangent.
     """
-    m = imm.grid.m
-    t, g, det_g, min_sv = induced_metric(imm, time)
-    if m == 1:
-        g_inv = 1.0 / g[..., 0, 0][..., None, None]
-    else:
-        g_inv = np.empty_like(g)
-        g_inv[..., 0, 0] = g[..., 1, 1]
-        g_inv[..., 1, 1] = g[..., 0, 0]
-        g_inv[..., 0, 1] = -g[..., 0, 1]
-        g_inv[..., 1, 0] = -g[..., 0, 1]
-        g_inv = g_inv / det_g[..., None, None]
-    # Gram-Schmidt in fixed direction order
     e = np.empty_like(t)
     e[..., 0, :] = t[..., 0, :] / np.linalg.norm(t[..., 0, :], axis=-1)[..., None]
-    if m == 2:
+    if t.shape[-2] == 2:
         u = t[..., 1, :] - np.einsum("...n,...n->...", t[..., 1, :], e[..., 0, :])[..., None] * e[..., 0, :]
         e[..., 1, :] = u / np.linalg.norm(u, axis=-1)[..., None]
-    R = np.einsum("...in,...ln->...il", e, t) @ g_inv
-    return t, e, g, g_inv, np.sqrt(det_g), min_sv, R
+    return e
 
 
 def normal_completion(e: np.ndarray) -> np.ndarray:
@@ -249,87 +213,118 @@ def normal_completion(e: np.ndarray) -> np.ndarray:
     return nu
 
 
-@dataclass
-class FrameField:
-    """Per-node adapted frames of an immersion."""
-
-    grid: PeriodicGrid
-    e: np.ndarray
-    nu: np.ndarray
-
-    def frame_at(self, node) -> AdaptedFrame:
-        return AdaptedFrame(e=self.e[node], nu=self.nu[node])
-
-
-def frame_field(imm: Immersion) -> FrameField:
-    """Orthonormal tangents (fixed Gram-Schmidt order) plus oriented normals."""
-    _, e, _, _, _, _, _ = tangent_data(imm)
-    return FrameField(grid=imm.grid, e=e, nu=normal_completion(e))
-
-
-@dataclass
 class GeometryCache:
-    """Everything the flow and the residual checks need, built once per immersion.
+    """The geometry of one immersion, each quantity computed on first use.
 
-    ``A`` holds the second fundamental form coefficients against the normal
-    frame, shape sizes + (k, m, m); ``H`` the mean curvature vector; ``R``
-    the change of basis from coordinate tangents to the orthonormal frame.
-    Immutable by convention after construction.
+    Construction computes the coordinate tangents ``t``, shape sizes + (m, n),
+    the induced metric ``g``, its determinant ``det_g`` and ``min_sv``, the
+    smallest singular value of the tangent map per node; it raises
+    DegenerateImmersionError, naming the node and ``time``, when ``min_sv``
+    drops below RANK_TOL anywhere.  Everything else is a cached property:
+    ``e`` the orthonormal tangent frame, ``nu`` the oriented normal frame,
+    ``R`` the change of basis e_i = sum_l R[i, l] d_l F, ``rho`` the plane
+    field, ``A`` the second fundamental form against the normal frame, shape
+    sizes + (k, m, m), ``H`` the mean curvature vector and ``grad_H_perp``
+    the normal part of its coordinate derivatives.  Immutable by convention.
     """
 
-    grid: PeriodicGrid
-    F: np.ndarray
-    e: np.ndarray
-    nu: np.ndarray
-    g: np.ndarray
-    g_inv: np.ndarray
-    sqrt_det_g: np.ndarray
-    A: np.ndarray
-    H: np.ndarray
-    grad_H_perp: np.ndarray
-    R: np.ndarray
-    min_sv: np.ndarray
-
-    def frame_at(self, node) -> AdaptedFrame:
-        return AdaptedFrame(e=self.e[node], nu=self.nu[node])
+    def __init__(self, imm: Immersion, time: float | None = None):
+        grid, F = imm.grid, imm.F
+        self.grid, self.F = grid, F
+        m = grid.m
+        self.t = t = np.stack([diff1(F, grid, i) for i in range(m)], axis=-2)  # (..., m, n)
+        self.g = g = np.einsum("...in,...jn->...ij", t, t)
+        if m == 1:
+            g00 = g[..., 0, 0]
+            self.min_sv = np.sqrt(np.maximum(g00, 0.0))
+            self.det_g = g00
+        else:
+            self.det_g, self.min_sv, gap, tmp = (np.empty(grid.sizes) for _ in range(4))
+            _det_and_min_sv(g[..., 0, 0], g[..., 0, 1], g[..., 1, 1], self.det_g, self.min_sv, gap, tmp)
+        _check_rank(self.min_sv, grid.sizes, time)
 
     @property
     def m(self) -> int:
         return self.grid.m
 
+    @cached_property
+    def sqrt_det_g(self) -> np.ndarray:
+        return np.sqrt(self.det_g)
 
-def fundamental_forms(imm: Immersion) -> GeometryCache:
-    """First and second fundamental forms, mean curvature and its normal gradient."""
-    grid, F = imm.grid, imm.F
-    m = grid.m
-    t, e, g, g_inv, sqrt_det_g, min_sv, R = tangent_data(imm)
-    nu = normal_completion(e)
+    @cached_property
+    def g_inv(self) -> np.ndarray:
+        g = self.g
+        if self.m == 1:
+            return 1.0 / g[..., 0, 0][..., None, None]
+        g_inv = np.empty_like(g)
+        g_inv[..., 0, 0] = g[..., 1, 1]
+        g_inv[..., 1, 1] = g[..., 0, 0]
+        g_inv[..., 0, 1] = -g[..., 0, 1]
+        g_inv[..., 1, 0] = -g[..., 0, 1]
+        return g_inv / self.det_g[..., None, None]
 
-    d2 = np.empty(grid.sizes + (m, m, imm.n))
-    for i in range(m):
-        for j in range(i, m):
-            val = diff2(F, grid, i, j)
-            d2[..., i, j, :] = val
-            d2[..., j, i, :] = val
-    # normal part of the second coordinate derivatives
-    tang = np.einsum("...ijn,...ln->...ijl", d2, e)
-    d2_perp = d2 - np.einsum("...ijl,...ln->...ijn", tang, e)
-    A = np.einsum("...ijn,...an->...aij", d2_perp, nu)
-    H = np.einsum("...ij,...ijn->...n", g_inv, d2_perp)
+    @cached_property
+    def e(self) -> np.ndarray:
+        return tangent_data(self.t)
 
-    dH = np.stack([diff1(H, grid, i) for i in range(m)], axis=-2)
-    grad_H_perp = dH - np.einsum("...il,...ln->...in", np.einsum("...in,...ln->...il", dH, e), e)
+    @cached_property
+    def R(self) -> np.ndarray:
+        return np.einsum("...in,...ln->...il", self.e, self.t) @ self.g_inv
 
-    return GeometryCache(
-        grid=grid, F=F, e=e, nu=nu, g=g, g_inv=g_inv, sqrt_det_g=sqrt_det_g,
-        A=A, H=H, grad_H_perp=grad_H_perp, R=R, min_sv=min_sv,
-    )
+    @cached_property
+    def nu(self) -> np.ndarray:
+        return normal_completion(self.e)
+
+    @cached_property
+    def rho(self) -> np.ndarray:
+        return rho_field(self.e)
+
+    def _d2_perp(self) -> np.ndarray:
+        """Normal part of the second coordinate derivatives, (..., m, m, n).
+
+        Not cached: few callers read both A and H, and keeping it would hold
+        another 8 MiB per geometry at 256^2.
+        """
+        grid, F, m = self.grid, self.F, self.m
+        d2 = np.empty(grid.sizes + (m, m, F.shape[-1]))
+        for i in range(m):
+            for j in range(i, m):
+                val = diff2(F, grid, i, j)
+                d2[..., i, j, :] = val
+                d2[..., j, i, :] = val
+        tang = np.einsum("...ijn,...ln->...ijl", d2, self.e)
+        return d2 - np.einsum("...ijl,...ln->...ijn", tang, self.e)
+
+    @cached_property
+    def A(self) -> np.ndarray:
+        return np.einsum("...ijn,...an->...aij", self._d2_perp(), self.nu)
+
+    @cached_property
+    def H(self) -> np.ndarray:
+        return np.einsum("...ij,...ijn->...n", self.g_inv, self._d2_perp())
+
+    @cached_property
+    def grad_H_perp(self) -> np.ndarray:
+        dH = np.stack([diff1(self.H, self.grid, i) for i in range(self.m)], axis=-2)
+        e = self.e
+        return dH - np.einsum("...il,...ln->...in", np.einsum("...in,...ln->...il", dH, e), e)
+
+    def frame_at(self, node) -> AdaptedFrame:
+        return AdaptedFrame(e=self.e[node], nu=self.nu[node])
+
+    def point_at(self, node) -> GrassmannPoint:
+        frame = self.frame_at(node)
+        return GrassmannPoint(xi=MultiVector(self.F.shape[-1], self.m, self.rho[node]), frame=frame)
+
+
+def fundamental_forms(imm: Immersion, time: float | None = None) -> GeometryCache:
+    """The geometry of an immersion; raises at once if its tangent map is degenerate."""
+    return GeometryCache(imm, time)
 
 
 def volume(imm: Immersion) -> float:
     """Total length (m = 1) or area (m = 2) of the discrete immersion."""
-    _, _, det_g, _ = induced_metric(imm)
-    return float(np.sum(np.sqrt(det_g)) * imm.grid.cell_measure())
+    return float(np.sum(fundamental_forms(imm).sqrt_det_g) * imm.grid.cell_measure())
 
 
 # ---------------------------------------------------------------------------
@@ -434,30 +429,6 @@ def rotate_normal_field(e: np.ndarray, w: np.ndarray) -> np.ndarray:
     if (m, n) not in ((1, 3), (2, 4)):
         raise UnsupportedCaseError(f"normal rotation fields need (m, n) in {{(1,3),(2,4)}}, got {(m, n)}")
     return generalized_cross(*(e[..., i, :] for i in range(m)), w, axis=-1)
-
-
-@dataclass
-class GaussField:
-    """Per-node tangent planes of an immersion, as unit simple m-vectors."""
-
-    grid: PeriodicGrid
-    rho: np.ndarray
-    e: np.ndarray
-    nu: np.ndarray
-
-    def point_at(self, node) -> GrassmannPoint:
-        frame = AdaptedFrame(e=self.e[node], nu=self.nu[node])
-        n = self.e.shape[-1]
-        return GrassmannPoint(xi=MultiVector(n, self.grid.m, self.rho[node]), frame=frame)
-
-
-def gauss_field(imm: Immersion, cache: GeometryCache | None = None) -> GaussField:
-    if cache is None:
-        frames = frame_field(imm)
-        e, nu = frames.e, frames.nu
-    else:
-        e, nu = cache.e, cache.nu
-    return GaussField(grid=imm.grid, rho=rho_field(e), e=e, nu=nu)
 
 
 # ---------------------------------------------------------------------------

@@ -32,10 +32,8 @@ from .geometry import (
     make_perturbed_torus,
     make_product_torus,
     project_field,
-    rho_field,
     rotate_normal_field,
     tangent_basis_field,
-    tangent_data,
 )
 from .grassmann import (
     frame_curve,
@@ -115,9 +113,9 @@ def laplace_beltrami(values: np.ndarray, cache: GeometryCache) -> np.ndarray:
     return out / cache.sqrt_det_g[..., None]
 
 
-def _rho_from(cache: GeometryCache, rho=None) -> np.ndarray:
+def _rho_from(cache: GeometryCache, rho: GeometryCache | None = None) -> np.ndarray:
     if rho is None:
-        return rho_field(cache.e)
+        return cache.rho
     if rho.grid != cache.grid:
         raise ValueError(
             f"plane field lives on grid {rho.grid.sizes}, cache on {cache.grid.sizes}"
@@ -163,9 +161,9 @@ def dt_rho_numeric(traj: Trajectory, index: int, cache: GeometryCache | None = N
     prev_state, mid_state, next_state = traj[index - 1], traj[index], traj[index + 1]
     if cache is None:
         cache = fundamental_forms(mid_state.immersion)
-    _, e_prev, _, _, _, _, _ = tangent_data(prev_state.immersion)
-    _, e_next, _, _, _, _, _ = tangent_data(next_state.immersion)
-    chord = (rho_field(e_next) - rho_field(e_prev)) / (next_state.t - prev_state.t)
+    rho_prev = fundamental_forms(prev_state.immersion).rho
+    rho_next = fundamental_forms(next_state.immersion).rho
+    chord = (rho_next - rho_prev) / (next_state.t - prev_state.t)
     return project_field(cache.e, cache.nu, chord)
 
 
@@ -406,11 +404,13 @@ PROBLEMS = {
 }
 
 
-def convergence_study(problem, resolutions, norm_key: str = "max", **problem_kwargs) -> ConvergenceTable:
+def convergence_study(problem, resolutions, norm_key: str = "max", map_fn=map, **problem_kwargs) -> ConvergenceTable:
     """Run a named (or callable) residual problem across resolutions and fit the order.
 
     Time steps inside flow-based problems are slaved to h^2 via their
-    dt_factor, so one observed order summarizes both discretizations.
+    dt_factor, so one observed order summarizes both discretizations.  The
+    resolution jobs are independent and run through ``map_fn`` (e.g. an
+    executor's ``map``), which must yield results in input order.
     """
     resolutions = [int(r) for r in resolutions]
     if len(resolutions) < 2:
@@ -419,10 +419,7 @@ def convergence_study(problem, resolutions, norm_key: str = "max", **problem_kwa
         raise ValueError(f"resolutions must be distinct, got {resolutions}")
     runner = PROBLEMS[problem] if isinstance(problem, str) else problem
     rows = []
-    reports = []
-    for size in resolutions:
-        report = runner(size, **problem_kwargs)
-        reports.append(report)
+    for size, report in zip(resolutions, map_fn(lambda size: runner(size, **problem_kwargs), resolutions)):
         h = 2.0 * np.pi / size
         rows.append({"resolution": size, "h": h, "norm": float(report.norms[norm_key])})
     order, monotone, below = fit_order([r["h"] for r in rows], [r["norm"] for r in rows])

@@ -18,7 +18,7 @@ import numpy as np
 from skewflow import (
     FlowConfig,
     fitted_torus_radii,
-    gauss_field,
+    fundamental_forms,
     isometry_max_error,
     jtilde_coeffs,
     make_circle,
@@ -90,9 +90,9 @@ def test_criterion_05_translating_circle_stated_parameters():
     F = traj[-1].immersion.F
     displacement = float(np.mean(F[:, 2]))
     radius_drift = float(np.max(np.abs(np.hypot(F[:, 0], F[:, 1]) - 1.0)))
-    rho0 = gauss_field(traj[0].immersion).rho
+    rho0 = fundamental_forms(traj[0].immersion).rho
     gauss_var = max(
-        float(np.max(np.abs(gauss_field(s.immersion).rho - rho0))) for s in traj.states
+        float(np.max(np.abs(fundamental_forms(s.immersion).rho - rho0))) for s in traj.states
     )
     ok = abs(displacement - 0.5) <= 5e-4 and radius_drift <= 1e-8 and gauss_var <= 1e-6
     _criterion(

@@ -6,9 +6,7 @@ from skewflow import (
     PeriodicGrid,
     diff1,
     diff2,
-    frame_field,
     fundamental_forms,
-    gauss_field,
     load_immersion_csv,
     make_circle,
     make_perturbed_torus,
@@ -19,13 +17,11 @@ from skewflow import (
 from skewflow.errors import DegenerateImmersionError
 from skewflow.geometry import (
     generalized_cross,
-    induced_metric,
     normal_completion,
     project_field,
     rho_field,
     rotate_normal_field,
     tangent_basis_field,
-    tangent_data,
 )
 
 
@@ -80,7 +76,7 @@ def test_diff2_mixed_oracle():
 
 def test_frame_field_circle():
     imm = make_circle(1.0, 64)
-    frames = frame_field(imm)
+    frames = fundamental_forms(imm)
     x = imm.grid.axes()[0]
     expect = np.stack([-np.sin(x), np.cos(x), 0 * x], axis=-1)
     assert np.max(np.abs(frames.e[:, 0, :] - expect)) < 1e-12
@@ -96,7 +92,7 @@ def test_frame_field_circle():
 
 def test_frame_field_product_torus_direct_differentiation():
     imm = make_product_torus(1.0, 0.5, 32)
-    frames = frame_field(imm)
+    frames = fundamental_forms(imm)
     x, y = imm.grid.meshgrid()
     e1 = np.stack([-np.sin(x), np.cos(x), 0 * x, 0 * x], axis=-1)
     e2 = np.stack([0 * x, 0 * x, -np.sin(y), np.cos(y)], axis=-1)
@@ -115,7 +111,7 @@ def test_frame_field_flat_patch_interior():
     grid = PeriodicGrid((16, 16))
     x, y = grid.meshgrid()
     F = np.stack([x, y, 0 * x, 0 * x], axis=-1)
-    frames = frame_field(Immersion(grid=grid, F=F))
+    frames = fundamental_forms(Immersion(grid=grid, F=F))
     inner_e = frames.e[2:-2, 2:-2]
     assert np.max(np.abs(inner_e - inner_e[0, 0])) < 1e-12
 
@@ -125,7 +121,7 @@ def test_frame_field_degenerate_node_error():
     F = imm.F.copy()
     F[:] = F[0]  # collapse to a point: zero tangent everywhere
     with pytest.raises(DegenerateImmersionError) as err:
-        frame_field(Immersion(grid=imm.grid, F=F))
+        fundamental_forms(Immersion(grid=imm.grid, F=F))
     assert err.value.node is not None
 
 
@@ -217,9 +213,49 @@ def test_volume_scaling_homogeneity():
 
 def test_volume_equals_tangent_data_sum_exactly():
     for imm in (make_circle(1.0, 64), make_perturbed_torus(1.0, 0.6, 0.05, 7, 24)):
-        _, _, _, _, sqrt_det_g, min_sv, _ = tangent_data(imm)
-        assert volume(imm) == float(np.sum(sqrt_det_g) * imm.grid.cell_measure())
-        assert np.array_equal(induced_metric(imm)[3], min_sv)
+        geom = fundamental_forms(imm)
+        assert volume(imm) == float(np.sum(geom.sqrt_det_g) * imm.grid.cell_measure())
+        assert np.array_equal(fundamental_forms(imm).min_sv, geom.min_sv)
+
+
+LAZY = ("e", "nu", "R", "A", "H")
+
+
+def test_geometry_computes_only_the_metric_block_up_front(monkeypatch):
+    from skewflow import geometry
+
+    imm = make_perturbed_torus(1.0, 0.6, 0.05, 7, 16)
+    geom = fundamental_forms(imm)
+    assert not any(name in vars(geom) for name in LAZY)
+    built = []
+
+    def recording(*args, **kwargs):
+        built.append(geometry.GeometryCache(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(geometry, "fundamental_forms", recording)
+    volume(imm)
+    assert len(built) == 1
+    assert not any(name in vars(built[0]) for name in LAZY)
+
+
+def test_second_fundamental_form_and_mean_curvature_independent_of_read_order():
+    imm = make_perturbed_torus(1.0, 0.6, 0.05, 7, 16)
+    a_first = fundamental_forms(imm)
+    A = a_first.A
+    h_first = fundamental_forms(imm)
+    H = h_first.H
+    assert np.array_equal(A, h_first.A)
+    assert np.array_equal(H, a_first.H)
+
+
+def test_degenerate_immersion_raises_at_construction_with_time():
+    imm = make_circle(1.0, 16)
+    F = np.repeat(imm.F[:1], 16, axis=0)  # collapsed to a point
+    with pytest.raises(DegenerateImmersionError) as err:
+        fundamental_forms(Immersion(grid=imm.grid, F=F), time=0.25)
+    assert err.value.time == 0.25
+    assert err.value.node is not None
 
 
 def test_generalized_cross_into_buffers():
@@ -240,7 +276,7 @@ def test_generalized_cross_into_buffers():
 
 def test_gauss_field_circle_great_circle():
     imm = make_circle(2.0, 64)
-    rho = gauss_field(imm).rho
+    rho = fundamental_forms(imm).rho
     x = imm.grid.axes()[0]
     expect = np.stack([-np.sin(x), np.cos(x), 0 * x], axis=-1)
     assert np.max(np.abs(rho - expect)) < 1e-12
@@ -250,14 +286,14 @@ def test_gauss_field_flat_patch_constant_interior():
     grid = PeriodicGrid((16, 16))
     x, y = grid.meshgrid()
     F = np.stack([x, y, 0 * x, 0 * x], axis=-1)
-    rho = gauss_field(Immersion(grid=grid, F=F)).rho
+    rho = fundamental_forms(Immersion(grid=grid, F=F)).rho
     inner = rho[2:-2, 2:-2]
     assert np.max(np.abs(inner - inner[0, 0])) < 1e-12
 
 
 def test_gauss_field_point_accessor():
     imm = make_product_torus(1.0, 0.7, 16)
-    field = gauss_field(imm)
+    field = fundamental_forms(imm)
     point = field.point_at((3, 9))  # validates unit norm, simplicity, frame match
     assert point.frame is not None
 
@@ -354,7 +390,7 @@ def test_normal_completion_tie_nodes():
     # project onto the same normal direction; the completion must fall back
     for size in (16, 32):
         imm = make_product_torus(1.0, 1.0, size)
-        _, e, *_ = tangent_data(imm)
+        e = fundamental_forms(imm).e
         nu = normal_completion(e)
         gram = np.einsum("...an,...bn->...ab", nu, nu)
         assert np.max(np.abs(gram - np.eye(2))) < 1e-12

@@ -12,7 +12,6 @@ from skewflow import (
     inner,
     jtilde_coeffs,
     normal_rotate,
-    project_to_tangent,
     psi,
     psi_inv,
     random_adapted_frame,

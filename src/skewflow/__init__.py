@@ -11,7 +11,6 @@ from .errors import (
     UnsupportedCaseError,
 )
 from .exterior import (
-    MultiIndex,
     MultiVector,
     index_sets,
     inner,

@@ -10,7 +10,6 @@ storage would buy nothing at this scale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import comb
@@ -31,39 +30,6 @@ def index_sets(degree: int, n: int) -> tuple[tuple[int, ...], ...]:
 @lru_cache(maxsize=None)
 def _ordinal_of(degree: int, n: int) -> dict[tuple[int, ...], int]:
     return {s: i for i, s in enumerate(index_sets(degree, n))}
-
-
-@dataclass(frozen=True)
-class MultiIndex:
-    """One basis subset of Lambda^p R^n with its lexicographic position."""
-
-    n: int
-    degree: int
-    members: tuple[int, ...]
-    ordinal: int
-
-    def __post_init__(self):
-        if len(self.members) != self.degree:
-            raise ValueError("member count does not match degree")
-        if any(b <= a for a, b in zip(self.members, self.members[1:])):
-            raise ValueError(f"members must be strictly increasing, got {self.members}")
-        if self.members and not (1 <= self.members[0] and self.members[-1] <= self.n):
-            raise ValueError(f"members must lie in [1..{self.n}]")
-        if index_sets(self.degree, self.n)[self.ordinal] != self.members:
-            raise ValueError("ordinal does not match members")
-
-    @classmethod
-    def from_members(cls, members, n: int) -> "MultiIndex":
-        members = tuple(members)
-        table = _ordinal_of(len(members), n)
-        if members not in table:
-            raise ValueError(f"not a strictly increasing subset of [1..{n}]: {members}")
-        return cls(n=n, degree=len(members), members=members, ordinal=table[members])
-
-    @classmethod
-    def from_ordinal(cls, ordinal: int, degree: int, n: int) -> "MultiIndex":
-        members = index_sets(degree, n)[ordinal]
-        return cls(n=n, degree=degree, members=members, ordinal=ordinal)
 
 
 class MultiVector:
@@ -157,18 +123,44 @@ def wedge_vectors(vectors) -> MultiVector:
 
 @lru_cache(maxsize=None)
 def _wedge_table(p: int, q: int, n: int):
-    """Triples (i, j, k, sign) with e_{S_i} ^ e_{T_j} = sign * e_{R_k}."""
+    """Per coefficient R_k of Lambda^{p+q}, the terms (i, j, sign) with
+    e_{S_i} ^ e_{T_j} = sign * e_{R_k}, in lexicographic (i, j) order."""
     rank = _ordinal_of(p + q, n)
-    table = []
+    table = [[] for _ in rank]
     for i, s in enumerate(index_sets(p, n)):
-        s_set = set(s)
         for j, t in enumerate(index_sets(q, n)):
-            if s_set & set(t):
+            if set(s) & set(t):
                 continue
             inversions = sum(1 for a in s for b in t if a > b)
-            sign = -1.0 if inversions % 2 else 1.0
-            table.append((i, j, rank[tuple(sorted(s + t))], sign))
-    return tuple(table)
+            table[rank[tuple(sorted(s + t))]].append((i, j, -1.0 if inversions % 2 else 1.0))
+    return tuple(tuple(terms) for terms in table)
+
+
+def wedge_field(a, b, p: int, q: int, n: int) -> np.ndarray:
+    """Wedge of coefficient arrays a (..., C(n, p)) and b (..., C(n, q)).
+
+    The leading axes broadcast.  Each output coefficient is its first table
+    term, then the others added or subtracted in table order, so a 2-vector
+    coefficient comes out as the single minor u_a v_b - u_b v_a.
+    """
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    if a.shape[-1] != comb(n, p) or b.shape[-1] != comb(n, q):
+        raise ValueError(
+            f"coefficient counts {a.shape[-1]}, {b.shape[-1]} do not match degrees {p}, {q} in R^{n}"
+        )
+    table = _wedge_table(p, q, n)
+    lead = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
+    out = np.empty(lead + (len(table),))
+    acc, tmp = np.empty(lead), np.empty(lead)  # contiguous, unlike out[..., k]
+    for k, ((i, j, sign), *rest) in enumerate(table):
+        np.multiply(a[..., i], b[..., j], out=acc)
+        if sign < 0:
+            np.negative(acc, out=acc)
+        for i, j, sign in rest:
+            np.multiply(a[..., i], b[..., j], out=tmp)
+            (np.add if sign > 0 else np.subtract)(acc, tmp, out=acc)
+        out[..., k] = acc
+    return out
 
 
 def wedge(a: MultiVector, b: MultiVector) -> MultiVector:
@@ -179,10 +171,7 @@ def wedge(a: MultiVector, b: MultiVector) -> MultiVector:
         raise ValueError(
             f"degree overflow: {a.degree} + {b.degree} > {a.n}"
         )
-    out = np.zeros(comb(a.n, a.degree + b.degree))
-    for i, j, k, sign in _wedge_table(a.degree, b.degree, a.n):
-        out[k] += sign * a.coeffs[i] * b.coeffs[j]
-    return MultiVector(a.n, a.degree + b.degree, out)
+    return MultiVector(a.n, a.degree + b.degree, wedge_field(a.coeffs, b.coeffs, a.degree, b.degree, a.n))
 
 
 def inner(a: MultiVector, b: MultiVector) -> float:

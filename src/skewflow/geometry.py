@@ -18,13 +18,11 @@ import numpy as np
 
 from .errors import DegenerateImmersionError, UnsupportedCaseError
 from .exterior import MultiVector
-from .grassmann import AdaptedFrame, GrassmannPoint
+# project_field and tangent_basis_field are re-exported for callers that look the field forms up here
+from .grassmann import AdaptedFrame, GrassmannPoint, project_field, rho_field, tangent_basis_field
 
 TWO_PI = 2.0 * np.pi
 RANK_TOL = 1e-6  # smallest admissible singular value of the tangent map
-
-# lexicographic pairs indexing 2-vector coefficients in R^4
-_PAIRS4 = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
 
 
 @dataclass(frozen=True)
@@ -328,49 +326,7 @@ def volume(imm: Immersion) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Grassmann-valued fields (vectorized counterparts of the pointwise API)
-
-
-def wedge_pair_field(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Per-node wedge of two R^4 vector fields, lexicographic 2-vector coefficients."""
-    comps = [u[..., a] * v[..., b] - u[..., b] * v[..., a] for a, b in _PAIRS4]
-    return np.stack(comps, axis=-1)
-
-
-def rho_field(e: np.ndarray) -> np.ndarray:
-    """Unit simple m-vector of the tangent plane, per node."""
-    if e.shape[-2] == 1:
-        return e[..., 0, :].copy()
-    return wedge_pair_field(e[..., 0, :], e[..., 1, :])
-
-
-def tangent_basis_field(e: np.ndarray, nu: np.ndarray) -> np.ndarray:
-    """Per-node orthonormal tangent basis of the Grassmannian, shape (..., m, k, C)."""
-    m, k = e.shape[-2], nu.shape[-2]
-    if m == 1:
-        # degree-1 coefficients in R^3 are the vectors themselves
-        return nu[..., None, :, :].copy()
-    rows = []
-    for i in range(m):
-        slots = []
-        for alpha in range(k):
-            if i == 0:
-                slots.append(wedge_pair_field(nu[..., alpha, :], e[..., 1, :]))
-            else:
-                slots.append(wedge_pair_field(e[..., 0, :], nu[..., alpha, :]))
-        rows.append(np.stack(slots, axis=-2))
-    return np.stack(rows, axis=-3)
-
-
-def project_field(e: np.ndarray, nu: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Tangent coefficients of a multivector field, shape (..., m, k)."""
-    basis = tangent_basis_field(e, nu)
-    return np.einsum("...ikc,...c->...ik", basis, w)
-
-
-def jtilde_field(coeffs: np.ndarray) -> np.ndarray:
-    """Complex structure on (..., m, 2) coefficient fields."""
-    return np.stack([-coeffs[..., 1], coeffs[..., 0]], axis=-1)
+# quarter-turns of normal fields
 
 
 def generalized_cross(*vectors: np.ndarray, axis: int = 0, out=None, scratch=None) -> np.ndarray:

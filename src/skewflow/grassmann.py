@@ -6,6 +6,10 @@ obtained by swapping one tangent leg for a normal one.  The coefficient
 matrix of a tangent vector against that basis realises the tensor-product
 picture (plane) x (complement), and for k = 2 carries the complex structure
 that rotates the normal leg by a quarter turn.
+
+The ``*_field`` functions work on arrays with any leading (grid) axes; the
+pointwise API applies them to one frame and wraps the result in
+MultiVector objects.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FrameError, NotNormalError, NotTangentError, UnsupportedCaseError
-from .exterior import MultiVector, inner, simplicity_residual, wedge_vectors
+from .exterior import MultiVector, inner, simplicity_residual, wedge_field, wedge_vectors
 
 FRAME_TOL = 1e-10
 TANGENT_TOL = 1e-8  # upstream discretisation noise exceeds machine epsilon
@@ -81,9 +85,41 @@ class GrassmannPoint:
                 raise FrameError("frame does not span the stored multivector")
 
 
+def rho_field(e: np.ndarray) -> np.ndarray:
+    """Wedge e_1 ^ ... ^ e_m of the rows of e, shape (..., m, n) -> (..., C(n, m)).
+
+    For an orthonormal tangent frame this is the unit simple m-vector of the
+    plane, per node.  When m = 1 the result is a view of e's only row.
+    """
+    m, n = e.shape[-2], e.shape[-1]
+    out = e[..., 0, :]
+    for i in range(1, m):
+        out = wedge_field(out, e[..., i, :], i, 1, n)
+    return out
+
+
+def tangent_basis_field(e: np.ndarray, nu: np.ndarray) -> np.ndarray:
+    """Per-node orthonormal tangent basis of the Grassmannian, shape (..., m, k, C).
+
+    Entry (i, alpha) is the wedge of the plane basis with leg i replaced by
+    normal vector alpha.
+    """
+    m, k = e.shape[-2], nu.shape[-2]
+    legs = np.empty(e.shape[:-2] + (m, k) + e.shape[-2:])
+    legs[...] = e[..., None, None, :, :]
+    for i in range(m):
+        legs[..., i, :, i, :] = nu
+    return rho_field(legs)
+
+
+def project_field(e: np.ndarray, nu: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Tangent coefficients of a multivector field, shape (..., m, k)."""
+    return np.einsum("...ikc,...c->...ik", tangent_basis_field(e, nu), w)
+
+
 def embed(frame: AdaptedFrame) -> GrassmannPoint:
     """Unit simple m-vector of the plane; independent of the oriented basis."""
-    return GrassmannPoint(xi=wedge_vectors(frame.e), frame=frame)
+    return GrassmannPoint(xi=MultiVector(frame.n, frame.m, rho_field(frame.e)), frame=frame)
 
 
 def tangent_basis(frame: AdaptedFrame) -> list[list[MultiVector]]:
@@ -92,15 +128,7 @@ def tangent_basis(frame: AdaptedFrame) -> list[list[MultiVector]]:
     Entry [i][alpha] is the wedge of the plane basis with leg i replaced by
     normal vector alpha.  Returned nested as m rows of k multivectors.
     """
-    basis = []
-    for i in range(frame.m):
-        row = []
-        for alpha in range(frame.k):
-            legs = frame.e.copy()
-            legs[i] = frame.nu[alpha]
-            row.append(wedge_vectors(legs))
-        basis.append(row)
-    return basis
+    return [[MultiVector(frame.n, frame.m, c) for c in row] for row in tangent_basis_field(frame.e, frame.nu)]
 
 
 def project_to_tangent(frame: AdaptedFrame, w: MultiVector) -> np.ndarray:
@@ -110,12 +138,7 @@ def project_to_tangent(frame: AdaptedFrame, w: MultiVector) -> np.ndarray:
             f"multivector (n={w.n}, degree={w.degree}) does not match frame "
             f"(n={frame.n}, m={frame.m})"
         )
-    basis = tangent_basis(frame)
-    out = np.empty((frame.m, frame.k))
-    for i in range(frame.m):
-        for alpha in range(frame.k):
-            out[i, alpha] = inner(w, basis[i][alpha])
-    return out
+    return project_field(frame.e, frame.nu, w.coeffs)
 
 
 def psi(frame: AdaptedFrame, coeffs) -> MultiVector:
@@ -123,12 +146,7 @@ def psi(frame: AdaptedFrame, coeffs) -> MultiVector:
     coeffs = np.asarray(coeffs, dtype=float)
     if coeffs.shape != (frame.m, frame.k):
         raise ValueError(f"expected coefficient shape {(frame.m, frame.k)}, got {coeffs.shape}")
-    basis = tangent_basis(frame)
-    out = MultiVector.zero(frame.n, frame.m)
-    for i in range(frame.m):
-        for alpha in range(frame.k):
-            out = out + coeffs[i, alpha] * basis[i][alpha]
-    return out
+    return MultiVector(frame.n, frame.m, np.einsum("ik,ikc->c", coeffs, tangent_basis_field(frame.e, frame.nu)))
 
 
 def psi_inv(frame: AdaptedFrame, v: MultiVector, tol: float = TANGENT_TOL) -> np.ndarray:
@@ -162,13 +180,13 @@ def normal_rotate(frame: AdaptedFrame, w) -> np.ndarray:
 
 
 def jtilde_coeffs(coeffs) -> np.ndarray:
-    """Complex structure on tangent coefficients: rotate the normal index."""
+    """Complex structure on (..., m, 2) tangent coefficients: rotate the normal index."""
     coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.ndim != 2 or coeffs.shape[1] != 2:
+    if coeffs.ndim < 2 or coeffs.shape[-1] != 2:
         raise UnsupportedCaseError(
-            f"complex structure needs (m, 2) coefficients, got shape {coeffs.shape}"
+            f"complex structure needs (..., m, 2) coefficients, got shape {coeffs.shape}"
         )
-    return np.stack([-coeffs[:, 1], coeffs[:, 0]], axis=1)
+    return np.stack([-coeffs[..., 1], coeffs[..., 0]], axis=-1)
 
 
 def random_adapted_frame(rng: np.random.Generator, m: int, n: int) -> AdaptedFrame:

@@ -28,20 +28,19 @@ from .geometry import (
     PeriodicGrid,
     diff1,
     fundamental_forms,
-    jtilde_field,
     make_perturbed_torus,
     make_product_torus,
-    project_field,
     rotate_normal_field,
-    tangent_basis_field,
 )
 from .grassmann import (
     frame_curve,
     jtilde_coeffs,
+    project_field,
     project_to_tangent,
     psi,
     random_adapted_frame,
     tangent_basis,
+    tangent_basis_field,
 )
 
 RESIDUAL_FLOOR = 1e-13
@@ -185,7 +184,7 @@ def residual_theorem1(traj: Trajectory, index: int, use_jtilde: bool = True, met
     lhs_ana = dt_rho_analytic(cache, apply_rotation=use_jtilde)
     rhs = tension(cache)
     if use_jtilde:
-        rhs = jtilde_field(rhs)
+        rhs = jtilde_coeffs(rhs)
     primary = _frobenius(lhs_num - rhs)
     norms = _weighted_norms(primary, cache)
     norms["max_analytic"] = float(np.max(_frobenius(lhs_ana - rhs)))
@@ -303,10 +302,16 @@ def theorem2_suite(seed: int, h_list, m: int = 2, n: int = 4, trials: int = 1000
 
     The isometry part has no step size; its worst error is stored in the
     table metadata.  The connection part is sampled along a seeded smooth
-    frame curve at every h in h_list.
+    frame curve at every h in h_list, which needs at least two distinct,
+    finite, positive steps.
     """
+    try:
+        hs = [float(h) for h in h_list]
+    except TypeError as exc:
+        raise ValueError(f"h_list must be a list of step sizes, got {h_list!r}") from exc
+    if len(hs) < 2 or len(set(hs)) < len(hs) or not all(0.0 < h < np.inf for h in hs):
+        raise ValueError(f"h_list needs at least two distinct finite positive steps, got {hs}")
     curve = frame_curve(seed, m, n)
-    hs = [float(h) for h in h_list]
     norms = [connection_residual(curve, h) for h in hs]
     order, monotone, below = fit_order(hs, norms)
     return ConvergenceTable(

@@ -140,6 +140,14 @@ def test_verify_theorem2_and_conservation(tmp_path):
     assert doc["norms"]["max"] < 1e-8
 
 
+@pytest.mark.parametrize("h_list", [[1e-2], [1e-2, 1e-2], [1e-2, 0.0], [1e-2, -1e-3]])
+def test_verify_theorem2_bad_h_list_exit_one(tmp_path, h_list):
+    out = tmp_path / "t2"
+    cfg = torus_config(tmp_path, out, h_list=h_list)
+    assert main(["verify", "--config", cfg, "--verify-name", "theorem2"]) == 1
+    assert not (out / "convergence_table.json").exists()
+
+
 def test_converge_writes_table(tmp_path):
     out = tmp_path / "out"
     cfg = torus_config(tmp_path, out, resolutions=[16, 32, 64], verify_name="theorem1")

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from skewflow import MultiIndex, MultiVector, index_sets, inner, simplicity_residual, wedge, wedge_vectors
+from skewflow import MultiVector, index_sets, inner, simplicity_residual, wedge, wedge_vectors
 from skewflow.errors import UnsupportedCaseError
+from skewflow.exterior import wedge_field
+from skewflow.grassmann import rho_field
 
 
 def ev(i, n):
@@ -38,6 +40,35 @@ def test_wedge_matches_wedge_vectors():
     a = MultiVector.from_vector(ev(0, 3))
     b = MultiVector.from_vector(ev(1, 3))
     assert np.allclose(wedge(a, b).coeffs, wedge_vectors([ev(0, 3), ev(1, 3)]).coeffs)
+
+
+def test_wedge_field_matches_minors_oracle():
+    # the table kernel against determinant minors, node by node, for every
+    # degree split and with and without leading axes
+    rng = np.random.default_rng(8)
+    for n in range(1, 7):
+        for m in range(1, n + 1):
+            for lead in ((), (3, 5)):
+                vs = rng.standard_normal(lead + (m, n))
+                expect = np.empty(lead + (len(index_sets(m, n)),))
+                for node in np.ndindex(*lead):
+                    expect[node] = wedge_vectors(vs[node]).coeffs
+                tol = 1e-12 * max(1.0, np.max(np.abs(expect)))
+                assert np.max(np.abs(rho_field(vs) - expect)) <= tol
+                for p in range(1, m):
+                    head = np.empty(lead + (len(index_sets(p, n)),))
+                    tail = np.empty(lead + (len(index_sets(m - p, n)),))
+                    for node in np.ndindex(*lead):
+                        head[node] = wedge_vectors(vs[node][:p]).coeffs
+                        tail[node] = wedge_vectors(vs[node][p:]).coeffs
+                    got = wedge_field(head, tail, p, m - p, n)
+                    assert got.shape == expect.shape
+                    assert np.max(np.abs(got - expect)) <= tol
+
+
+def test_wedge_field_rejects_wrong_coefficient_count():
+    with pytest.raises(ValueError):
+        wedge_field(np.zeros(4), np.zeros(6), 1, 1, 4)
 
 
 def test_wedge_single_transposition_sign():
@@ -163,21 +194,6 @@ def test_simplicity_residual_of_wedges_vanishes():
 def test_simplicity_residual_unsupported():
     with pytest.raises(UnsupportedCaseError):
         simplicity_residual(MultiVector.from_vector(ev(0, 3)))
-
-
-def test_multi_index_round_trips():
-    for n in range(1, 7):
-        for p in range(0, n + 1):
-            for ordinal, members in enumerate(index_sets(p, n)):
-                mi = MultiIndex.from_members(members, n)
-                assert mi.ordinal == ordinal
-                back = MultiIndex.from_ordinal(ordinal, p, n)
-                assert back.members == members
-
-
-def test_multi_index_rejects_unsorted():
-    with pytest.raises(ValueError):
-        MultiIndex.from_members((2, 1), 4)
 
 
 def test_multivector_validation():

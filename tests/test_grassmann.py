@@ -17,6 +17,7 @@ from skewflow import (
     tangent_basis,
 )
 from skewflow.errors import FrameError, NotNormalError, NotTangentError, UnsupportedCaseError
+from skewflow.geometry import rotate_normal_field
 from skewflow.grassmann import frame_curve
 from skewflow.verify import connection_residual, kahler_residual
 
@@ -178,6 +179,17 @@ def test_normal_rotate_is_complex_structure():
                 assert np.linalg.det(full) > 0
 
 
+def test_normal_rotate_matches_rotate_normal_field():
+    # the frame formula c0 nu2 - c1 nu1 against the determinant definition
+    rng = np.random.default_rng(21)
+    for m, n in [(1, 3), (2, 4)]:
+        frames = [random_adapted_frame(rng, m, n) for _ in range(50)]
+        ws = np.stack([rng.standard_normal(2) @ f.nu for f in frames])
+        expect = np.stack([normal_rotate(f, w) for f, w in zip(frames, ws)])
+        got = rotate_normal_field(np.stack([f.e for f in frames]), ws)
+        assert np.max(np.abs(got - expect)) < 1e-12
+
+
 def test_normal_rotate_rejects_tangential():
     frame = standard_frame(2, 4)
     with pytest.raises(NotNormalError):
@@ -196,6 +208,17 @@ def test_jtilde_coefficient_action():
     c[0, 0] = 1.0
     b = jtilde_coeffs(c)
     assert b[0, 1] == 1.0 and abs(b[0, 0]) < 1e-15
+
+
+def test_jtilde_on_fields_and_shape_check():
+    rng = np.random.default_rng(22)
+    c = rng.standard_normal((3, 5, 2, 2))
+    got = jtilde_coeffs(c)
+    for node in np.ndindex(3, 5):
+        assert np.array_equal(got[node], jtilde_coeffs(c[node]))
+    for bad in (np.zeros(2), np.zeros((2, 3))):
+        with pytest.raises(UnsupportedCaseError):
+            jtilde_coeffs(bad)
 
 
 def test_jtilde_squares_to_minus_one_and_isometry():

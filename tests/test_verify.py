@@ -261,6 +261,22 @@ def test_theorem2_suite_isometry_and_connection():
     assert table.monotone and not table.below_floor
 
 
+@pytest.mark.parametrize(
+    "h_list",
+    [[1e-2], [1e-2, 1e-2], [1e-2, 0.0], [1e-2, -1e-3], [1e-2, math.nan], [1e-2, math.inf], 1e-2],
+)
+def test_theorem2_suite_rejects_bad_steps_before_work(h_list, monkeypatch):
+    import skewflow.verify as verify
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("theorem2_suite started work on a bad h_list")
+
+    monkeypatch.setattr(verify, "frame_curve", no_work)
+    monkeypatch.setattr(verify, "isometry_max_error", no_work)
+    with pytest.raises(ValueError):
+        theorem2_suite(seed=1, h_list=h_list)
+
+
 def test_theorem2_constant_curve_residual_zero():
     from skewflow.grassmann import frame_curve
 

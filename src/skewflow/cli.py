@@ -69,6 +69,16 @@ def _require(config: dict, fields: list[str], where: str):
         raise ConfigError(f"{where}: missing fields {missing}")
 
 
+def _int_list(value, field: str) -> list[int]:
+    """value as a list of integers, or a ConfigError that names the field."""
+    if isinstance(value, list):
+        try:
+            return [int(v) for v in value]
+        except (TypeError, ValueError):
+            pass
+    raise ConfigError(f"{field} must be a list of integers, got {value!r}")
+
+
 def load_config(path: str, overrides: argparse.Namespace) -> dict:
     try:
         with open(path) as fh:
@@ -90,7 +100,7 @@ def load_config(path: str, overrides: argparse.Namespace) -> dict:
         config.setdefault("geometry", {})["seed"] = overrides.seed
     if overrides.n is not None:
         grid_cfg = config.setdefault("grid", {})
-        dims = len(grid_cfg.get("sizes", []))
+        dims = len(_int_list(grid_cfg.get("sizes", []), "grid.sizes"))
         if dims == 0:
             dims = 1 if config.get("geometry", {}).get("kind") == "circle" else 2
         grid_cfg["sizes"] = [overrides.n] * dims
@@ -110,7 +120,7 @@ def build_immersion(config: dict) -> Immersion:
     _require(geometry, ["kind"], "geometry")
     _require(grid_cfg, ["sizes"], "grid")
     kind = geometry["kind"]
-    sizes = [int(s) for s in grid_cfg["sizes"]]
+    sizes = _int_list(grid_cfg["sizes"], "grid.sizes")
     if kind not in GEOMETRY_KINDS:
         raise ConfigError(f"geometry: unknown kind {kind!r}, expected one of {GEOMETRY_KINDS}")
     if kind == "circle":
@@ -246,8 +256,8 @@ def task_converge(config: dict, out_dir: Path) -> int:
     name = config.get("verify_name", "theorem1")
     if name not in PROBLEMS:
         raise ConfigError(f"converge supports {sorted(PROBLEMS)}, got {name!r}")
-    resolutions = config.get("resolutions")
-    if not resolutions or len(resolutions) < 2:
+    resolutions = _int_list(config.get("resolutions"), "converge: resolutions")
+    if len(resolutions) < 2:
         raise ConfigError("converge: need 'resolutions' with at least two entries")
     geometry = config.get("geometry", {})
     kwargs = {}

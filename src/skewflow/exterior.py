@@ -6,6 +6,9 @@ metric induced from R^n, so inner products are plain dot products of
 coefficient arrays.  Dimensions are capped at n <= 6 (at most C(6,3) = 20
 coefficients), which covers every Grassmannian used downstream; sparse
 storage would buy nothing at this scale.
+
+Fields of p-vectors put the coefficient axis first, shape (C(n, p), *sizes);
+one p-vector is the case without grid axes, so ``wedge`` calls ``wedge_field``.
 """
 
 from __future__ import annotations
@@ -136,30 +139,30 @@ def _wedge_table(p: int, q: int, n: int):
     return tuple(tuple(terms) for terms in table)
 
 
-def wedge_field(a, b, p: int, q: int, n: int) -> np.ndarray:
-    """Wedge of coefficient arrays a (..., C(n, p)) and b (..., C(n, q)).
+def wedge_field(a, b, p: int, q: int, n: int, out=None) -> np.ndarray:
+    """Wedge of coefficient arrays a (C(n, p), ...) and b (C(n, q), ...).
 
-    The leading axes broadcast.  Each output coefficient is its first table
-    term, then the others added or subtracted in table order, so a 2-vector
-    coefficient comes out as the single minor u_a v_b - u_b v_a.
+    The trailing axes broadcast.  Each output coefficient ``out[k]`` is its
+    first table term, then the others added or subtracted in table order, so
+    a 2-vector coefficient comes out as the single minor u_a v_b - u_b v_a.
     """
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    if a.shape[-1] != comb(n, p) or b.shape[-1] != comb(n, q):
+    if a.shape[0] != comb(n, p) or b.shape[0] != comb(n, q):
         raise ValueError(
-            f"coefficient counts {a.shape[-1]}, {b.shape[-1]} do not match degrees {p}, {q} in R^{n}"
+            f"coefficient counts {a.shape[0]}, {b.shape[0]} do not match degrees {p}, {q} in R^{n}"
         )
     table = _wedge_table(p, q, n)
-    lead = np.broadcast_shapes(a.shape[:-1], b.shape[:-1])
-    out = np.empty(lead + (len(table),))
-    acc, tmp = np.empty(lead), np.empty(lead)  # contiguous, unlike out[..., k]
+    if out is None:
+        out = np.empty((len(table),) + np.broadcast_shapes(a.shape[1:], b.shape[1:]))
+    tmp = np.empty(out.shape[1:])
     for k, ((i, j, sign), *rest) in enumerate(table):
-        np.multiply(a[..., i], b[..., j], out=acc)
+        acc = out[k, ...]  # a view, also where out[k] would be a scalar
+        np.multiply(a[i], b[j], out=acc)
         if sign < 0:
             np.negative(acc, out=acc)
         for i, j, sign in rest:
-            np.multiply(a[..., i], b[..., j], out=tmp)
+            np.multiply(a[i], b[j], out=tmp)
             (np.add if sign > 0 else np.subtract)(acc, tmp, out=acc)
-        out[..., k] = acc
     return out
 
 

@@ -14,13 +14,12 @@ F, corrector at the midpoint) is second order in time and not limited by
 the h^2 bound (the small-scale decomposition of Hou, Lowengrub and Shelley,
 JCP 114, 1994).  Tori and caller-supplied velocities have no IMEX step.
 
-One velocity kernel, ``_velocity``, serves curves and tori.  ``run`` keeps
-the positions in component-first layout (n, *sizes) for the whole
-integration and gives the kernel and the RK4/Euler stepper one workspace of
-preallocated grid-sized buffers, so an explicit step allocates no
-grid-sized array; the recorded states are copied out in the (*sizes, n)
-layout of ``Immersion.F``.  ``step`` and ``velocity`` allocate a workspace
-per call.
+One velocity kernel, ``_velocity``, serves curves and tori; it starts with
+the metric block that GeometryCache runs too.  ``run`` keeps the positions
+component-first, (n, *sizes), and gives the kernel and the RK4/Euler stepper
+one workspace of preallocated buffers, so an explicit step allocates no
+grid-sized array; recorded states are copied out in the layout of
+``Immersion.F``.  ``step`` and ``velocity`` allocate a workspace per call.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateImmersionError
-from .geometry import Immersion, _check_rank, _det_and_min_sv, _minor, fundamental_forms, generalized_cross
+from .geometry import Immersion, _dot, _metric_block, _minor, _Stencils, fundamental_forms, generalized_cross
 
 FLOW_KINDS = ("SMCF", "MCF")
 SCHEMES = ("RK4", "Euler", "IMEX")
@@ -91,46 +90,19 @@ def stable_dt(imm: Immersion, factor: float = 0.1) -> float:
     return factor * min(imm.grid.spacings) ** 2
 
 
-class _Workspace:
-    """The grid-sized buffers of explicit stepping, allocated once per run.
-
-    All are in component-first layout (n, *sizes).  ``pad`` holds the
-    positions with one periodic ghost cell on each side of every grid axis,
-    and ``center``, ``plus[i]`` and ``minus[i]`` are its views shifted along
-    axis i.  ``t_store[i]`` receives the coordinate tangent t_i and ``t[i]``
-    views it; t_0 is stored over the padded width of the axes after the
-    first, so that on a torus D_01 is its centered difference
-    ``t0_plus - t0_minus``.  ``vec`` holds the second differences, then w
-    and vector scratch; ``scal`` the metric and the other scalar fields.
-    ``k``, ``stage`` and ``acc`` are the stepper's.
-    """
+class _Workspace(_Stencils):
+    """The metric block's buffers plus those of explicit stepping: ``d2`` (D_00
+    becomes w), the MCF coefficients ``c``, the cross product's scratch
+    ``cross`` (metric fields dead by then) and the stepper's ``k``, ``stage``
+    and ``acc``; allocated once per run."""
 
     def __init__(self, grid):
+        super().__init__(grid)
         m, sizes = grid.m, grid.sizes
         shape = (m + 2,) + sizes
-        pad = self.pad = np.empty((m + 2,) + tuple(s + 2 for s in sizes))
-
-        def shifted(axis, by):
-            index = [slice(None)] + [slice(1, -1)] * m
-            index[axis + 1] = slice(1 + by, sizes[axis] + 1 + by)
-            return pad[tuple(index)]
-
-        self.center = shifted(0, 0)
-        self.plus = [shifted(i, 1) for i in range(m)]
-        self.minus = [shifted(i, -1) for i in range(m)]
-        # (ghost, source) pairs, axis by axis so that the corners come out right
-        self.ghosts = []
-        for axis in range(1, m + 1):
-            lead, rest = (slice(None),) * axis, (slice(1, -1),) * (m - axis)
-            self.ghosts += [(pad[lead + (0,) + rest], pad[lead + (-2,) + rest])]
-            self.ghosts += [(pad[lead + (-1,) + rest], pad[lead + (1,) + rest])]
-        t0 = np.empty(shape[:2] + pad.shape[2:])
-        self.t_store = [t0] + [np.empty(shape) for _ in range(1, m)]
-        self.t_stencil = [(pad[:, 2:], pad[:, :-2])] + list(zip(self.plus, self.minus))[1:]
-        self.t = [t0[..., 1:-1] if m == 2 else t0] + self.t_store[1:]
-        self.t0_plus, self.t0_minus = t0[..., 2:], t0[..., :-2]
-        self.vec = np.empty((m + 1,) + shape)
-        self.scal = np.empty((9,) + sizes)
+        self.d2 = np.empty((m,) + shape)
+        self.c = np.empty((m,) + sizes)
+        self.cross = (self.tmp,) if m == 1 else (self.tmp, self.gap, self.min_sv, *self.g.reshape((4,) + sizes))
         self.k, self.stage, self.acc = (np.empty(shape) for _ in range(3))
 
 
@@ -142,61 +114,46 @@ def _velocity(f: np.ndarray, grid, kind: str, time: float | None, ws: _Workspace
     coordinate tangents t_i: J kills tangent vectors, so no orthonormal
     frame and no normal projection are needed.  The mean curvature flow
     takes the normal part w - t_i g^{ij} <t_j, w>.  f and out are in
-    component-first layout (n, *sizes).  f is copied once into the padded
-    buffer, whose ghost cells let shifted slices serve every stencil, and
-    each intermediate is written into ``ws``: a call allocates no grid-sized
-    array.  This is the hot loop of every explicit flow run.
+    component-first layout (n, *sizes).  The metric block (shared with
+    GeometryCache) fills the padded buffer and the tangents and metric, and
+    each further intermediate is written into ``ws``: a call allocates no
+    grid-sized array.  This is the hot loop of every explicit flow run.
     """
     m = grid.m
     h = grid.spacings
-    sc = ws.scal
-    np.copyto(ws.center, f)
-    for ghost, source in ws.ghosts:
-        np.copyto(ghost, source)
-    w, prod = ws.vec[0], ws.vec[m]  # w overwrites D_00; prod is vector scratch
+    _metric_block(f, grid, time, ws)
+    t, g, det_g, tmp, prod = ws.t, ws.g, ws.det_g, ws.tmp, ws.prod
     two_f = np.multiply(f, 2.0, out=prod)
-    for i, ((p, q), ti, d2) in enumerate(zip(ws.t_stencil, ws.t_store, ws.vec)):
-        np.subtract(p, q, out=ti)
-        ti /= 2.0 * h[i]
+    for i, d2 in enumerate(ws.d2):
         np.subtract(ws.plus[i], two_f, out=d2)
         d2 += ws.minus[i]
         d2 /= h[i] * h[i]
-    t = ws.t
-
-    def dot(a, b, into):
-        np.multiply(a, b, out=prod)
-        return np.add.reduce(prod, axis=0, out=into)
-
-    det_g = sc[0]
+    w = ws.d2[0]  # w overwrites D_00
     if m == 1:
-        g00 = dot(t[0], t[0], det_g)
-        min_sv = np.sqrt(np.maximum(g00, 0.0, out=sc[1]), out=sc[1])
-        _check_rank(min_sv, grid.sizes, time)
-        w /= g00
+        w /= g[0, 0]
         if kind == "MCF":
-            p0 = dot(t[0], w, sc[1])
-            p0 /= g00
+            p0 = _dot(t[0], w, ws.c[0], prod)
+            p0 /= g[0, 0]
             return np.subtract(w, np.multiply(t[0], p0, out=prod), out=out)
     else:
-        g00, g01, g11, tmp, min_sv, gap, c0, c1 = sc[1:]
-        for gij, a, b in ((g00, t[0], t[0]), (g01, t[0], t[1]), (g11, t[1], t[1])):
-            dot(a, b, gij)
-        _det_and_min_sv(g00, g01, g11, det_g, min_sv, gap, tmp)
-        _check_rank(min_sv, grid.sizes, time)
-        # cross difference D_01 as the centered difference of t_0 along axis 1
-        d01 = ws.vec[2]
-        np.subtract(ws.t0_plus, ws.t0_minus, out=d01)
+        g00, g01, g11 = g[0, 0], g[0, 1], g[1, 1]
+        # cross difference D_01 as the periodic centered difference of t_0 along axis 1
+        t0, d01 = t[0], prod
+        np.subtract(t0[..., 2:], t0[..., :-2], out=d01[..., 1:-1])
+        np.subtract(t0[..., :1], t0[..., -2:-1], out=d01[..., -1:])
+        np.subtract(t0[..., 1:2], t0[..., -1:], out=d01[..., :1])
         d01 /= 2.0 * h[1]
         # w = (g11 D_00 - 2 g01 D_01 + g00 D_11) / det g
         w *= g11
         d01 *= np.multiply(g01, 2.0, out=tmp)
         w -= d01
-        d11 = ws.vec[1]
+        d11 = ws.d2[1]
         d11 *= g00
         w += d11
         w /= det_g
         if kind == "MCF":
-            p0, p1 = dot(t[0], w, min_sv), dot(t[1], w, gap)
+            c0, c1 = ws.c
+            p0, p1 = _dot(t[0], w, ws.min_sv, prod), _dot(t[1], w, ws.gap, prod)
             _minor(c0, g11, p0, g01, p1, tmp)
             c0 /= det_g
             _minor(c1, g00, p1, g01, p0, tmp)
@@ -205,7 +162,7 @@ def _velocity(f: np.ndarray, grid, kind: str, time: float | None, ws: _Workspace
             out -= np.multiply(t[1], c1, out=prod)
             return out
     sqrt_det_g = np.sqrt(det_g, out=det_g)
-    generalized_cross(*t, w, out=out, scratch=sc[1:8])
+    generalized_cross(*t, w, out=out, scratch=ws.cross)
     out /= sqrt_det_g
     return out
 
@@ -233,7 +190,7 @@ def _curve_coefficients(F: np.ndarray, grid, kind: str, time: float | None) -> n
     C = g^{00} (I - T T^T) for the mean curvature flow.
     """
     geom = fundamental_forms(Immersion(grid=grid, F=F), time=time)
-    T = geom.e[:, 0, :]
+    T = geom.e[0].T
     if kind == "MCF":
         C = np.eye(3) - T[:, :, None] * T[:, None, :]
     else:
@@ -241,7 +198,7 @@ def _curve_coefficients(F: np.ndarray, grid, kind: str, time: float | None) -> n
         C[:, 0, 1], C[:, 0, 2] = -T[:, 2], T[:, 1]
         C[:, 1, 0], C[:, 1, 2] = T[:, 2], -T[:, 0]
         C[:, 2, 0], C[:, 2, 1] = -T[:, 1], T[:, 0]
-    return geom.g_inv[:, 0, :, None] * C
+    return geom.g_inv[0, 0, :, None, None] * C
 
 
 def _imex_step(F: np.ndarray, grid, kind: str, t: float, dt: float) -> np.ndarray:

@@ -3,9 +3,11 @@
 Supported cases: closed curves in R^3 (m = 1) and tori in R^4 (m = 2).
 All derivatives are second-order centered differences with periodic
 wraparound, so every downstream residual inherits a single O(h^2)
-convergence theory.  Per-node quantities are stored as arrays with the
-grid axes leading and the structural axes trailing, e.g. tangent frames
-have shape sizes + (m, n).
+convergence theory.  Per-node quantities are stored component-first: the
+structural axes lead and the grid axes trail, e.g. tangent frames have
+shape (m, n) + sizes, so one node's slice is the (m, n) frame of the
+pointwise Grassmann API.  Only node positions keep the sizes + (n,) layout
+of ``Immersion.F``.
 """
 
 from __future__ import annotations
@@ -87,24 +89,22 @@ class Immersion:
 
 
 def diff1(values: np.ndarray, grid: PeriodicGrid, direction: int) -> np.ndarray:
-    """Centered first difference along a grid direction, periodic wraparound."""
+    """Centered first difference along a grid direction (a trailing axis), periodic."""
     h = grid.spacings[direction]
-    return (np.roll(values, -1, axis=direction) - np.roll(values, 1, axis=direction)) / (2.0 * h)
+    axis = values.ndim - grid.m + direction
+    return (np.roll(values, -1, axis=axis) - np.roll(values, 1, axis=axis)) / (2.0 * h)
 
 
 def diff2(values: np.ndarray, grid: PeriodicGrid, dir_a: int, dir_b: int) -> np.ndarray:
-    """Centered second difference; 3-point when dir_a == dir_b, 4-point cross otherwise."""
-    ha = grid.spacings[dir_a]
-    if dir_a == dir_b:
-        return (
-            np.roll(values, -1, axis=dir_a) - 2.0 * values + np.roll(values, 1, axis=dir_a)
-        ) / (ha * ha)
-    hb = grid.spacings[dir_b]
-    pp = np.roll(np.roll(values, -1, axis=dir_a), -1, axis=dir_b)
-    pm = np.roll(np.roll(values, -1, axis=dir_a), 1, axis=dir_b)
-    mp = np.roll(np.roll(values, 1, axis=dir_a), -1, axis=dir_b)
-    mm = np.roll(np.roll(values, 1, axis=dir_a), 1, axis=dir_b)
-    return (pp - pm - mp + mm) / (4.0 * ha * hb)
+    """Centered second difference; 3-point when dir_a == dir_b, otherwise the
+    4-point cross stencil as two centered first differences, as in the flow."""
+    if dir_a != dir_b:
+        return diff1(diff1(values, grid, dir_a), grid, dir_b)
+    h = grid.spacings[dir_a]
+    axis = values.ndim - grid.m + dir_a
+    return (
+        np.roll(values, -1, axis=axis) - 2.0 * values + np.roll(values, 1, axis=axis)
+    ) / (h * h)
 
 
 # ---------------------------------------------------------------------------
@@ -141,105 +141,156 @@ def _minor(out, p, q, r, s, tmp):
     out -= tmp
 
 
-def _det_and_min_sv(g00, g01, g11, det_g, min_sv, gap, tmp) -> None:
-    """det g and the smallest singular value of a 2-dimensional tangent map into
-    ``det_g`` and ``min_sv``, from the metric coefficients; ``gap`` and ``tmp``
-    are scratch fields."""
-    _minor(det_g, g00, g11, g01, g01, tmp)  # leaves g01^2 in tmp
-    np.add(g00, g11, out=min_sv)
-    min_sv *= 0.5  # half the trace
-    np.subtract(g00, g11, out=gap)
-    gap *= 0.5
-    np.power(gap, 2, out=gap)
-    gap += tmp
-    np.sqrt(np.maximum(gap, 0.0, out=gap), out=gap)
-    min_sv -= gap
-    np.sqrt(np.maximum(min_sv, 0.0, out=min_sv), out=min_sv)
+def _dot(a, b, into, prod):
+    """into = sum over the leading (component) axis of a b, with vector scratch prod."""
+    np.multiply(a, b, out=prod)
+    return np.add.reduce(prod, axis=0, out=into)
+
+
+class _Stencils:
+    """The grid-sized buffers of the metric block, component-first.
+
+    ``pad`` holds positions (n, *sizes) with one periodic ghost cell on each
+    side of every grid axis; ``center``, ``plus[i]`` and ``minus[i]`` view it
+    shifted along axis i.  The tangents ``t`` (m, n, *sizes), the metric
+    ``g`` (m, m, *sizes), ``det_g`` (g_00 itself when m = 1) and ``min_sv``
+    receive the block; ``prod``, ``gap`` and ``tmp`` are scratch.
+    """
+
+    def __init__(self, grid):
+        m, sizes = grid.m, grid.sizes
+        pad = self.pad = np.empty((m + 2,) + tuple(s + 2 for s in sizes))
+
+        def shifted(axis, by):
+            index = [slice(None)] + [slice(1, -1)] * m
+            index[axis + 1] = slice(1 + by, sizes[axis] + 1 + by)
+            return pad[tuple(index)]
+
+        self.center = shifted(0, 0)
+        self.plus = [shifted(i, 1) for i in range(m)]
+        self.minus = [shifted(i, -1) for i in range(m)]
+        # (ghost, source) pairs, axis by axis so that the corners come out right
+        self.ghosts = []
+        for axis in range(1, m + 1):
+            lead, rest = (slice(None),) * axis, (slice(1, -1),) * (m - axis)
+            self.ghosts += [(pad[lead + (0,) + rest], pad[lead + (-2,) + rest])]
+            self.ghosts += [(pad[lead + (-1,) + rest], pad[lead + (1,) + rest])]
+        self.t = np.empty((m, m + 2) + sizes)
+        self.g = np.empty((m, m) + sizes)
+        self.det_g = self.g[0, 0] if m == 1 else np.empty(sizes)
+        self.min_sv, self.gap, self.tmp = (np.empty(sizes) for _ in range(3))
+        self.prod = np.empty((m + 2,) + sizes)
+
+
+def _metric_block(f: np.ndarray, grid: PeriodicGrid, time: float | None, ws: _Stencils) -> None:
+    """Tangents, metric, det g and min_sv of positions f (n, *sizes) into ``ws``.
+
+    The flow velocity and GeometryCache both start here.  Raises
+    DegenerateImmersionError, naming the node and ``time``, unless every
+    tangent singular value is finite and >= RANK_TOL.
+    """
+    m, h, t, g = grid.m, grid.spacings, ws.t, ws.g
+    np.copyto(ws.center, f)
+    for ghost, source in ws.ghosts:
+        np.copyto(ghost, source)
+    for i, (p, q, ti) in enumerate(zip(ws.plus, ws.minus, t)):
+        np.subtract(p, q, out=ti)
+        ti /= 2.0 * h[i]
+    for i in range(m):
+        for j in range(i, m):
+            _dot(t[i], t[j], g[i, j], ws.prod)
+    min_sv, gap, tmp = ws.min_sv, ws.gap, ws.tmp
+    if m == 1:
+        np.sqrt(np.maximum(g[0, 0], 0.0, out=min_sv), out=min_sv)
+    else:
+        g[1, 0] = g[0, 1]
+        _minor(ws.det_g, g[0, 0], g[1, 1], g[0, 1], g[0, 1], tmp)  # leaves g01^2 in tmp
+        # smallest singular value: sqrt(trace/2 - sqrt(((g00 - g11)/2)^2 + g01^2))
+        np.add(g[0, 0], g[1, 1], out=min_sv)
+        min_sv *= 0.5
+        np.subtract(g[0, 0], g[1, 1], out=gap)
+        gap *= 0.5
+        np.power(gap, 2, out=gap)
+        gap += tmp
+        np.sqrt(np.maximum(gap, 0.0, out=gap), out=gap)
+        min_sv -= gap
+        np.sqrt(np.maximum(min_sv, 0.0, out=min_sv), out=min_sv)
+    _check_rank(min_sv, grid.sizes, time)
 
 
 def tangent_data(t: np.ndarray) -> np.ndarray:
-    """Orthonormal tangent frame from coordinate tangents t, shape sizes + (m, n).
+    """Orthonormal tangent frame from coordinate tangents t, shape (m, n, *sizes).
 
     Gram-Schmidt in fixed direction order, so e_1 is the unit first tangent.
     """
     e = np.empty_like(t)
-    e[..., 0, :] = t[..., 0, :] / np.linalg.norm(t[..., 0, :], axis=-1)[..., None]
-    if t.shape[-2] == 2:
-        u = t[..., 1, :] - np.einsum("...n,...n->...", t[..., 1, :], e[..., 0, :])[..., None] * e[..., 0, :]
-        e[..., 1, :] = u / np.linalg.norm(u, axis=-1)[..., None]
+    e[0] = t[0] / np.linalg.norm(t[0], axis=0)
+    if len(t) == 2:
+        u = t[1] - np.einsum("n...,n...->...", t[1], e[0]) * e[0]
+        e[1] = u / np.linalg.norm(u, axis=0)
     return e
 
 
 def normal_completion(e: np.ndarray) -> np.ndarray:
-    """Deterministic oriented orthonormal basis of the normal plane.
+    """Deterministic oriented orthonormal basis of the normal plane, (2, n) + sizes.
 
     Ambient axes are tried in order of increasing tangential-projection norm
     (stable, so ties resolve by axis index); axes whose normal projection is
     numerically dependent on the normals found so far are skipped.  The last
-    normal's sign is flipped wherever the full frame comes out negative.
+    normal's sign is flipped wherever <X(e_1, ..., e_m, nu_1), nu_2> < 0.
     """
-    m, n = e.shape[-2], e.shape[-1]
+    m, n = e.shape[:2]
     k = n - m
-    lead = e.shape[:-2]
-    tangential_sq = np.sum(e * e, axis=-2)  # |P_tan(axis_j)|^2, per node
-    order = np.argsort(tangential_sq, axis=-1, kind="stable")
-    nu = np.zeros(lead + (k, n))
+    lead = e.shape[2:]
+    tangential_sq = np.sum(e * e, axis=0)  # |P_tan(axis_j)|^2, per node
+    order = np.argsort(tangential_sq, axis=0, kind="stable")
+    nu = np.zeros((k, n) + lead)
     count = np.zeros(lead, dtype=int)
     eye = np.eye(n)
     for r in range(n):
-        v = eye[order[..., r]]
-        v = v - np.einsum("...i,...in->...n", np.einsum("...in,...n->...i", e, v), e)
+        v = eye[:, order[r]]
+        v = v - np.einsum("i...,in...->n...", np.einsum("in...,n...->i...", e, v), e)
         for s in range(k):
-            filled = (count > s)[..., None]
-            proj = np.einsum("...n,...n->...", nu[..., s, :], v)[..., None] * nu[..., s, :]
-            v = v - np.where(filled, proj, 0.0)
-        nrm = np.linalg.norm(v, axis=-1)
+            proj = np.einsum("n...,n...->...", nu[s], v) * nu[s]
+            v = v - np.where(count > s, proj, 0.0)
+        nrm = np.linalg.norm(v, axis=0)
         accept = (nrm > RANK_TOL) & (count < k)
-        unit = v / np.maximum(nrm, 1e-300)[..., None]
+        unit = v / np.maximum(nrm, 1e-300)
         for s in range(k):
-            put = (accept & (count == s))[..., None]
-            nu[..., s, :] = np.where(put, unit, nu[..., s, :])
+            nu[s] = np.where(accept & (count == s), unit, nu[s])
         count = count + accept.astype(int)
     if not np.all(count == k):
         bad = _locate(int(np.argmin(count)), lead)
         raise DegenerateImmersionError(
             f"could not complete a normal frame at node {bad}", node=bad
         )
-    full = np.concatenate([e, nu], axis=-2)
-    flip = (np.linalg.det(full) < 0.0)[..., None]
-    nu[..., -1, :] = np.where(flip, -nu[..., -1, :], nu[..., -1, :])
+    flip = np.einsum("n...,n...->...", generalized_cross(*e, nu[0]), nu[1]) < 0.0
+    nu[-1] = np.where(flip, -nu[-1], nu[-1])
     return nu
 
 
 class GeometryCache:
     """The geometry of one immersion, each quantity computed on first use.
 
-    Construction computes the coordinate tangents ``t``, shape sizes + (m, n),
-    the induced metric ``g``, its determinant ``det_g`` and ``min_sv``, the
-    smallest singular value of the tangent map per node; it raises
+    Array fields are component-first, shape (structural axes) + sizes.
+    Construction runs the flow velocity's metric block: the coordinate
+    tangents ``t`` (m, n), the metric ``g`` (m, m), ``det_g`` and ``min_sv``,
+    the smallest singular value of the tangent map; it raises
     DegenerateImmersionError, naming the node and ``time``, when ``min_sv``
-    drops below RANK_TOL anywhere.  Everything else is a cached property:
-    ``e`` the orthonormal tangent frame, ``nu`` the oriented normal frame,
-    ``R`` the change of basis e_i = sum_l R[i, l] d_l F, ``rho`` the plane
-    field, ``A`` the second fundamental form against the normal frame, shape
-    sizes + (k, m, m), ``H`` the mean curvature vector and ``grad_H_perp``
-    the normal part of its coordinate derivatives.  Immutable by convention.
+    drops below RANK_TOL anywhere.  The rest are cached properties: ``g_inv``
+    (m, m), the orthonormal frames ``e`` (m, n) and ``nu`` (k, n), ``R``
+    (m, m) with e_i = sum_l R[i, l] d_l F, the plane field ``rho`` (C(n, m)),
+    the second fundamental form ``A`` (k, m, m) against nu, the mean
+    curvature vector ``H`` (n) and ``grad_H_perp`` (m, n), the normal part
+    of its coordinate derivatives.  Immutable by convention.
     """
 
     def __init__(self, imm: Immersion, time: float | None = None):
-        grid, F = imm.grid, imm.F
-        self.grid, self.F = grid, F
-        m = grid.m
-        self.t = t = np.stack([diff1(F, grid, i) for i in range(m)], axis=-2)  # (..., m, n)
-        self.g = g = np.einsum("...in,...jn->...ij", t, t)
-        if m == 1:
-            g00 = g[..., 0, 0]
-            self.min_sv = np.sqrt(np.maximum(g00, 0.0))
-            self.det_g = g00
-        else:
-            self.det_g, self.min_sv, gap, tmp = (np.empty(grid.sizes) for _ in range(4))
-            _det_and_min_sv(g[..., 0, 0], g[..., 0, 1], g[..., 1, 1], self.det_g, self.min_sv, gap, tmp)
-        _check_rank(self.min_sv, grid.sizes, time)
+        self.grid = imm.grid
+        ws = _Stencils(imm.grid)
+        _metric_block(np.moveaxis(imm.F, -1, 0), imm.grid, time, ws)
+        self.f = ws.center  # the positions, (n, *sizes)
+        self.t, self.g, self.det_g, self.min_sv = ws.t, ws.g, ws.det_g, ws.min_sv
 
     @property
     def m(self) -> int:
@@ -253,13 +304,8 @@ class GeometryCache:
     def g_inv(self) -> np.ndarray:
         g = self.g
         if self.m == 1:
-            return 1.0 / g[..., 0, 0][..., None, None]
-        g_inv = np.empty_like(g)
-        g_inv[..., 0, 0] = g[..., 1, 1]
-        g_inv[..., 1, 1] = g[..., 0, 0]
-        g_inv[..., 0, 1] = -g[..., 0, 1]
-        g_inv[..., 1, 0] = -g[..., 0, 1]
-        return g_inv / self.det_g[..., None, None]
+            return 1.0 / g
+        return np.array([[g[1, 1], -g[0, 1]], [-g[0, 1], g[0, 0]]]) / self.det_g
 
     @cached_property
     def e(self) -> np.ndarray:
@@ -267,7 +313,7 @@ class GeometryCache:
 
     @cached_property
     def R(self) -> np.ndarray:
-        return np.einsum("...in,...ln->...il", self.e, self.t) @ self.g_inv
+        return np.einsum("il...,lj...->ij...", np.einsum("in...,ln...->il...", self.e, self.t), self.g_inv)
 
     @cached_property
     def nu(self) -> np.ndarray:
@@ -278,41 +324,43 @@ class GeometryCache:
         return rho_field(self.e)
 
     def _d2_perp(self) -> np.ndarray:
-        """Normal part of the second coordinate derivatives, (..., m, m, n).
+        """Normal part of the second coordinate derivatives, (m, m, n, *sizes).
 
         Not cached: few callers read both A and H, and keeping it would hold
         another 8 MiB per geometry at 256^2.
         """
-        grid, F, m = self.grid, self.F, self.m
-        d2 = np.empty(grid.sizes + (m, m, F.shape[-1]))
+        grid, f, m = self.grid, self.f, self.m
+        d2 = np.empty((m, m) + f.shape)
         for i in range(m):
             for j in range(i, m):
-                val = diff2(F, grid, i, j)
-                d2[..., i, j, :] = val
-                d2[..., j, i, :] = val
-        tang = np.einsum("...ijn,...ln->...ijl", d2, self.e)
-        return d2 - np.einsum("...ijl,...ln->...ijn", tang, self.e)
+                val = diff2(f, grid, i, j)
+                d2[i, j] = val
+                d2[j, i] = val
+        tang = np.einsum("ijn...,ln...->ijl...", d2, self.e)
+        d2 -= np.einsum("ijl...,ln...->ijn...", tang, self.e)
+        return d2
 
     @cached_property
     def A(self) -> np.ndarray:
-        return np.einsum("...ijn,...an->...aij", self._d2_perp(), self.nu)
+        return np.einsum("ijn...,an...->aij...", self._d2_perp(), self.nu)
 
     @cached_property
     def H(self) -> np.ndarray:
-        return np.einsum("...ij,...ijn->...n", self.g_inv, self._d2_perp())
+        return np.einsum("ij...,ijn...->n...", self.g_inv, self._d2_perp())
 
     @cached_property
     def grad_H_perp(self) -> np.ndarray:
-        dH = np.stack([diff1(self.H, self.grid, i) for i in range(self.m)], axis=-2)
+        dH = np.stack([diff1(self.H, self.grid, i) for i in range(self.m)])
         e = self.e
-        return dH - np.einsum("...il,...ln->...in", np.einsum("...in,...ln->...il", dH, e), e)
+        return dH - np.einsum("il...,ln...->in...", np.einsum("in...,ln...->il...", dH, e), e)
 
     def frame_at(self, node) -> AdaptedFrame:
-        return AdaptedFrame(e=self.e[node], nu=self.nu[node])
+        at = (...,) + np.index_exp[node]
+        return AdaptedFrame(e=self.e[at], nu=self.nu[at])
 
     def point_at(self, node) -> GrassmannPoint:
-        frame = self.frame_at(node)
-        return GrassmannPoint(xi=MultiVector(self.F.shape[-1], self.m, self.rho[node]), frame=frame)
+        rho = self.rho[(...,) + np.index_exp[node]]
+        return GrassmannPoint(xi=MultiVector(len(self.f), self.m, rho), frame=self.frame_at(node))
 
 
 def fundamental_forms(imm: Immersion, time: float | None = None) -> GeometryCache:
@@ -329,33 +377,29 @@ def volume(imm: Immersion) -> float:
 # quarter-turns of normal fields
 
 
-def generalized_cross(*vectors: np.ndarray, axis: int = 0, out=None, scratch=None) -> np.ndarray:
+def generalized_cross(*vectors: np.ndarray, out=None, scratch=None) -> np.ndarray:
     """The vector X with <X, u> = det(v_1, ..., v_{n-1}, u), for n = 3 or 4.
 
-    Takes n - 1 vector fields with their n components on ``axis``, and puts
-    the components of X there too.  X is orthogonal to every v_i; with
+    Takes n - 1 component-first vector fields, shape (n, ...), and returns X
+    in the same layout.  X is orthogonal to every v_i; with
     (v_1, ..., v_{n-1}) = (t_1, ..., t_m, w) it is the quarter-turn J of the
     normal part of w, times the volume of the frame t.  ``out`` receives X
     and ``scratch`` holds at least 1 (n = 3) or 7 (n = 4) fields of one
     component's shape; both are allocated when not given.
     """
     n = len(vectors) + 1
-    v = vectors if axis == 0 else [np.moveaxis(x, axis, 0) for x in vectors]
     if out is None:
-        n_comp, *shape = np.broadcast_shapes(*(x.shape for x in v))
-        shape.insert(axis % (len(shape) + 1), n_comp)  # components back on ``axis``
-        out = np.empty(shape)
-    X = out if axis == 0 else np.moveaxis(out, axis, 0)
+        out = np.empty(np.broadcast_shapes(*(v.shape for v in vectors)))
     if scratch is None:
-        scratch = np.empty((1 if n == 3 else 7,) + X.shape[1:])
-    tmp = scratch[0]
+        scratch = np.empty((1 if n == 3 else 7,) + out.shape[1:])
+    X, tmp = out, scratch[0]
     if n == 3:
-        a, b = v
+        a, b = vectors
         _minor(X[0], a[1], b[2], a[2], b[1], tmp)
         _minor(X[1], a[2], b[0], a[0], b[2], tmp)
         _minor(X[2], a[0], b[1], a[1], b[0], tmp)
         return out
-    a, b, w = v
+    a, b, w = vectors
     b01, b02, b03, b12, b13, b23 = scratch[1:7]
     _minor(b01, a[0], b[1], a[1], b[0], tmp)
     _minor(b02, a[0], b[2], a[2], b[0], tmp)
@@ -378,13 +422,14 @@ def generalized_cross(*vectors: np.ndarray, axis: int = 0, out=None, scratch=Non
 def rotate_normal_field(e: np.ndarray, w: np.ndarray) -> np.ndarray:
     """Positive quarter-turn of the normal part of w, without a normal frame.
 
-    Defined by <Jw, u> = det(e_1, ..., e_m, w, u); smooth wherever the
+    Defined by <Jw, u> = det(e_1, ..., e_m, w, u) for a frame field e,
+    (m, n, ...), and a vector field w, (n, ...); smooth wherever the
     tangent frame is, which matters when differentiating rotated fields.
     """
-    m, n = e.shape[-2], e.shape[-1]
+    m, n = e.shape[:2]
     if (m, n) not in ((1, 3), (2, 4)):
         raise UnsupportedCaseError(f"normal rotation fields need (m, n) in {{(1,3),(2,4)}}, got {(m, n)}")
-    return generalized_cross(*(e[..., i, :] for i in range(m)), w, axis=-1)
+    return generalized_cross(*e, w)
 
 
 # ---------------------------------------------------------------------------

@@ -7,14 +7,16 @@ matrix of a tangent vector against that basis realises the tensor-product
 picture (plane) x (complement), and for k = 2 carries the complex structure
 that rotates the normal leg by a quarter turn.
 
-The ``*_field`` functions work on arrays with any leading (grid) axes; the
-pointwise API applies them to one frame and wraps the result in
-MultiVector objects.
+The ``*_field`` functions take component-first arrays, structural axes
+first and grid axes last: a frame field has shape (m, n, *sizes).  The
+pointwise API applies them to one frame, the case without grid axes, and
+wraps the result in MultiVector objects.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
 import numpy as np
 
@@ -86,35 +88,39 @@ class GrassmannPoint:
 
 
 def rho_field(e: np.ndarray) -> np.ndarray:
-    """Wedge e_1 ^ ... ^ e_m of the rows of e, shape (..., m, n) -> (..., C(n, m)).
+    """Wedge e_1 ^ ... ^ e_m of the rows of e, shape (m, n, ...) -> (C(n, m), ...).
 
     For an orthonormal tangent frame this is the unit simple m-vector of the
     plane, per node.  When m = 1 the result is a view of e's only row.
     """
-    m, n = e.shape[-2], e.shape[-1]
-    out = e[..., 0, :]
+    m, n = e.shape[:2]
+    out = e[0]
     for i in range(1, m):
-        out = wedge_field(out, e[..., i, :], i, 1, n)
+        out = wedge_field(out, e[i], i, 1, n)
     return out
 
 
 def tangent_basis_field(e: np.ndarray, nu: np.ndarray) -> np.ndarray:
-    """Per-node orthonormal tangent basis of the Grassmannian, shape (..., m, k, C).
+    """Per-node orthonormal tangent basis of the Grassmannian, shape (m, k, C, ...).
 
     Entry (i, alpha) is the wedge of the plane basis with leg i replaced by
-    normal vector alpha.
+    normal vector alpha.  One wedge chain serves every entry; its last wedge
+    writes into the (m, k, C) order, so one frame's basis is contiguous.
     """
-    m, k = e.shape[-2], nu.shape[-2]
-    legs = np.empty(e.shape[:-2] + (m, k) + e.shape[-2:])
-    legs[...] = e[..., None, None, :, :]
+    (m, n), k = e.shape[:2], nu.shape[0]
+    legs = np.empty((m, n, m, k) + e.shape[2:])
+    legs[...] = e[:, :, None, None]
     for i in range(m):
-        legs[..., i, :, i, :] = nu
-    return rho_field(legs)
+        legs[i, :, i] = np.swapaxes(nu, 0, 1)
+    head = rho_field(legs[:-1]) if m > 1 else np.ones(1)  # 1 is the empty wedge
+    basis = np.empty((m, k, comb(n, m)) + e.shape[2:])
+    wedge_field(head, legs[-1], m - 1, 1, n, out=np.moveaxis(basis, 2, 0))
+    return basis
 
 
 def project_field(e: np.ndarray, nu: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Tangent coefficients of a multivector field, shape (..., m, k)."""
-    return np.einsum("...ikc,...c->...ik", tangent_basis_field(e, nu), w)
+    """Tangent coefficients of a multivector field w (C, ...), shape (m, k, ...)."""
+    return np.einsum("ikc...,c...->ik...", tangent_basis_field(e, nu), w)
 
 
 def embed(frame: AdaptedFrame) -> GrassmannPoint:
@@ -180,13 +186,13 @@ def normal_rotate(frame: AdaptedFrame, w) -> np.ndarray:
 
 
 def jtilde_coeffs(coeffs) -> np.ndarray:
-    """Complex structure on (..., m, 2) tangent coefficients: rotate the normal index."""
+    """Complex structure on (m, 2, ...) tangent coefficients: rotate the normal index."""
     coeffs = np.asarray(coeffs, dtype=float)
-    if coeffs.ndim < 2 or coeffs.shape[-1] != 2:
+    if coeffs.ndim < 2 or coeffs.shape[1] != 2:
         raise UnsupportedCaseError(
-            f"complex structure needs (..., m, 2) coefficients, got shape {coeffs.shape}"
+            f"complex structure needs (m, 2, ...) coefficients, got shape {coeffs.shape}"
         )
-    return np.stack([-coeffs[..., 1], coeffs[..., 0]], axis=-1)
+    return np.stack([-coeffs[:, 1], coeffs[:, 0]], axis=1)
 
 
 def random_adapted_frame(rng: np.random.Generator, m: int, n: int) -> AdaptedFrame:

@@ -77,7 +77,7 @@ def _weighted_norms(residual: np.ndarray, cache: GeometryCache) -> dict:
 
 
 def _frobenius(coeffs: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.sum(coeffs**2, axis=(-2, -1)))
+    return np.sqrt(np.sum(coeffs**2, axis=(0, 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -95,21 +95,22 @@ def laplace_beltrami(values: np.ndarray, cache: GeometryCache) -> np.ndarray:
     """
     grid = cache.grid
     m = grid.m
-    w = cache.sqrt_det_g[..., None, None] * cache.g_inv
+    w = cache.sqrt_det_g * cache.g_inv
     out = np.zeros_like(values)
     for i in range(m):
         h = grid.spacings[i]
-        wi = w[..., i, i, None]
+        axis = values.ndim - m + i
+        wi = w[i, i]
         w_plus = 0.5 * (wi + np.roll(wi, -1, axis=i))
         w_minus = 0.5 * (wi + np.roll(wi, 1, axis=i))
         out += (
-            w_plus * (np.roll(values, -1, axis=i) - values)
-            - w_minus * (values - np.roll(values, 1, axis=i))
+            w_plus * (np.roll(values, -1, axis=axis) - values)
+            - w_minus * (values - np.roll(values, 1, axis=axis))
         ) / (h * h)
         for j in range(m):
             if j != i:
-                out += diff1(w[..., i, j, None] * diff1(values, grid, j), grid, i)
-    return out / cache.sqrt_det_g[..., None]
+                out += diff1(w[i, j] * diff1(values, grid, j), grid, i)
+    return out / cache.sqrt_det_g
 
 
 def _rho_from(cache: GeometryCache, rho: GeometryCache | None = None) -> np.ndarray:
@@ -123,7 +124,7 @@ def _rho_from(cache: GeometryCache, rho: GeometryCache | None = None) -> np.ndar
 
 
 def tension(cache: GeometryCache, rho=None) -> np.ndarray:
-    """Tension field of the plane field, as tangent coefficients (..., m, k).
+    """Tension field of the plane field, as tangent coefficients (m, k, *sizes).
 
     For maps into a submanifold of a linear space this is the tangential
     projection of the componentwise Laplace-Beltrami of the embedding.  The
@@ -133,24 +134,16 @@ def tension(cache: GeometryCache, rho=None) -> np.ndarray:
     return project_field(cache.e, cache.nu, lap)
 
 
-def _unit_frame_normal_gradients(cache: GeometryCache) -> np.ndarray:
-    """Normal gradient of H along the orthonormal frame directions, (..., m, n)."""
-    return np.einsum("...il,...ln->...in", cache.R, cache.grad_H_perp)
-
-
 def dt_rho_analytic(cache: GeometryCache, apply_rotation: bool = True) -> np.ndarray:
-    """Closed-form time derivative of the plane field, (..., m, k) coefficients.
+    """Closed-form time derivative of the plane field, (m, k, *sizes) coefficients.
 
     Skew flow: the quarter-turned normal gradient of the mean curvature along
     each frame direction; plain mean curvature flow drops the rotation.
     """
-    w = _unit_frame_normal_gradients(cache)
+    w = np.einsum("il...,ln...->in...", cache.R, cache.grad_H_perp)  # along each e_i
     if apply_rotation:
-        rotated = np.empty_like(w)
-        for i in range(w.shape[-2]):
-            rotated[..., i, :] = rotate_normal_field(cache.e, w[..., i, :])
-        w = rotated
-    return np.einsum("...in,...an->...ia", w, cache.nu)
+        w = np.stack([rotate_normal_field(cache.e, wi) for wi in w])
+    return np.einsum("in...,an...->ia...", w, cache.nu)
 
 
 def dt_rho_numeric(traj: Trajectory, index: int, cache: GeometryCache | None = None) -> np.ndarray:
@@ -181,10 +174,10 @@ def residual_theorem1(traj: Trajectory, index: int, use_jtilde: bool = True, met
     mid = traj[index]
     cache = fundamental_forms(mid.immersion)
     lhs_num = dt_rho_numeric(traj, index, cache)
-    lhs_ana = dt_rho_analytic(cache, apply_rotation=use_jtilde)
     rhs = tension(cache)
     if use_jtilde:
         rhs = jtilde_coeffs(rhs)
+    lhs_ana = dt_rho_analytic(cache, apply_rotation=use_jtilde)
     primary = _frobenius(lhs_num - rhs)
     norms = _weighted_norms(primary, cache)
     norms["max_analytic"] = float(np.max(_frobenius(lhs_ana - rhs)))
@@ -204,8 +197,7 @@ def residual_theorem1(traj: Trajectory, index: int, use_jtilde: bool = True, met
 def residual_codazzi(cache: GeometryCache, rho=None, metadata: dict | None = None) -> Report:
     """Tension of the plane field against the normal gradient of H."""
     lhs = tension(cache, rho)
-    w = _unit_frame_normal_gradients(cache)
-    rhs = np.einsum("...in,...an->...ia", w, cache.nu)
+    rhs = dt_rho_analytic(cache, apply_rotation=False)
     primary = _frobenius(lhs - rhs)
     return Report(
         name="codazzi",
@@ -226,12 +218,12 @@ def residual_identify(cache: GeometryCache, rho=None, metadata: dict | None = No
     grid = cache.grid
     m = grid.m
     rho_coeffs = _rho_from(cache, rho)
-    drho = np.stack([diff1(rho_coeffs, grid, l) for l in range(m)], axis=-2)  # (..., l, C)
-    d_unit = np.einsum("...il,...lc->...ic", cache.R, drho)
+    drho = np.stack([diff1(rho_coeffs, grid, l) for l in range(m)])  # (l, C, *sizes)
+    d_unit = np.einsum("il...,lc...->ic...", cache.R, drho)
     basis = tangent_basis_field(cache.e, cache.nu)
-    lhs = np.einsum("...jac,...ic->...ija", basis, d_unit)  # (..., i, j, alpha)
-    rhs = np.einsum("...il,...alp,...jp->...ija", cache.R, cache.A, cache.R)
-    primary = np.max(np.abs(lhs - rhs), axis=(-3, -2, -1))
+    lhs = np.einsum("jac...,ic...->ija...", basis, d_unit)  # (i, j, alpha, *sizes)
+    rhs = np.einsum("il...,alp...,jp...->ija...", cache.R, cache.A, cache.R)
+    primary = np.max(np.abs(lhs - rhs), axis=(0, 1, 2))
     return Report(
         name="identify",
         field=primary,

@@ -204,6 +204,13 @@ def test_unknown_task_or_geometry_exit_one(tmp_path, capsys):
     cfg = torus_config(tmp_path, out, resolutions=[16, 16], verify_name="codazzi")
     assert main(["converge", "--config", cfg]) == 1
     assert "distinct" in capsys.readouterr().err
+    cfg = torus_config(tmp_path, out, resolutions=32, verify_name="codazzi")
+    assert main(["converge", "--config", cfg]) == 1
+    assert "resolutions" in capsys.readouterr().err
+    for task in ("verify", "simulate"):
+        cfg = torus_config(tmp_path, out, grid={"sizes": 64}, verify_name="codazzi")
+        assert main([task, "--config", cfg]) == 1
+        assert "grid.sizes" in capsys.readouterr().err
 
 
 def test_malformed_config_lists_fields(tmp_path, capsys):

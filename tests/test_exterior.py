@@ -49,18 +49,18 @@ def test_wedge_field_matches_minors_oracle():
     for n in range(1, 7):
         for m in range(1, n + 1):
             for lead in ((), (3, 5)):
-                vs = rng.standard_normal(lead + (m, n))
-                expect = np.empty(lead + (len(index_sets(m, n)),))
+                vs = rng.standard_normal((m, n) + lead)
+                expect = np.empty((len(index_sets(m, n)),) + lead)
                 for node in np.ndindex(*lead):
-                    expect[node] = wedge_vectors(vs[node]).coeffs
+                    expect[(..., *node)] = wedge_vectors(vs[(..., *node)]).coeffs
                 tol = 1e-12 * max(1.0, np.max(np.abs(expect)))
                 assert np.max(np.abs(rho_field(vs) - expect)) <= tol
                 for p in range(1, m):
-                    head = np.empty(lead + (len(index_sets(p, n)),))
-                    tail = np.empty(lead + (len(index_sets(m - p, n)),))
+                    head = np.empty((len(index_sets(p, n)),) + lead)
+                    tail = np.empty((len(index_sets(m - p, n)),) + lead)
                     for node in np.ndindex(*lead):
-                        head[node] = wedge_vectors(vs[node][:p]).coeffs
-                        tail[node] = wedge_vectors(vs[node][p:]).coeffs
+                        head[(..., *node)] = wedge_vectors(vs[(..., *node)][:p]).coeffs
+                        tail[(..., *node)] = wedge_vectors(vs[(..., *node)][p:]).coeffs
                     got = wedge_field(head, tail, p, m - p, n)
                     assert got.shape == expect.shape
                     assert np.max(np.abs(got - expect)) <= tol

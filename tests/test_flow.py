@@ -94,9 +94,9 @@ def test_velocity_matches_frame_rotation_of_H():
         cache = fundamental_forms(imm)
         v = velocity(imm, "SMCF")
         for node in np.ndindex(imm.grid.sizes):
-            expect = normal_rotate(cache.frame_at(node), cache.H[node])
+            expect = normal_rotate(cache.frame_at(node), cache.H[(..., *node)])
             assert np.max(np.abs(v[node] - expect)) < 1e-12
-        assert np.max(np.abs(velocity(imm, "MCF") - cache.H)) < 1e-12
+        assert np.max(np.abs(velocity(imm, "MCF") - np.moveaxis(cache.H, 0, -1))) < 1e-12
 
 
 def test_velocity_degenerate_torus_reports_node():
@@ -115,9 +115,9 @@ def test_velocity_is_normal():
     cache = fundamental_forms(imm)
     for kind in ("SMCF", "MCF"):
         v = velocity(imm, kind)
-        tang = np.einsum("...in,...n->...i", cache.e, v)
+        tang = np.einsum("in...,n...->i...", cache.e, np.moveaxis(v, -1, 0))
         scale = np.linalg.norm(v, axis=-1) + 1e-30
-        assert np.max(np.abs(tang) / scale[..., None]) < 1e-10
+        assert np.max(np.abs(tang) / scale) < 1e-10
 
 
 def test_step_zero_velocity_is_identity():
@@ -231,7 +231,7 @@ def test_imex_frozen_operator_matches_velocity():
     from skewflow.flow import _curve_coefficients
 
     imm = make_perturbed_circle(1.0, 0.2, 3, 256)
-    d2F = diff2(imm.F, imm.grid, 0, 0)
+    d2F = diff2(imm.F.T, imm.grid, 0, 0).T
     for kind in ("SMCF", "MCF"):
         C = _curve_coefficients(imm.F, imm.grid, kind, None)
         frozen = np.einsum("nab,nb->na", C, d2F)

@@ -27,8 +27,8 @@ from skewflow.geometry import (
 
 def radial_fields(imm):
     x, y = imm.grid.meshgrid()
-    r1 = np.stack([np.cos(x), np.sin(x), 0 * x, 0 * x], axis=-1)
-    r2 = np.stack([0 * x, 0 * x, np.cos(y), np.sin(y)], axis=-1)
+    r1 = np.stack([np.cos(x), np.sin(x), 0 * x, 0 * x])
+    r2 = np.stack([0 * x, 0 * x, np.cos(y), np.sin(y)])
     return r1, r2
 
 
@@ -53,7 +53,7 @@ def test_diff1_taylor_bound():
 
 def test_diff_constant_exact():
     grid = PeriodicGrid((16, 16))
-    field = np.full(grid.sizes + (3,), 1.7)
+    field = np.full((3,) + grid.sizes, 1.7)
     assert np.max(np.abs(diff1(field, grid, 0))) == 0.0
     assert np.max(np.abs(diff2(field, grid, 0, 1))) == 0.0
 
@@ -78,14 +78,14 @@ def test_frame_field_circle():
     imm = make_circle(1.0, 64)
     frames = fundamental_forms(imm)
     x = imm.grid.axes()[0]
-    expect = np.stack([-np.sin(x), np.cos(x), 0 * x], axis=-1)
-    assert np.max(np.abs(frames.e[:, 0, :] - expect)) < 1e-12
+    expect = np.stack([-np.sin(x), np.cos(x), 0 * x])
+    assert np.max(np.abs(frames.e[0] - expect)) < 1e-12
     # normal plane = span{radial, e_z}
-    radial = np.stack([np.cos(x), np.sin(x), 0 * x], axis=-1)
+    radial = np.stack([np.cos(x), np.sin(x), 0 * x])
     ez = np.zeros_like(radial)
-    ez[:, 2] = 1.0
-    got = np.einsum("...an,...am->...nm", frames.nu, frames.nu)
-    expect_proj = np.einsum("...n,...m->...nm", radial, radial) + np.einsum("...n,...m->...nm", ez, ez)
+    ez[2] = 1.0
+    got = np.einsum("an...,am...->nm...", frames.nu, frames.nu)
+    expect_proj = np.einsum("n...,m...->nm...", radial, radial) + np.einsum("n...,m...->nm...", ez, ez)
     assert np.max(np.abs(got - expect_proj)) < 1e-12
     frames.frame_at((5,))  # validates orthonormality and orientation
 
@@ -94,15 +94,15 @@ def test_frame_field_product_torus_direct_differentiation():
     imm = make_product_torus(1.0, 0.5, 32)
     frames = fundamental_forms(imm)
     x, y = imm.grid.meshgrid()
-    e1 = np.stack([-np.sin(x), np.cos(x), 0 * x, 0 * x], axis=-1)
-    e2 = np.stack([0 * x, 0 * x, -np.sin(y), np.cos(y)], axis=-1)
-    assert np.max(np.abs(frames.e[..., 0, :] - e1)) < 1e-12
-    assert np.max(np.abs(frames.e[..., 1, :] - e2)) < 1e-12
+    e1 = np.stack([-np.sin(x), np.cos(x), 0 * x, 0 * x])
+    e2 = np.stack([0 * x, 0 * x, -np.sin(y), np.cos(y)])
+    assert np.max(np.abs(frames.e[0] - e1)) < 1e-12
+    assert np.max(np.abs(frames.e[1] - e2)) < 1e-12
     r1, r2 = radial_fields(imm)
-    got = np.einsum("...an,...am->...nm", frames.nu, frames.nu)
-    expect = np.einsum("...n,...m->...nm", r1, r1) + np.einsum("...n,...m->...nm", r2, r2)
+    got = np.einsum("an...,am...->nm...", frames.nu, frames.nu)
+    expect = np.einsum("n...,m...->nm...", r1, r1) + np.einsum("n...,m...->nm...", r2, r2)
     assert np.max(np.abs(got - expect)) < 1e-12
-    dets = np.linalg.det(np.concatenate([frames.e, frames.nu], axis=-2))
+    dets = np.linalg.det(np.moveaxis(np.concatenate([frames.e, frames.nu]), (0, 1), (-2, -1)))
     assert np.min(dets) > 0
 
 
@@ -112,8 +112,8 @@ def test_frame_field_flat_patch_interior():
     x, y = grid.meshgrid()
     F = np.stack([x, y, 0 * x, 0 * x], axis=-1)
     frames = fundamental_forms(Immersion(grid=grid, F=F))
-    inner_e = frames.e[2:-2, 2:-2]
-    assert np.max(np.abs(inner_e - inner_e[0, 0])) < 1e-12
+    inner_e = frames.e[..., 2:-2, 2:-2]
+    assert np.max(np.abs(inner_e - inner_e[..., :1, :1])) < 1e-12
 
 
 def test_frame_field_degenerate_node_error():
@@ -130,11 +130,11 @@ def test_fundamental_forms_circle_analytic_curvature():
         imm = make_circle(r, 128)
         cache = fundamental_forms(imm)
         x = imm.grid.axes()[0]
-        radial = np.stack([np.cos(x), np.sin(x), 0 * x], axis=-1)
+        radial = np.stack([np.cos(x), np.sin(x), 0 * x])
         h = imm.grid.spacings[0]
         # analytic: H = -(1/r) radial; discrete stencil factor 2(1-cos h)/h^2 / sinc^2
         assert np.max(np.abs(cache.H + radial / r)) < h * h
-        assert np.max(np.abs(np.linalg.norm(cache.H, axis=-1) - 1.0 / r)) < h * h
+        assert np.max(np.abs(np.linalg.norm(cache.H, axis=0) - 1.0 / r)) < h * h
 
 
 def test_fundamental_forms_product_torus_sympy_oracle():
@@ -166,7 +166,7 @@ def test_fundamental_forms_product_torus_sympy_oracle():
     h = imm.grid.spacings[0]
     for node in [(0, 0), (5, 11), (17, 40), (33, 7)]:
         expected = np.array(H_fn(X[node], Y[node])).ravel()
-        assert np.max(np.abs(cache.H[node] - expected)) < h * h
+        assert np.max(np.abs(cache.H[(..., *node)] - expected)) < h * h
     # the normal gradient of H vanishes on the product torus
     assert np.max(np.abs(cache.grad_H_perp)) < h * h
 
@@ -179,8 +179,8 @@ def test_fundamental_forms_mean_curvature_vector_torus():
     expect = -r1 / 1.0 - r2 / 0.6
     assert np.max(np.abs(cache.H - expect)) < 2 * h * h
     # A is symmetric and H is exactly normal by construction
-    assert np.max(np.abs(cache.A - np.swapaxes(cache.A, -1, -2))) == 0.0
-    tang = np.einsum("...n,...in->...i", cache.H, cache.e)
+    assert np.max(np.abs(cache.A - np.swapaxes(cache.A, 1, 2))) == 0.0
+    tang = np.einsum("n...,in...->i...", cache.H, cache.e)
     assert np.max(np.abs(tang)) < 1e-12
 
 
@@ -189,7 +189,7 @@ def test_flat_patch_interior_flatness():
     x, y = grid.meshgrid()
     F = np.stack([x, y, 0 * x, 0 * x], axis=-1)
     cache = fundamental_forms(Immersion(grid=grid, F=F))
-    sl = (slice(2, -2), slice(2, -2))
+    sl = (..., slice(2, -2), slice(2, -2))
     assert np.max(np.abs(cache.A[sl])) < 1e-12
     assert np.max(np.abs(cache.H[sl])) < 1e-12
 
@@ -262,23 +262,21 @@ def test_generalized_cross_into_buffers():
     rng = np.random.default_rng(5)
     a, b = rng.standard_normal((2, 3, 40))
     assert np.array_equal(generalized_cross(a, b), np.cross(a, b, axis=0))
-    for n, axis in ((3, 0), (4, 0), (4, -1)):
+    for n in (3, 4):
         vs = list(rng.standard_normal((n - 1, n, 40)))
-        if axis:
-            vs = [np.moveaxis(v, 0, -1) for v in vs]
-        fresh = generalized_cross(*vs, axis=axis)
+        fresh = generalized_cross(*vs)
         out = np.full_like(fresh, np.nan)
-        assert generalized_cross(*vs, axis=axis, out=out, scratch=np.empty((7, 40))) is out
+        assert generalized_cross(*vs, out=out, scratch=np.empty((7, 40))) is out
         assert np.array_equal(out, fresh)
         for v in vs:  # orthogonal to its arguments
-            assert np.max(np.abs(np.sum(fresh * v, axis=axis))) < 1e-12
+            assert np.max(np.abs(np.sum(fresh * v, axis=0))) < 1e-12
 
 
 def test_gauss_field_circle_great_circle():
     imm = make_circle(2.0, 64)
     rho = fundamental_forms(imm).rho
     x = imm.grid.axes()[0]
-    expect = np.stack([-np.sin(x), np.cos(x), 0 * x], axis=-1)
+    expect = np.stack([-np.sin(x), np.cos(x), 0 * x])
     assert np.max(np.abs(rho - expect)) < 1e-12
 
 
@@ -287,8 +285,8 @@ def test_gauss_field_flat_patch_constant_interior():
     x, y = grid.meshgrid()
     F = np.stack([x, y, 0 * x, 0 * x], axis=-1)
     rho = fundamental_forms(Immersion(grid=grid, F=F)).rho
-    inner = rho[2:-2, 2:-2]
-    assert np.max(np.abs(inner - inner[0, 0])) < 1e-12
+    inner = rho[:, 2:-2, 2:-2]
+    assert np.max(np.abs(inner - inner[:, :1, :1])) < 1e-12
 
 
 def test_gauss_field_point_accessor():
@@ -302,28 +300,28 @@ def test_gauge_independence_of_rho_and_H():
     rng = np.random.default_rng(31)
     imm = make_perturbed_torus(1.0, 0.7, 0.04, 5, 24)
     cache = fundamental_forms(imm)
-    theta = rng.uniform(0, 2 * np.pi, size=cache.e.shape[:-2])
+    theta = rng.uniform(0, 2 * np.pi, size=cache.e.shape[2:])
     phi = rng.uniform(0, 2 * np.pi, size=theta.shape)
-    ct, st = np.cos(theta)[..., None], np.sin(theta)[..., None]
-    cp, sp = np.cos(phi)[..., None], np.sin(phi)[..., None]
+    ct, st = np.cos(theta), np.sin(theta)
+    cp, sp = np.cos(phi), np.sin(phi)
     e_rot = np.stack(
-        [ct * cache.e[..., 0, :] + st * cache.e[..., 1, :],
-         -st * cache.e[..., 0, :] + ct * cache.e[..., 1, :]], axis=-2
+        [ct * cache.e[0] + st * cache.e[1],
+         -st * cache.e[0] + ct * cache.e[1]]
     )
     nu_rot = np.stack(
-        [cp * cache.nu[..., 0, :] + sp * cache.nu[..., 1, :],
-         -sp * cache.nu[..., 0, :] + cp * cache.nu[..., 1, :]], axis=-2
+        [cp * cache.nu[0] + sp * cache.nu[1],
+         -sp * cache.nu[0] + cp * cache.nu[1]]
     )
     assert np.max(np.abs(rho_field(e_rot) - rho_field(cache.e))) < 1e-10
     # recontract the mean curvature from rotated normals
     grid = imm.grid
     m = grid.m
-    d2 = np.empty(grid.sizes + (m, m, 4))
+    d2 = np.empty((m, m, 4) + grid.sizes)
     for i in range(m):
         for j in range(m):
-            d2[..., i, j, :] = diff2(imm.F, grid, i, j)
-    A_rot = np.einsum("...ijn,...an->...aij", d2, nu_rot)
-    H_rot = np.einsum("...ij,...aij,...an->...n", cache.g_inv, A_rot, nu_rot)
+            d2[i, j] = diff2(np.moveaxis(imm.F, -1, 0), grid, i, j)
+    A_rot = np.einsum("ijn...,an...->aij...", d2, nu_rot)
+    H_rot = np.einsum("ij...,aij...,an...->n...", cache.g_inv, A_rot, nu_rot)
     assert np.max(np.abs(H_rot - cache.H)) < 1e-10
 
 
@@ -335,11 +333,11 @@ def test_discrete_identify_invariant_product_torus():
         imm = make_product_torus(1.0, 0.6, size)
         cache = fundamental_forms(imm)
         rho = rho_field(cache.e)
-        drho = np.stack([diff1(rho, imm.grid, l) for l in range(2)], axis=-2)
-        d_unit = np.einsum("...il,...lc->...ic", cache.R, drho)
+        drho = np.stack([diff1(rho, imm.grid, l) for l in range(2)])
+        d_unit = np.einsum("il...,lc...->ic...", cache.R, drho)
         basis = tangent_basis_field(cache.e, cache.nu)
-        lhs = np.einsum("...jac,...ic->...ija", basis, d_unit)
-        rhs = np.einsum("...il,...alp,...jp->...ija", cache.R, cache.A, cache.R)
+        lhs = np.einsum("jac...,ic...->ija...", basis, d_unit)
+        rhs = np.einsum("il...,alp...,jp...->ija...", cache.R, cache.A, cache.R)
         errs[size] = np.max(np.abs(lhs - rhs))
     order = np.log2(errs[32] / errs[64])
     assert order >= 1.9
@@ -351,18 +349,18 @@ def test_normal_connection_commutes_with_rotation():
         imm = make_product_torus(1.0, 0.6, size)
         cache = fundamental_forms(imm)
         x, y = imm.grid.meshgrid()
-        ambient = np.stack([np.sin(y), np.cos(x), np.sin(x), np.cos(y)], axis=-1)
-        tang = np.einsum("...in,...n->...i", cache.e, ambient)
-        mu = ambient - np.einsum("...i,...in->...n", tang, cache.e)
+        ambient = np.stack([np.sin(y), np.cos(x), np.sin(x), np.cos(y)])
+        tang = np.einsum("in...,n...->i...", cache.e, ambient)
+        mu = ambient - np.einsum("i...,in...->n...", tang, cache.e)
         jmu = rotate_normal_field(cache.e, mu)
         worst = 0.0
         for direction in range(2):
             djmu = diff1(jmu, imm.grid, direction)
             dmu = diff1(mu, imm.grid, direction)
-            tang1 = np.einsum("...in,...n->...i", cache.e, djmu)
-            lhs = djmu - np.einsum("...i,...in->...n", tang1, cache.e)
-            tang2 = np.einsum("...in,...n->...i", cache.e, dmu)
-            rhs = rotate_normal_field(cache.e, dmu - np.einsum("...i,...in->...n", tang2, cache.e))
+            tang1 = np.einsum("in...,n...->i...", cache.e, djmu)
+            lhs = djmu - np.einsum("i...,in...->n...", tang1, cache.e)
+            tang2 = np.einsum("in...,n...->i...", cache.e, dmu)
+            rhs = rotate_normal_field(cache.e, dmu - np.einsum("i...,in...->n...", tang2, cache.e))
             worst = max(worst, float(np.max(np.abs(lhs - rhs))))
         return worst
 
@@ -376,7 +374,7 @@ def test_projection_field_matches_pointwise(tmp_path):
     rng = np.random.default_rng(33)
     imm = make_perturbed_torus(1.0, 0.8, 0.05, 2, 16)
     cache = fundamental_forms(imm)
-    w = rng.standard_normal(imm.grid.sizes + (6,))
+    w = rng.standard_normal((6,) + imm.grid.sizes)
     coeffs = project_field(cache.e, cache.nu, w)
     for node in [(0, 0), (7, 3), (12, 15)]:
         frame = cache.frame_at(node)
@@ -385,8 +383,8 @@ def test_projection_field_matches_pointwise(tmp_path):
             for alpha in range(2):
                 legs = frame.e.copy()
                 legs[i] = frame.nu[alpha]
-                expect[i, alpha] = inner(MultiVector(4, 2, w[node]), wedge_vectors(legs))
-        assert np.max(np.abs(coeffs[node] - expect)) < 1e-12
+                expect[i, alpha] = inner(MultiVector(4, 2, w[(..., *node)]), wedge_vectors(legs))
+        assert np.max(np.abs(coeffs[(..., *node)] - expect)) < 1e-12
 
 
 def test_normal_completion_tie_nodes():
@@ -396,9 +394,9 @@ def test_normal_completion_tie_nodes():
         imm = make_product_torus(1.0, 1.0, size)
         e = fundamental_forms(imm).e
         nu = normal_completion(e)
-        gram = np.einsum("...an,...bn->...ab", nu, nu)
+        gram = np.einsum("an...,bn...->...ab", nu, nu)
         assert np.max(np.abs(gram - np.eye(2))) < 1e-12
-        dets = np.linalg.det(np.concatenate([e, nu], axis=-2))
+        dets = np.linalg.det(np.moveaxis(np.concatenate([e, nu]), (0, 1), (-2, -1)))
         assert np.min(dets) > 0.99
 
 

@@ -184,9 +184,9 @@ def test_normal_rotate_matches_rotate_normal_field():
     rng = np.random.default_rng(21)
     for m, n in [(1, 3), (2, 4)]:
         frames = [random_adapted_frame(rng, m, n) for _ in range(50)]
-        ws = np.stack([rng.standard_normal(2) @ f.nu for f in frames])
-        expect = np.stack([normal_rotate(f, w) for f, w in zip(frames, ws)])
-        got = rotate_normal_field(np.stack([f.e for f in frames]), ws)
+        ws = np.stack([rng.standard_normal(2) @ f.nu for f in frames], axis=-1)
+        expect = np.stack([normal_rotate(f, w) for f, w in zip(frames, ws.T)], axis=-1)
+        got = rotate_normal_field(np.stack([f.e for f in frames], axis=-1), ws)
         assert np.max(np.abs(got - expect)) < 1e-12
 
 
@@ -212,10 +212,10 @@ def test_jtilde_coefficient_action():
 
 def test_jtilde_on_fields_and_shape_check():
     rng = np.random.default_rng(22)
-    c = rng.standard_normal((3, 5, 2, 2))
+    c = rng.standard_normal((2, 2, 3, 5))
     got = jtilde_coeffs(c)
     for node in np.ndindex(3, 5):
-        assert np.array_equal(got[node], jtilde_coeffs(c[node]))
+        assert np.array_equal(got[(..., *node)], jtilde_coeffs(c[(..., *node)]))
     for bad in (np.zeros(2), np.zeros((2, 3))):
         with pytest.raises(UnsupportedCaseError):
             jtilde_coeffs(bad)

@@ -1,0 +1,64 @@
+"""One field layout: component-first fields whose one-node slices are the pointwise API."""
+
+import ast
+from pathlib import Path
+
+import numpy as np
+
+from skewflow import flow, fundamental_forms, make_perturbed_circle, make_perturbed_torus, velocity
+from skewflow.geometry import _metric_block
+from skewflow.grassmann import project_field, rho_field
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "skewflow"
+GEOMETRIES = (make_perturbed_circle(1.0, 0.2, 3, 32), make_perturbed_torus(1.0, 0.7, 0.05, 3, 16))
+
+
+def test_geometry_cache_metric_block_is_the_flow_kernels(monkeypatch):
+    seen = {}
+
+    def recording(f, grid, time, ws):
+        _metric_block(f, grid, time, ws)
+        seen.update(t=ws.t.copy(), g=ws.g.copy(), det_g=ws.det_g.copy(), min_sv=ws.min_sv.copy())
+
+    monkeypatch.setattr(flow, "_metric_block", recording)
+    for imm in GEOMETRIES:
+        velocity(imm)
+        cache = fundamental_forms(imm)
+        for name, kernel_value in seen.items():
+            assert getattr(cache, name).shape == kernel_value.shape
+            assert np.array_equal(getattr(cache, name), kernel_value), name
+
+
+def test_frame_and_point_accessors_are_one_node_slices():
+    for imm in GEOMETRIES:
+        cache = fundamental_forms(imm)
+        for node in [(0,) * imm.grid.m, (5,) * imm.grid.m]:
+            frame, point = cache.frame_at(node), cache.point_at(node)
+            assert np.array_equal(frame.e, cache.e[(..., *node)])
+            assert np.array_equal(frame.nu, cache.nu[(..., *node)])
+            assert np.array_equal(point.xi.coeffs, cache.rho[(..., *node)])
+
+
+def test_field_forms_on_one_frame_are_the_node_slice_of_the_field_call():
+    rng = np.random.default_rng(41)
+    for imm in GEOMETRIES:
+        cache = fundamental_forms(imm)
+        w = rng.standard_normal(cache.rho.shape)
+        rho, coeffs = rho_field(cache.e), project_field(cache.e, cache.nu, w)
+        for node in [(0,) * imm.grid.m, (7,) * imm.grid.m]:
+            at = (..., *node)
+            assert np.array_equal(rho_field(cache.e[at]), rho[at])
+            assert np.array_equal(project_field(cache.e[at], cache.nu[at], w[at]), coeffs[at])
+
+
+def test_no_einsum_subscript_is_node_first():
+    # grid axes trail: an operand term like "...in" would put them before the
+    # structural axes; a bare "..." (one value per node) has none to order
+    node_first = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "einsum":
+                spec = node.args[0].value
+                terms = spec.replace("->", ",").split(",")
+                node_first += [f"{path.name}:{node.lineno} {spec}" for t in terms if t.startswith("...") and t != "..."]
+    assert node_first == []

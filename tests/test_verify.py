@@ -53,7 +53,7 @@ def test_tension_constant_field_is_exactly_zero():
     # differences of a constant vanish identically, so force a constant field
     # through the operator by overwriting rho via a constant-e cache
     coeffs = tension(cache)
-    assert np.max(np.abs(coeffs[3:-3, 3:-3])) < 1e-12
+    assert np.max(np.abs(coeffs[..., 3:-3, 3:-3])) < 1e-12
 
 
 def test_tension_circle_vanishes():
@@ -79,7 +79,7 @@ def test_dt_rho_analytic_zero_cases():
     grid = PeriodicGrid((16, 16))
     x, y = grid.meshgrid()
     flat = fundamental_forms(Immersion(grid=grid, F=np.stack([x, y, 0 * x, 0 * x], axis=-1)))
-    assert np.max(np.abs(dt_rho_analytic(flat)[3:-3, 3:-3])) < 1e-12
+    assert np.max(np.abs(dt_rho_analytic(flat)[..., 3:-3, 3:-3])) < 1e-12
 
 
 def test_tension_rejects_mismatched_plane_field():
@@ -198,7 +198,7 @@ def test_tension_ellipse_sympy_oracle():
     h = grid.spacings[0]
     for node in (0, 7, 23, 48, 80):
         expected = np.asarray(tau_fn(xs[node])).ravel()
-        got = coeffs[node] @ cache.nu[node]  # back to an ambient vector
+        got = coeffs[..., node] @ cache.nu[..., node]  # back to an ambient vector
         assert np.max(np.abs(got - expected)) < 5 * h * h
 
 
@@ -235,9 +235,9 @@ def test_residual_identify_circle_matches_curvature():
     imm = make_circle(r, 64)
     cache = fundamental_forms(imm)
     rho = rho_field(cache.e)
-    d_unit = cache.R[..., 0, 0, None] * diff1(rho, imm.grid, 0)
-    coeffs = np.einsum("...jac,...c->...ja", tangent_basis_field(cache.e, cache.nu), d_unit)
-    mag = np.linalg.norm(coeffs, axis=(-2, -1))
+    d_unit = cache.R[0, 0] * diff1(rho, imm.grid, 0)
+    coeffs = np.einsum("jac...,c...->ja...", tangent_basis_field(cache.e, cache.nu), d_unit)
+    mag = np.linalg.norm(coeffs, axis=(0, 1))
     h = imm.grid.spacings[0]
     assert np.max(np.abs(mag - 1.0 / r)) < h * h
     report = residual_identify(cache)

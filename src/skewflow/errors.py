@@ -32,3 +32,7 @@ class DegenerateImmersionError(SkewflowError):
         super().__init__(message)
         self.node = node
         self.time = time
+
+
+class KrylovBreakdownError(DegenerateImmersionError):
+    """The Krylov solve of an implicit step did not converge within its cap."""

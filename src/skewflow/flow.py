@@ -7,19 +7,15 @@ times and degeneracy is treated as a hard error rather than remeshed.
 
 Explicit stepping of this dispersive system is stiff: with "RK4" or "Euler"
 stay at or below dt = 0.1 h^2 (see ``stable_dt``) unless you know the
-spectrum better.  For curves the "IMEX" scheme lifts that limit: the
-velocity is linear in the second differences, V = C(F) (D2 F) with per-node
-3x3 coefficients C, and a Crank-Nicolson step that freezes C (predictor at
-F, corrector at the midpoint) is second order in time and not limited by
-the h^2 bound (the small-scale decomposition of Hou, Lowengrub and Shelley,
-JCP 114, 1994).  Tori and caller-supplied velocities have no IMEX step.
+spectrum better.  The "IMEX" scheme (``imex``) lifts that limit on curves
+and tori alike; caller-supplied velocities have no IMEX step.
 
 One velocity kernel, ``_velocity``, serves curves and tori; it starts with
-the metric block that GeometryCache runs too.  ``run`` keeps the positions
-component-first, (n, *sizes), and gives the kernel and the RK4/Euler stepper
-one workspace of preallocated buffers, so an explicit step allocates no
-grid-sized array; recorded states are copied out in the layout of
-``Immersion.F``.  ``step`` and ``velocity`` allocate a workspace per call.
+the metric block that GeometryCache and the IMEX step run too.  ``run``
+keeps the positions component-first, (n, *sizes), and gives the stepper one
+workspace of preallocated buffers, so a step allocates no grid-sized array;
+recorded states are copied out in the layout of ``Immersion.F``.  ``step``
+and ``velocity`` allocate a workspace per call.
 """
 
 from __future__ import annotations
@@ -29,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateImmersionError
-from .geometry import Immersion, _dot, _metric_block, _minor, _Stencils, fundamental_forms, generalized_cross
+from .geometry import Immersion, _dot, _metric_block, _minor, _Stencils, generalized_cross
 
 FLOW_KINDS = ("SMCF", "MCF")
 SCHEMES = ("RK4", "Euler", "IMEX")
@@ -182,62 +178,9 @@ def velocity(imm, kind: str = "SMCF", time: float | None = None) -> np.ndarray:
     return np.moveaxis(out, 0, -1)
 
 
-def _curve_coefficients(F: np.ndarray, grid, kind: str, time: float | None) -> np.ndarray:
-    """Per-node 3x3 matrices C with curve velocity V = C (D2 F).
-
-    With unit tangent T and g^{00} = 1/|F_u|^2: C = g^{00} [T]_x for the
-    skew flow (the cross product kills the tangential part of D2 F) and
-    C = g^{00} (I - T T^T) for the mean curvature flow.
-    """
-    geom = fundamental_forms(Immersion(grid=grid, F=F), time=time)
-    T = geom.e[0].T
-    if kind == "MCF":
-        C = np.eye(3) - T[:, :, None] * T[:, None, :]
-    else:
-        C = np.zeros(T.shape + (3,))
-        C[:, 0, 1], C[:, 0, 2] = -T[:, 2], T[:, 1]
-        C[:, 1, 0], C[:, 1, 2] = T[:, 2], -T[:, 0]
-        C[:, 2, 0], C[:, 2, 1] = -T[:, 1], T[:, 0]
-    return geom.g_inv[0, 0, :, None, None] * C
-
-
-def _imex_step(F: np.ndarray, grid, kind: str, t: float, dt: float) -> np.ndarray:
-    """Linearly implicit Crank-Nicolson step of a curve with frozen coefficients.
-
-    Solves (I - dt/2 C D2) F_new = (I + dt/2 C D2) F twice: with C taken at F
-    (predictor F*), then with C taken at (F + F*)/2.  The system is periodic
-    block-tridiagonal with 3x3 blocks, factored by a sparse LU.
-    """
-    from scipy.sparse import bsr_matrix
-    from scipy.sparse.linalg import splu
-
-    size = grid.sizes[0]
-    # block row i of dt/2 C D2: C_i times (1, -2, 1) dt/(2 h^2) at block columns i-1, i, i+1
-    cols = ((np.arange(size)[:, None] + np.array([-1, 0, 1])) % size).ravel()
-    rows = np.arange(0, 3 * size + 1, 3)
-    weights = np.array([1.0, -2.0, 1.0])[:, None, None] * (0.5 * dt / grid.spacings[0] ** 2)
-    x = F.ravel()
-
-    def solve(C):
-        blocks = -weights * C[:, None]
-        blocks[:, 1] += np.eye(3)
-        lhs = bsr_matrix((blocks.reshape(-1, 3, 3), cols, rows), shape=(3 * size, 3 * size))
-        # (I + dt/2 C D2) F = 2F - lhs F
-        return splu(lhs.tocsc()).solve(2.0 * x - lhs @ x).reshape(F.shape)
-
-    F_pred = solve(_curve_coefficients(F, grid, kind, t))
-    return solve(_curve_coefficients(0.5 * (F + F_pred), grid, kind, t + 0.5 * dt))
-
-
-def _check_scheme(grid, config: FlowConfig, velocity_fn) -> None:
-    if config.scheme != "IMEX":
-        return
-    if grid.m != 1:
-        raise ValueError("scheme 'IMEX' supports curves only (m = 1), got a grid with m = 2")
-    if velocity_fn is not None:
-        raise ValueError(
-            "scheme 'IMEX' freezes the package's own curve velocity and cannot use a velocity_fn"
-        )
+def _check_scheme(config: FlowConfig, velocity_fn) -> None:
+    if config.scheme == "IMEX" and velocity_fn is not None:
+        raise ValueError("scheme 'IMEX' freezes the package's own velocity and cannot use a velocity_fn")
 
 
 def _advance(f: np.ndarray, t: float, dt: float, vf, scheme: str, k, stage, acc) -> None:
@@ -269,17 +212,16 @@ def _advance(f: np.ndarray, t: float, dt: float, vf, scheme: str, k, stage, acc)
 def _stepper(grid, config: FlowConfig, velocity_fn):
     """``advance(f, t, dt)``: one step of component-first positions f, in place.
 
-    RK4 and Euler share one workspace over all the steps of the returned
+    Each scheme keeps one workspace over all the steps of the returned
     function; a caller's ``velocity_fn(F, t)`` sees and returns positions in
     the (*sizes, n) layout of ``Immersion.F``.
     """
     if config.scheme == "IMEX":
+        # imported here: runs that take no IMEX step do not load the solver
+        from .imex import _Imex, _imex_step
 
-        def imex(f, t, dt):
-            F = np.moveaxis(f, 0, -1).copy()
-            f[...] = np.moveaxis(_imex_step(F, grid, config.flow_kind, t, dt), -1, 0)
-
-        return imex
+        ws = _Imex(grid, config.flow_kind)
+        return lambda f, t, dt: _imex_step(f, t, dt, ws)
     ws = _Workspace(grid)
     if velocity_fn is None:
 
@@ -295,13 +237,13 @@ def _stepper(grid, config: FlowConfig, velocity_fn):
 
 
 def step(state: FlowState, config: FlowConfig, velocity_fn=None, dt: float | None = None) -> FlowState:
-    """One step on node positions: classical RK4, forward Euler or, for curves, IMEX.
+    """One step on node positions: classical RK4, forward Euler or IMEX.
 
-    Raises ``ValueError`` when IMEX is asked for on a torus or with a velocity_fn.
+    Raises ``ValueError`` when IMEX is asked for with a velocity_fn.
     """
     dt = config.dt if dt is None else dt
     imm = state.immersion
-    _check_scheme(imm.grid, config, velocity_fn)
+    _check_scheme(config, velocity_fn)
     f = np.moveaxis(imm.F, -1, 0).copy()
     _stepper(imm.grid, config, velocity_fn)(f, state.t, dt)
     return FlowState(t=state.t + dt, immersion=Immersion(grid=imm.grid, F=np.moveaxis(f, 0, -1).copy()))
@@ -311,12 +253,12 @@ def run(imm: Immersion, config: FlowConfig, velocity_fn=None) -> Trajectory:
     """Integrate to t_end, recording every ``output_every``-th state (and the last).
 
     The final step is shortened when t_end is not a step multiple, so the
-    last state lands exactly on t_end.  A scheme the immersion cannot use
-    raises ``ValueError`` before the first step.  The positions stay in
+    last state lands exactly on t_end.  IMEX with a velocity_fn raises
+    ``ValueError`` before the first step.  The positions stay in
     component-first layout (n, *sizes) between steps and are copied out for
     the recorded states only.
     """
-    _check_scheme(imm.grid, config, velocity_fn)
+    _check_scheme(config, velocity_fn)
     advance = _stepper(imm.grid, config, velocity_fn)
     f = np.moveaxis(imm.F, -1, 0).copy()
     states = [FlowState(t=0.0, immersion=imm)]

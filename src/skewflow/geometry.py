@@ -54,8 +54,9 @@ class PeriodicGrid:
     def m(self) -> int:
         return len(self.sizes)
 
-    @property
+    @cached_property
     def spacings(self) -> tuple[float, ...]:
+        """Node spacings, computed once per grid: the velocity reads them on every call."""
         return tuple(p / s for p, s in zip(self.periods, self.sizes))
 
     def axes(self) -> list[np.ndarray]:

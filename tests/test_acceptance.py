@@ -5,7 +5,7 @@ Criterion 5 pins dt = 1e-3 on a 256-node circle.  That step size exceeds the
 imaginary-axis stability bound of classical RK4 for the dispersive velocity
 (dt * 4/h^2 = 6.6 > 2*sqrt(2)), so an explicit run degenerates near
 t = 0.05.  The criterion is about the translating circle at those
-parameters, not about RK4, so it runs the linearly implicit "IMEX" curve
+parameters, not about RK4, so it runs the linearly implicit "IMEX"
 scheme, which has no such bound.  That RK4 far past its bound aborts with a
 located, timed error is checked in
 tests/test_flow.py::test_unstable_step_aborts_with_location.
@@ -128,6 +128,28 @@ def test_criterion_06_product_torus_reduction():
         6, ok,
         f"radii vs reduced dynamics {radii_err:.2e} (<=1e-4), a*b drift {ab_drift:.2e}, "
         f"area drift {area_drift:.2e}, heat-flow area strictly decreasing: {mcf_decreasing}",
+    )
+
+
+def test_criterion_06_product_torus_reduction_imex():
+    # criterion 06's torus, end time and tolerances, with IMEX steps of about 0.11 h
+    size, T, steps = 176, 0.2, 50
+    assert steps <= 52  # a tenth of the 524 RK4 steps, or fewer
+    imm = make_product_torus(1.0, 1.0, size)
+    traj = run(imm, FlowConfig(flow_kind="SMCF", dt=T / steps, t_end=T, scheme="IMEX", output_every=10))
+    radii_err = ab_drift = 0.0
+    for state in traj.states[1:]:
+        _, a_oracle, b_oracle = product_torus_ode_oracle(1.0, 1.0, state.t, 1e-4)
+        a_fit, b_fit, _ = fitted_torus_radii(state.immersion)
+        radii_err = max(radii_err, abs(a_fit - a_oracle[-1]), abs(b_fit - b_oracle[-1]))
+        ab_drift = max(ab_drift, abs(a_fit * b_fit - 1.0))
+    volumes = [volume(s.immersion) for s in traj.states]
+    area_drift = max(abs(v - volumes[0]) / volumes[0] for v in volumes)
+    ok = radii_err <= 1e-4 and ab_drift <= 1e-6 and area_drift <= 1e-6
+    _criterion(
+        6, ok,
+        f"IMEX, {steps} steps: radii vs reduced dynamics {radii_err:.2e} (<=1e-4), "
+        f"a*b drift {ab_drift:.2e}, area drift {area_drift:.2e}",
     )
 
 

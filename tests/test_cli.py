@@ -195,9 +195,10 @@ def test_unknown_task_or_geometry_exit_one(tmp_path, capsys):
     )
     assert main(["simulate", "--config", cfg]) == 1
     assert "klein_bottle" in capsys.readouterr().err
+    # a torus runs the IMEX scheme, so asking for it is no error
     cfg = torus_config(tmp_path, out, flow={"scheme": "IMEX", "dt": 1e-3, "t_end": 1e-2})
-    assert main(["simulate", "--config", cfg]) == 1
-    assert "curves only" in capsys.readouterr().err
+    assert main(["simulate", "--config", cfg]) == 0
+    capsys.readouterr()
     cfg = circle_config(tmp_path, out, dt=float("nan"))
     assert main(["simulate", "--config", cfg]) == 1
     assert "dt must be finite" in capsys.readouterr().err
@@ -228,3 +229,17 @@ def test_runtime_degeneracy_exit_two(tmp_path, capsys):
     with np.errstate(over="ignore", invalid="ignore"):
         assert main(["simulate", "--config", cfg]) == 2
     assert "degenerate" in capsys.readouterr().err.lower()
+
+
+def test_torus_defaults_to_imex_at_a_tenth_of_h():
+    from skewflow import make_circle, make_product_torus
+    from skewflow.cli import build_flow_config
+
+    torus = make_product_torus(1.0, 0.6, 32, 16)
+    h = 2 * np.pi / 32
+    cfg = build_flow_config({"flow": {}}, torus)
+    assert (cfg.scheme, cfg.dt) == ("IMEX", 0.1 * h)
+    assert build_flow_config({"flow": {"scheme": "RK4"}}, torus).dt == 0.1 * h**2
+    assert build_flow_config({"flow": {"dt": 1e-3}}, torus).dt == 1e-3
+    circle = build_flow_config({}, make_circle(1.0, 64))
+    assert (circle.scheme, circle.dt) == ("RK4", 0.1 * (2 * np.pi / 64) ** 2)

@@ -11,7 +11,6 @@ from skewflow import (
     FlowState,
     Immersion,
     Trajectory,
-    diff2,
     fitted_torus_radii,
     fundamental_forms,
     make_circle,
@@ -195,7 +194,7 @@ def _run_by_steps(imm, cfg):
     return states
 
 
-@pytest.mark.parametrize("scheme", ["RK4", "Euler"])
+@pytest.mark.parametrize("scheme", ["RK4", "Euler", "IMEX"])
 @pytest.mark.parametrize("kind", ["SMCF", "MCF"])
 def test_run_equals_repeated_step_bitwise(scheme, kind):
     for imm in (make_perturbed_circle(1.0, 0.2, 3, 32), make_perturbed_torus(1.0, 0.7, 0.05, 3, 16)):
@@ -228,45 +227,70 @@ def test_run_velocity_fn_adapter_and_state_buffers(kind):
 
 
 def test_imex_frozen_operator_matches_velocity():
-    from skewflow.flow import _curve_coefficients
+    from skewflow.imex import _freeze, _frozen, _Imex
 
-    imm = make_perturbed_circle(1.0, 0.2, 3, 256)
-    d2F = diff2(imm.F.T, imm.grid, 0, 0).T
-    for kind in ("SMCF", "MCF"):
-        C = _curve_coefficients(imm.F, imm.grid, kind, None)
-        frozen = np.einsum("nab,nb->na", C, d2F)
-        assert np.max(np.abs(frozen - velocity(imm, kind))) < 1e-13
+    for imm in (
+        make_perturbed_circle(1.0, 0.2, 3, 256),
+        make_perturbed_torus(1.0, 0.7, 0.05, 3, 32),
+        make_product_torus(1.0, 0.6, 24, 16),
+    ):
+        f = np.moveaxis(imm.F, -1, 0).copy()
+        for kind in ("SMCF", "MCF"):
+            ws = _Imex(imm.grid, kind)
+            _freeze(f, 0.0, 1e-3, ws)
+            frozen = np.moveaxis(_frozen(f, np.empty_like(f), ws), 0, -1)
+            assert np.max(np.abs(frozen - velocity(imm, kind))) < 1e-13
 
 
 def test_imex_second_order_in_time():
     # RK4 at T/1000 is stable here and its error is far below the IMEX errors
-    imm = make_perturbed_circle(1.0, 0.2, 3, 64)
     T = 0.05
-    ref = run(imm, FlowConfig(dt=T / 1000, t_end=T, output_every=10**9))[-1].immersion.F
-    errs = []
-    for dt in (2e-3, 1e-3, 5e-4, 2.5e-4):
-        cfg = FlowConfig(dt=dt, t_end=T, scheme="IMEX", output_every=10**9)
-        errs.append(np.max(np.abs(run(imm, cfg)[-1].immersion.F - ref)))
-    orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
-    assert np.all(orders >= 1.9), orders
+    torus = make_perturbed_torus(1.0, 0.7, 0.05, 3, 32)
+    cases = [(make_perturbed_circle(1.0, 0.2, 3, 64), "SMCF", (2e-3, 1e-3, 5e-4, 2.5e-4))]
+    cases += [(torus, kind, (T / 8, T / 16, T / 32)) for kind in ("SMCF", "MCF")]
+    for imm, kind, dts in cases:
+        ref = run(imm, FlowConfig(flow_kind=kind, dt=T / 1000, t_end=T, output_every=10**9))[-1].immersion.F
+        errs = []
+        for dt in dts:
+            cfg = FlowConfig(flow_kind=kind, dt=dt, t_end=T, scheme="IMEX", output_every=10**9)
+            errs.append(np.max(np.abs(run(imm, cfg)[-1].immersion.F - ref)))
+        orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
+        assert np.all(orders >= 1.9), (imm.grid.sizes, kind, orders)
 
 
-def test_imex_rejects_torus_and_velocity_fn_before_stepping():
+def test_imex_rejects_velocity_fn_before_stepping():
     cfg = FlowConfig(dt=1e-3, t_end=1e-2, scheme="IMEX")
-    torus = make_product_torus(1.0, 0.5, 16)
-    for call in (lambda: run(torus, cfg), lambda: step(FlowState(t=0.0, immersion=torus), cfg)):
-        with pytest.raises(ValueError, match="curves only"):
-            call()
     frozen = lambda F, t: np.zeros_like(F)
-    with pytest.raises(ValueError, match="velocity_fn"):
-        run(make_circle(1.0, 32), cfg, velocity_fn=frozen)
+    for imm in (make_circle(1.0, 32), make_product_torus(1.0, 0.5, 16)):
+        for call in (lambda: run(imm, cfg, velocity_fn=frozen), lambda: step(FlowState(0.0, imm), cfg, velocity_fn=frozen)):
+            with pytest.raises(ValueError, match="velocity_fn"):
+                call()
+
+
+def test_krylov_cap_is_a_located_breakdown(monkeypatch):
+    from skewflow import imex
+    from skewflow.errors import KrylovBreakdownError
+
+    monkeypatch.setattr(imex, "KRYLOV_MAX_ITER", 1)
+    imm = make_perturbed_torus(1.0, 0.7, 0.05, 3, 32)
+    cfg = FlowConfig(flow_kind="MCF", dt=0.05, t_end=0.2, scheme="IMEX")
+    with pytest.raises(KrylovBreakdownError) as err:
+        run(imm, cfg)
+    assert isinstance(err.value, DegenerateImmersionError)
+    assert err.value.time == 0.0
 
 
 def test_import_does_not_load_scipy():
     import skewflow
 
     src = str(Path(skewflow.__file__).parents[1])
-    code = f"import sys; sys.path.insert(0, {src!r}); import skewflow; assert 'scipy' not in sys.modules"
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import skewflow; assert 'scipy' not in sys.modules\n"
+        "from skewflow import FlowConfig, make_circle, make_product_torus, run\n"
+        "cfg = FlowConfig(dt=1e-3, t_end=2e-3, scheme='IMEX')\n"
+        "run(make_circle(1.0, 32), cfg); run(make_product_torus(1.0, 0.5, 16), cfg)\n"
+        "assert 'scipy' not in sys.modules\n"
+    )
     subprocess.run([sys.executable, "-c", code], check=True)
 
 

@@ -138,6 +138,20 @@ def test_residual_theorem1_perturbed_convergence_pair():
     assert np.log2(norms[16] / norms[32]) >= 1.7
 
 
+@pytest.mark.parametrize("kind", ["SMCF", "MCF"])
+def test_residual_theorem1_converges_on_imex_trajectory(kind):
+    # dt = 0.1 h: the O(dt^2) time error of IMEX and of the centered time
+    # difference then falls at the spatial order
+    def problem(size):
+        imm = make_perturbed_torus(1.0, 0.6, 0.05, 7, size)
+        dt = 0.1 * imm.grid.spacings[0]
+        traj = run(imm, FlowConfig(flow_kind=kind, dt=dt, t_end=2 * dt, scheme="IMEX", output_every=1))
+        return residual_theorem1(traj, 1, use_jtilde=(kind == "SMCF"))
+
+    table = convergence_study(problem, [16, 32, 64])
+    assert table.observed_order >= 1.9 and table.monotone, table.rows
+
+
 def test_residual_theorem1_mcf_variant():
     norms = {}
     for size in (16, 32):

@@ -69,13 +69,35 @@ def _require(config: dict, fields: list[str], where: str):
         raise ConfigError(f"{where}: missing fields {missing}")
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_integer(value) -> bool:
+    """A JSON integer; a float with no fractional part counts."""
+    return _is_number(value) and (isinstance(value, int) or value.is_integer())
+
+
+def _number(section: dict, key: str, where: str, default=None) -> float:
+    """section[key] (or default) as a float, or a ConfigError naming the field."""
+    value = section.get(key, default)
+    if not _is_number(value):
+        raise ConfigError(f"{where}.{key} must be a number, got {value!r}")
+    return float(value)
+
+
+def _integer(section: dict, key: str, where: str, default=None) -> int:
+    """section[key] (or default) as an int, or a ConfigError naming the field."""
+    value = section.get(key, default)
+    if not _is_integer(value):
+        raise ConfigError(f"{where}.{key} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _int_list(value, field: str) -> list[int]:
     """value as a list of integers, or a ConfigError that names the field."""
-    if isinstance(value, list):
-        try:
-            return [int(v) for v in value]
-        except (TypeError, ValueError):
-            pass
+    if isinstance(value, list) and all(_is_integer(v) for v in value):
+        return [int(v) for v in value]
     raise ConfigError(f"{field} must be a list of integers, got {value!r}")
 
 
@@ -89,6 +111,9 @@ def load_config(path: str, overrides: argparse.Namespace) -> dict:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(config, dict):
         raise ConfigError("config root must be a JSON object")
+    for section in ("geometry", "grid", "flow"):
+        if not isinstance(config.get(section, {}), dict):
+            raise ConfigError(f"{section} must be a JSON object, got {config[section]!r}")
 
     flow = config.setdefault("flow", {})
     if overrides.dt is not None:
@@ -106,6 +131,8 @@ def load_config(path: str, overrides: argparse.Namespace) -> dict:
         grid_cfg["sizes"] = [overrides.n] * dims
     if overrides.out is not None:
         config["output_dir"] = overrides.out
+    if not isinstance(config.get("output_dir", ""), str):
+        raise ConfigError(f"output_dir must be a string, got {config['output_dir']!r}")
     if getattr(overrides, "verify_name", None):
         config["verify_name"] = overrides.verify_name
     if getattr(overrides, "snapshots", False):
@@ -127,20 +154,25 @@ def build_immersion(config: dict) -> Immersion:
         if len(sizes) != 1:
             raise ConfigError("geometry: circle needs a 1-axis grid")
         _require(geometry, ["r"], "geometry(circle)")
-        return make_circle(float(geometry["r"]), sizes[0])
+        return make_circle(_number(geometry, "r", "geometry"), sizes[0])
     if kind in ("product_torus", "perturbed_torus"):
         if len(sizes) != 2:
             raise ConfigError(f"geometry: {kind} needs a 2-axis grid")
         _require(geometry, ["a", "b"], f"geometry({kind})")
+        a, b = _number(geometry, "a", "geometry"), _number(geometry, "b", "geometry")
         if kind == "product_torus":
-            return make_product_torus(float(geometry["a"]), float(geometry["b"]), sizes[0], sizes[1])
+            return make_product_torus(a, b, sizes[0], sizes[1])
         _require(geometry, ["eps", "seed"], "geometry(perturbed_torus)")
         return make_perturbed_torus(
-            float(geometry["a"]), float(geometry["b"]), float(geometry["eps"]),
-            int(geometry["seed"]), sizes[0], sizes[1],
+            a, b, _number(geometry, "eps", "geometry"), _integer(geometry, "seed", "geometry"), sizes[0], sizes[1]
         )
     _require(geometry, ["path"], "geometry(file)")
-    return load_immersion_csv(geometry["path"], sizes, grid_cfg.get("periods"))
+    path, periods = geometry["path"], grid_cfg.get("periods")
+    if not isinstance(path, str):
+        raise ConfigError(f"geometry.path must be a string, got {path!r}")
+    if periods is not None and not (isinstance(periods, list) and all(_is_number(p) for p in periods)):
+        raise ConfigError(f"grid.periods must be a list of numbers, got {periods!r}")
+    return load_immersion_csv(path, sizes, periods)
 
 
 def build_flow_config(config: dict, imm: Immersion) -> FlowConfig:
@@ -153,10 +185,10 @@ def build_flow_config(config: dict, imm: Immersion) -> FlowConfig:
     try:
         return FlowConfig(
             flow_kind=flow.get("flow_kind", "SMCF"),
-            dt=float(flow["dt"]),
-            t_end=float(flow.get("t_end", 0.1)),
+            dt=_number(flow, "dt", "flow"),
+            t_end=_number(flow, "t_end", "flow", 0.1),
             scheme=flow["scheme"],
-            output_every=int(flow.get("output_every", 1)),
+            output_every=_integer(flow, "output_every", "flow", 1),
         )
     except ValueError as exc:
         raise ConfigError(f"flow: {exc}") from exc
@@ -224,7 +256,7 @@ def task_verify(config: dict, out_dir: Path) -> int:
     name = config.get("verify_name")
     if name not in VERIFY_NAMES:
         raise ConfigError(f"verify_name must be one of {VERIFY_NAMES}, got {name!r}")
-    seed = int(config.get("flow", {}).get("seed", 0))
+    seed = _integer(config.get("flow", {}), "seed", "flow", 0)
     if name == "theorem2":
         table = theorem2_suite(seed, config.get("h_list", [1e-2, 1e-3, 1e-4]))
         save_json(table_to_dict(table), out_dir / "convergence_table.json")
@@ -258,7 +290,7 @@ def task_verify(config: dict, out_dir: Path) -> int:
 
 def task_converge(config: dict, out_dir: Path) -> int:
     name = config.get("verify_name", "theorem1")
-    if name not in PROBLEMS:
+    if not isinstance(name, str) or name not in PROBLEMS:
         raise ConfigError(f"converge supports {sorted(PROBLEMS)}, got {name!r}")
     resolutions = _int_list(config.get("resolutions"), "converge: resolutions")
     if len(resolutions) < 2:
@@ -267,7 +299,7 @@ def task_converge(config: dict, out_dir: Path) -> int:
     kwargs = {}
     for key in ("a", "b", "eps", "seed"):
         if key in geometry:
-            kwargs[key] = geometry[key]
+            kwargs[key] = (_integer if key == "seed" else _number)(geometry, key, "geometry")
     with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
         table = convergence_study(name, resolutions, map_fn=pool.map, **kwargs)
     save_json(table_to_dict(table), out_dir / "convergence_table.json")

@@ -139,12 +139,14 @@ def _wedge_table(p: int, q: int, n: int):
     return tuple(tuple(terms) for terms in table)
 
 
-def wedge_field(a, b, p: int, q: int, n: int, out=None) -> np.ndarray:
+def wedge_field(a, b, p: int, q: int, n: int, out=None, scratch=None) -> np.ndarray:
     """Wedge of coefficient arrays a (C(n, p), ...) and b (C(n, q), ...).
 
     The trailing axes broadcast.  Each output coefficient ``out[k]`` is its
     first table term, then the others added or subtracted in table order, so
     a 2-vector coefficient comes out as the single minor u_a v_b - u_b v_a.
+    ``scratch`` is one field of one coefficient's shape, allocated when not
+    given.
     """
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     if a.shape[0] != comb(n, p) or b.shape[0] != comb(n, q):
@@ -154,13 +156,14 @@ def wedge_field(a, b, p: int, q: int, n: int, out=None) -> np.ndarray:
     table = _wedge_table(p, q, n)
     if out is None:
         out = np.empty((len(table),) + np.broadcast_shapes(a.shape[1:], b.shape[1:]))
-    tmp = np.empty(out.shape[1:])
-    for k, ((i, j, sign), *rest) in enumerate(table):
+    tmp = np.empty(out.shape[1:]) if scratch is None else scratch
+    for k, terms in enumerate(table):
         acc = out[k, ...]  # a view, also where out[k] would be a scalar
+        i, j, sign = terms[0]
         np.multiply(a[i], b[j], out=acc)
         if sign < 0:
             np.negative(acc, out=acc)
-        for i, j, sign in rest:
+        for i, j, sign in terms[1:]:
             np.multiply(a[i], b[j], out=tmp)
             (np.add if sign > 0 else np.subtract)(acc, tmp, out=acc)
     return out

@@ -10,12 +10,17 @@ stay at or below dt = 0.1 h^2 (see ``stable_dt``) unless you know the
 spectrum better.  The "IMEX" scheme (``imex``) lifts that limit on curves
 and tori alike; caller-supplied velocities have no IMEX step.
 
-One velocity kernel, ``_velocity``, serves curves and tori; it starts with
-the metric block that GeometryCache and the IMEX step run too.  ``run``
-keeps the positions component-first, (n, *sizes), and gives the stepper one
-workspace of preallocated buffers, so a step allocates no grid-sized array;
-recorded states are copied out in the layout of ``Immersion.F``.  ``step``
-and ``velocity`` allocate a workspace per call.
+One flow operator serves curves and tori and every scheme, in two
+functions: ``_coefficients`` freezes it at some positions, starting with the
+metric block that GeometryCache runs too, and ``_apply`` maps the positions
+in its padded buffer to M (g^{ij} D_ij x), with M the quarter turn
+J w = *(w ^ xi) / |xi| of ``geometry.quarter_turn`` or the normal
+projection -J^2.  The velocity, RK4 and Euler freeze at each stage's
+positions and apply once; IMEX freezes once per solve and applies once per
+Krylov vector.  ``run`` keeps the positions component-first, (n, *sizes),
+and gives the stepper one workspace of preallocated buffers, so a step
+allocates no grid-sized array; recorded states are copied out in the layout
+of ``Immersion.F``.  ``step`` and ``velocity`` allocate a workspace per call.
 """
 
 from __future__ import annotations
@@ -25,7 +30,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateImmersionError
-from .geometry import Immersion, _dot, _metric_block, _minor, _Stencils, generalized_cross
+from .exterior import wedge_field
+from .geometry import Immersion, _metric_block, _Stencils, quarter_turn
 
 FLOW_KINDS = ("SMCF", "MCF")
 SCHEMES = ("RK4", "Euler", "IMEX")
@@ -86,81 +92,94 @@ def stable_dt(imm: Immersion, factor: float = 0.1) -> float:
     return factor * min(imm.grid.spacings) ** 2
 
 
-class _Workspace(_Stencils):
-    """The metric block's buffers plus those of explicit stepping: ``d2`` (D_00
-    becomes w), the MCF coefficients ``c``, the cross product's scratch
-    ``cross`` (metric fields dead by then) and the stepper's ``k``, ``stage``
-    and ``acc``; allocated once per run."""
+class _Operator(_Stencils):
+    """The metric block's buffers plus those of the flow operator, allocated
+    once per run.
 
-    def __init__(self, grid):
+    ``_coefficients`` overwrites the metric block's buffers; ``coef`` takes
+    g's storage.  ``xi`` is the tangent m-vector: t_0 itself on curves,
+    where J divides by ``volume`` = |t_0| = sqrt det g after each turn (the
+    metric block's ``min_sv``), and the unit t_0 ^ t_1 / sqrt(det g) on
+    tori, divided once per freeze rather than once per apply (``volume`` is
+    None).  On tori the tangents are dead once xi is wedged, so t_1's
+    storage holds ``w``, the second differences c_ij D_ij x; ``prod`` and
+    ``tmp`` are scratch.
+    """
+
+    def __init__(self, grid, kind):
         super().__init__(grid)
         m, sizes = grid.m, grid.sizes
-        shape = (m + 2,) + sizes
-        self.d2 = np.empty((m,) + shape)
-        self.c = np.empty((m,) + sizes)
-        self.cross = (self.tmp,) if m == 1 else (self.tmp, self.gap, self.min_sv, *self.g.reshape((4,) + sizes))
-        self.k, self.stage, self.acc = (np.empty(shape) for _ in range(3))
+        self.grid, self.kind = grid, kind
+        self.coef = self.g.reshape((-1,) + sizes)[: 2 * m - 1]
+        if m == 1:
+            self.xi, self.w, self.volume = self.t[0], np.empty((3,) + sizes), self.min_sv
+        else:
+            self.xi, self.w, self.volume = np.empty((6,) + sizes), self.t[1], None  # xi has C(4, 2) components
+            pad = self.pad
+            self.corners = (pad[:, 2:, 2:], pad[:, 2:, :-2], pad[:, :-2, 2:], pad[:, :-2, :-2])
 
 
-def _velocity(f: np.ndarray, grid, kind: str, time: float | None, ws: _Workspace, out: np.ndarray) -> np.ndarray:
-    """Flow velocity at node positions f into ``out``, for curves and tori alike.
+def _coefficients(f: np.ndarray, time: float | None, ws: _Operator) -> None:
+    """Freeze the flow operator at positions f (n, *sizes).
 
-    With w = g^{ij} D_ij F, the skew velocity is J w = (t_0 x ... x t_{m-1} x w)
-    / sqrt(det g), where x is the generalized cross product with the
-    coordinate tangents t_i: J kills tangent vectors, so no orthonormal
-    frame and no normal projection are needed.  The mean curvature flow
-    takes the normal part w - t_i g^{ij} <t_j, w>.  f and out are in
-    component-first layout (n, *sizes).  The metric block (shared with
-    GeometryCache) fills the padded buffer and the tangents and metric, and
-    each further intermediate is written into ``ws``: a call allocates no
-    grid-sized array.  This is the hot loop of every explicit flow run.
+    Runs the metric block, which fills the padded buffer with f and on
+    curves leaves xi = t_0, the volume |t_0| and the coefficient g_00 in
+    place.  On tori it then keeps the unit xi = t_0 ^ t_1 / sqrt(det g) and
+    c00 = g11/det g, c01 = -2 g01/det g and c11 = g00/det g.
     """
-    m = grid.m
-    h = grid.spacings
-    _metric_block(f, grid, time, ws)
-    t, g, det_g, tmp, prod = ws.t, ws.g, ws.det_g, ws.tmp, ws.prod
-    two_f = np.multiply(f, 2.0, out=prod)
-    for i, d2 in enumerate(ws.d2):
-        np.subtract(ws.plus[i], two_f, out=d2)
-        d2 += ws.minus[i]
-        d2 /= h[i] * h[i]
-    w = ws.d2[0]  # w overwrites D_00
-    if m == 1:
-        w /= g[0, 0]
-        if kind == "MCF":
-            p0 = _dot(t[0], w, ws.c[0], prod)
-            p0 /= g[0, 0]
-            return np.subtract(w, np.multiply(t[0], p0, out=prod), out=out)
-    else:
-        g00, g01, g11 = g[0, 0], g[0, 1], g[1, 1]
-        # cross difference D_01 as the periodic centered difference of t_0 along axis 1
-        t0, d01 = t[0], prod
-        np.subtract(t0[..., 2:], t0[..., :-2], out=d01[..., 1:-1])
-        np.subtract(t0[..., :1], t0[..., -2:-1], out=d01[..., -1:])
-        np.subtract(t0[..., 1:2], t0[..., -1:], out=d01[..., :1])
-        d01 /= 2.0 * h[1]
-        # w = (g11 D_00 - 2 g01 D_01 + g00 D_11) / det g
-        w *= g11
-        d01 *= np.multiply(g01, 2.0, out=tmp)
-        w -= d01
-        d11 = ws.d2[1]
-        d11 *= g00
-        w += d11
-        w /= det_g
-        if kind == "MCF":
-            c0, c1 = ws.c
-            p0, p1 = _dot(t[0], w, ws.min_sv, prod), _dot(t[1], w, ws.gap, prod)
-            _minor(c0, g11, p0, g01, p1, tmp)
-            c0 /= det_g
-            _minor(c1, g00, p1, g01, p0, tmp)
-            c1 /= det_g
-            np.subtract(w, np.multiply(t[0], c0, out=prod), out=out)
-            out -= np.multiply(t[1], c1, out=prod)
-            return out
-    sqrt_det_g = np.sqrt(det_g, out=det_g)
-    generalized_cross(*t, w, out=out, scratch=ws.cross)
-    out /= sqrt_det_g
-    return out
+    _metric_block(f, ws.grid, time, ws)
+    if ws.grid.m == 2:
+        g, det_g, c = ws.g, ws.det_g, ws.coef
+        wedge_field(ws.t[0], ws.t[1], 1, 1, 4, out=ws.xi, scratch=ws.tmp)
+        ws.xi /= np.sqrt(det_g, out=ws.gap)
+        # c is g's storage: c11 goes to the free g10 first, then c00 over g00
+        np.divide(g[0, 0], det_g, out=c[2])
+        np.divide(g[1, 1], det_g, out=c[0])
+        c[1] *= -2.0
+        c[1] /= det_g
+
+
+def _normal_part(v: np.ndarray, out: np.ndarray, middle: np.ndarray, ws: _Operator) -> np.ndarray:
+    """out = P_N v = -J(J v), through the vector field ``middle``."""
+    quarter_turn(v, ws.xi, middle, ws.tmp, ws.volume)
+    quarter_turn(middle, ws.xi, out, ws.tmp, ws.volume)
+    return np.negative(out, out=out)
+
+
+def _apply(ws: _Operator, out: np.ndarray) -> np.ndarray:
+    """out = M (c_ij D_ij x) for the positions x that the padded buffer holds.
+
+    With x the frozen positions this is the flow velocity.  The sum is
+    D_00 x / g_00 on curves and c00 D_00 x + c01 D_01 x + c11 D_11 x on tori,
+    D_01 by the corner stencil; it is g^{ij} D_ij x, the mean curvature
+    vector when x = F.  M is the quarter turn J w = *(w ^ xi) / |xi| for the
+    skew flow and the normal projection P_N = -J^2 for the mean curvature
+    flow.  A call allocates no grid-sized array.
+    """
+    m, h, c, w, d = ws.grid.m, ws.grid.spacings, ws.coef, ws.w, ws.prod
+    for i in range(m):
+        np.multiply(ws.center, -2.0, out=d)
+        d += ws.plus[i]
+        d += ws.minus[i]
+        d /= h[i] * h[i]
+        if m == 1:
+            np.divide(d, c[0], out=w)
+        elif i == 0:
+            np.multiply(d, c[0], out=w)
+        else:
+            d *= c[2]
+            w += d
+    if m == 2:
+        pp, pm, mp, mm = ws.corners
+        np.subtract(pp, pm, out=d)
+        d -= mp
+        d += mm
+        d /= 4.0 * h[0] * h[1]
+        d *= c[1]
+        w += d
+    if ws.kind == "SMCF":
+        return quarter_turn(w, ws.xi, out, ws.tmp, ws.volume)
+    return _normal_part(w, out, d, ws)
 
 
 def velocity(imm, kind: str = "SMCF", time: float | None = None) -> np.ndarray:
@@ -173,9 +192,9 @@ def velocity(imm, kind: str = "SMCF", time: float | None = None) -> np.ndarray:
         imm = imm.immersion
     if kind not in FLOW_KINDS:
         raise ValueError(f"unknown flow kind {kind!r}")
-    out = np.empty((imm.n,) + imm.grid.sizes)
-    _velocity(np.moveaxis(imm.F, -1, 0), imm.grid, kind, time, _Workspace(imm.grid), out)
-    return np.moveaxis(out, 0, -1)
+    ws = _Operator(imm.grid, kind)
+    _coefficients(np.moveaxis(imm.F, -1, 0), time, ws)
+    return np.moveaxis(_apply(ws, np.empty((imm.n,) + imm.grid.sizes)), 0, -1)
 
 
 def _check_scheme(config: FlowConfig, velocity_fn) -> None:
@@ -222,18 +241,20 @@ def _stepper(grid, config: FlowConfig, velocity_fn):
 
         ws = _Imex(grid, config.flow_kind)
         return lambda f, t, dt: _imex_step(f, t, dt, ws)
-    ws = _Workspace(grid)
+    k, stage, acc = (np.empty((grid.m + 2,) + grid.sizes) for _ in range(3))
     if velocity_fn is None:
+        ws = _Operator(grid, config.flow_kind)
 
         def vf(f, t, out):
-            _velocity(f, grid, config.flow_kind, t, ws, out)
+            _coefficients(f, t, ws)
+            _apply(ws, out)
 
     else:
 
         def vf(f, t, out):
             out[...] = np.moveaxis(velocity_fn(np.moveaxis(f, 0, -1).copy(), t), -1, 0)
 
-    return lambda f, t, dt: _advance(f, t, dt, vf, config.scheme, ws.k, ws.stage, ws.acc)
+    return lambda f, t, dt: _advance(f, t, dt, vf, config.scheme, k, stage, acc)
 
 
 def step(state: FlowState, config: FlowConfig, velocity_fn=None, dt: float | None = None) -> FlowState:

@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DegenerateImmersionError, UnsupportedCaseError
-from .exterior import MultiVector
+from .exterior import MultiVector, wedge_field
 # project_field and tangent_basis_field are re-exported for callers that look the field forms up here
 from .grassmann import AdaptedFrame, GrassmannPoint, project_field, rho_field, tangent_basis_field
 
@@ -98,7 +98,7 @@ def diff1(values: np.ndarray, grid: PeriodicGrid, direction: int) -> np.ndarray:
 
 def diff2(values: np.ndarray, grid: PeriodicGrid, dir_a: int, dir_b: int) -> np.ndarray:
     """Centered second difference; 3-point when dir_a == dir_b, otherwise the
-    4-point cross stencil as two centered first differences, as in the flow."""
+    4-point corner stencil, computed as two centered first differences."""
     if dir_a != dir_b:
         return diff1(diff1(values, grid, dir_a), grid, dir_b)
     h = grid.spacings[dir_a]
@@ -183,17 +183,22 @@ class _Stencils:
         self.prod = np.empty((m + 2,) + sizes)
 
 
+def _fill_pad(f: np.ndarray, ws: _Stencils) -> None:
+    """Positions f (n, *sizes) into the padded buffer, ghost cells included."""
+    np.copyto(ws.center, f)
+    for ghost, source in ws.ghosts:
+        np.copyto(ghost, source)
+
+
 def _metric_block(f: np.ndarray, grid: PeriodicGrid, time: float | None, ws: _Stencils) -> None:
     """Tangents, metric, det g and min_sv of positions f (n, *sizes) into ``ws``.
 
-    The flow velocity and GeometryCache both start here.  Raises
+    The flow operator and GeometryCache both start here.  Raises
     DegenerateImmersionError, naming the node and ``time``, unless every
     tangent singular value is finite and >= RANK_TOL.
     """
     m, h, t, g = grid.m, grid.spacings, ws.t, ws.g
-    np.copyto(ws.center, f)
-    for ghost, source in ws.ghosts:
-        np.copyto(ghost, source)
+    _fill_pad(f, ws)
     for i, (p, q, ti) in enumerate(zip(ws.plus, ws.minus, t)):
         np.subtract(p, q, out=ti)
         ti /= 2.0 * h[i]
@@ -238,7 +243,7 @@ def normal_completion(e: np.ndarray) -> np.ndarray:
     Ambient axes are tried in order of increasing tangential-projection norm
     (stable, so ties resolve by axis index); axes whose normal projection is
     numerically dependent on the normals found so far are skipped.  The last
-    normal's sign is flipped wherever <X(e_1, ..., e_m, nu_1), nu_2> < 0.
+    normal's sign is flipped wherever <J nu_1, nu_2> < 0 (see ``quarter_turn``).
     """
     m, n = e.shape[:2]
     k = n - m
@@ -265,7 +270,7 @@ def normal_completion(e: np.ndarray) -> np.ndarray:
         raise DegenerateImmersionError(
             f"could not complete a normal frame at node {bad}", node=bad
         )
-    flip = np.einsum("n...,n...->...", generalized_cross(*e, nu[0]), nu[1]) < 0.0
+    flip = np.einsum("n...,n...->...", quarter_turn(nu[0], rho_field(e)), nu[1]) < 0.0
     nu[-1] = np.where(flip, -nu[-1], nu[-1])
     return nu
 
@@ -378,45 +383,27 @@ def volume(imm: Immersion) -> float:
 # quarter-turns of normal fields
 
 
-def generalized_cross(*vectors: np.ndarray, out=None, scratch=None) -> np.ndarray:
-    """The vector X with <X, u> = det(v_1, ..., v_{n-1}, u), for n = 3 or 4.
+def quarter_turn(w: np.ndarray, xi: np.ndarray, out=None, scratch=None, volume=None) -> np.ndarray:
+    """J w = *(w ^ xi), the Hodge star of a wedge, for n = m + 2.
 
-    Takes n - 1 component-first vector fields, shape (n, ...), and returns X
-    in the same layout.  X is orthogonal to every v_i; with
-    (v_1, ..., v_{n-1}) = (t_1, ..., t_m, w) it is the quarter-turn J of the
-    normal part of w, times the volume of the frame t.  ``out`` receives X
-    and ``scratch`` holds at least 1 (n = 3) or 7 (n = 4) fields of one
-    component's shape; both are allocated when not given.
+    Takes a vector field w, (n, ...), and an m-vector field xi, (C(n, m),
+    ...), component-first.  For xi = t_1 ^ ... ^ t_m, <J w, u> = det(t_1,
+    ..., t_m, w, u): J kills the tangent vectors and turns the normal part
+    of w by a quarter, times |xi|; ``volume`` = |xi| divides that out.  The
+    star of an (n - 1)-vector reverses the lexicographic order and flips the
+    sign of every other component.  ``out`` receives J w and ``scratch`` is
+    one field of one component's shape for ``wedge_field``; both are
+    allocated when not given.
     """
-    n = len(vectors) + 1
+    n = len(w)
+    m = n - 2
     if out is None:
-        out = np.empty(np.broadcast_shapes(*(v.shape for v in vectors)))
-    if scratch is None:
-        scratch = np.empty((1 if n == 3 else 7,) + out.shape[1:])
-    X, tmp = out, scratch[0]
-    if n == 3:
-        a, b = vectors
-        _minor(X[0], a[1], b[2], a[2], b[1], tmp)
-        _minor(X[1], a[2], b[0], a[0], b[2], tmp)
-        _minor(X[2], a[0], b[1], a[1], b[0], tmp)
-        return out
-    a, b, w = vectors
-    b01, b02, b03, b12, b13, b23 = scratch[1:7]
-    _minor(b01, a[0], b[1], a[1], b[0], tmp)
-    _minor(b02, a[0], b[2], a[2], b[0], tmp)
-    _minor(b03, a[0], b[3], a[3], b[0], tmp)
-    _minor(b12, a[1], b[2], a[2], b[1], tmp)
-    _minor(b13, a[1], b[3], a[3], b[1], tmp)
-    _minor(b23, a[2], b[3], a[3], b[2], tmp)
-    # X_0 = -w_1 b_23 + w_2 b_13 - w_3 b_12, and so on
-    _minor(X[0], w[2], b13, w[1], b23, tmp)
-    X[0] -= np.multiply(w[3], b12, out=tmp)
-    _minor(X[1], w[0], b23, w[2], b03, tmp)
-    X[1] += np.multiply(w[3], b02, out=tmp)
-    _minor(X[2], w[1], b03, w[0], b13, tmp)
-    X[2] -= np.multiply(w[3], b01, out=tmp)
-    _minor(X[3], w[0], b12, w[1], b02, tmp)
-    X[3] += np.multiply(w[2], b01, out=tmp)
+        out = np.empty((n,) + np.broadcast_shapes(w.shape[1:], xi.shape[1:]))
+    wedge_field(w, xi, 1, m, n, out=out[::-1], scratch=scratch)
+    flipped = out[(n + m) % 2 :: 2]
+    np.negative(flipped, out=flipped)
+    if volume is not None:
+        out /= volume
     return out
 
 
@@ -430,7 +417,7 @@ def rotate_normal_field(e: np.ndarray, w: np.ndarray) -> np.ndarray:
     m, n = e.shape[:2]
     if (m, n) not in ((1, 3), (2, 4)):
         raise UnsupportedCaseError(f"normal rotation fields need (m, n) in {{(1,3),(2,4)}}, got {(m, n)}")
-    return generalized_cross(*e, w)
+    return quarter_turn(w, rho_field(e))
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from .geometry import (
     fundamental_forms,
     make_perturbed_torus,
     make_product_torus,
-    rotate_normal_field,
+    quarter_turn,
 )
 from .grassmann import (
     frame_curve,
@@ -142,7 +142,7 @@ def dt_rho_analytic(cache: GeometryCache, apply_rotation: bool = True) -> np.nda
     """
     w = np.einsum("il...,ln...->in...", cache.R, cache.grad_H_perp)  # along each e_i
     if apply_rotation:
-        w = np.stack([rotate_normal_field(cache.e, wi) for wi in w])
+        w = np.stack([quarter_turn(wi, cache.rho) for wi in w])
     return np.einsum("in...,an...->ia...", w, cache.nu)
 
 

@@ -212,6 +212,23 @@ def test_unknown_task_or_geometry_exit_one(tmp_path, capsys):
         cfg = torus_config(tmp_path, out, grid={"sizes": 64}, verify_name="codazzi")
         assert main([task, "--config", cfg]) == 1
         assert "grid.sizes" in capsys.readouterr().err
+    # values of the wrong JSON type name their field before any work starts
+    circle = read_json(circle_config(tmp_path, out))
+    torus = read_json(torus_config(tmp_path, out, resolutions=[16, 32], verify_name="codazzi"))
+    wrong_types = [
+        ("simulate", {**torus, "geometry": 5}, "geometry"),
+        ("simulate", {**torus, "flow": [1, 2]}, "flow"),
+        ("simulate", {**circle, "geometry": {"kind": "circle", "r": None}}, "geometry.r"),
+        ("simulate", {**circle, "flow": {**circle["flow"], "dt": True}}, "flow.dt"),
+        ("simulate", {**circle, "flow": {**circle["flow"], "output_every": 2.7}}, "flow.output_every"),
+        ("converge", {**torus, "geometry": {**torus["geometry"], "seed": "7"}}, "geometry.seed"),
+        ("converge", {**torus, "geometry": {**torus["geometry"], "a": "1"}}, "geometry.a"),
+        ("converge", {**torus, "geometry": [1]}, "geometry"),
+    ]
+    for task, payload, field in wrong_types:
+        assert main([task, "--config", write_config(tmp_path / "typed.json", payload)]) == 1, field
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err, (field, err)
 
 
 def test_malformed_config_lists_fields(tmp_path, capsys):

@@ -1,6 +1,7 @@
 import math
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -240,6 +241,23 @@ def test_imex_frozen_operator_matches_velocity():
             _freeze(f, 0.0, 1e-3, ws)
             frozen = np.moveaxis(_frozen(f, np.empty_like(f), ws), 0, -1)
             assert np.max(np.abs(frozen - velocity(imm, kind))) < 1e-13
+
+
+@pytest.mark.parametrize("scheme, dt", [("RK4", 1e-7), ("IMEX", 1e-3)])
+def test_steps_allocate_no_grid_sized_array(scheme, dt):
+    from skewflow.flow import _stepper
+
+    # numpy reports its allocations to tracemalloc; one grid field here is 512 KiB
+    for imm in (make_perturbed_circle(1.0, 0.2, 3, 65536), make_perturbed_torus(1.0, 0.7, 0.05, 3, 256)):
+        for kind in ("SMCF", "MCF"):
+            advance = _stepper(imm.grid, FlowConfig(flow_kind=kind, dt=dt, scheme=scheme), None)
+            f = np.moveaxis(imm.F, -1, 0).copy()
+            advance(f, 0.0, dt)
+            tracemalloc.start()
+            advance(f, 0.0, dt)
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            assert peak < 8 * 65536 // 2, (imm.grid.sizes, kind, peak)
 
 
 def test_imex_second_order_in_time():

@@ -16,9 +16,9 @@ from skewflow import (
 )
 from skewflow.errors import DegenerateImmersionError
 from skewflow.geometry import (
-    generalized_cross,
     normal_completion,
     project_field,
+    quarter_turn,
     rho_field,
     rotate_normal_field,
     tangent_basis_field,
@@ -258,18 +258,25 @@ def test_degenerate_immersion_raises_at_construction_with_time():
     assert err.value.node is not None
 
 
-def test_generalized_cross_into_buffers():
+def test_quarter_turn_is_the_determinant_form():
+    # <J w, u> = det(t_1, ..., t_m, w, u) for xi = t_1 ^ ... ^ t_m, node by node
     rng = np.random.default_rng(5)
-    a, b = rng.standard_normal((2, 3, 40))
-    assert np.array_equal(generalized_cross(a, b), np.cross(a, b, axis=0))
     for n in (3, 4):
-        vs = list(rng.standard_normal((n - 1, n, 40)))
-        fresh = generalized_cross(*vs)
-        out = np.full_like(fresh, np.nan)
-        assert generalized_cross(*vs, out=out, scratch=np.empty((7, 40))) is out
-        assert np.array_equal(out, fresh)
-        for v in vs:  # orthogonal to its arguments
-            assert np.max(np.abs(np.sum(fresh * v, axis=0))) < 1e-12
+        m = n - 2
+        t, w = rng.standard_normal((m, n, 40)), rng.standard_normal((n, 40))
+        xi = rho_field(t)
+        got = quarter_turn(w, xi)
+        for node in range(40):
+            rows = np.vstack([t[..., node], w[:, node]])
+            expect = [np.linalg.det(np.vstack([rows, u])) for u in np.eye(n)]
+            assert np.allclose(got[:, node], expect, rtol=0.0, atol=1e-12)
+        if n == 3:
+            assert np.array_equal(got, np.cross(t[0], w, axis=0))
+        out = np.full_like(got, np.nan)
+        assert quarter_turn(w, xi, out=out, scratch=np.empty(40)) is out
+        assert np.array_equal(out, got)
+        volume = np.linalg.norm(xi, axis=0)
+        assert np.array_equal(quarter_turn(w, xi, volume=volume), got / volume)
 
 
 def test_gauss_field_circle_great_circle():

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 
-from skewflow import flow, fundamental_forms, make_perturbed_circle, make_perturbed_torus, velocity
+from skewflow import FlowConfig, FlowState, flow, fundamental_forms, make_perturbed_circle, make_perturbed_torus, step, velocity
 from skewflow.geometry import _metric_block
 from skewflow.grassmann import project_field, rho_field
 
@@ -27,6 +27,41 @@ def test_geometry_cache_metric_block_is_the_flow_kernels(monkeypatch):
         for name, kernel_value in seen.items():
             assert getattr(cache, name).shape == kernel_value.shape
             assert np.array_equal(getattr(cache, name), kernel_value), name
+
+
+def test_velocity_explicit_and_imex_steps_share_one_operator(monkeypatch):
+    from skewflow import imex
+
+    # the IMEX solver holds the flow module's own functions, not copies
+    assert (imex._coefficients, imex._apply) == (flow._coefficients, flow._apply)
+    coefficients, apply, calls = flow._coefficients, flow._apply, []
+
+    def recording_coefficients(f, time, ws):
+        calls.append("coefficients")
+        coefficients(f, time, ws)
+
+    def recording_apply(ws, out):
+        calls.append("apply")
+        return apply(ws, out)
+
+    for module in (flow, imex):
+        monkeypatch.setattr(module, "_coefficients", recording_coefficients)
+        monkeypatch.setattr(module, "_apply", recording_apply)
+    for imm in GEOMETRIES:
+        state = FlowState(0.0, imm)
+        cases = [
+            (lambda: velocity(imm, "MCF"), 1, 1),
+            (lambda: step(state, FlowConfig(dt=1e-6)), 4, 4),
+            (lambda: step(state, FlowConfig(flow_kind="MCF", dt=1e-6, scheme="Euler")), 1, 1),
+        ]
+        for call, frozen, applied in cases:
+            calls.clear()
+            call()
+            assert (calls.count("coefficients"), calls.count("apply")) == (frozen, applied)
+        # IMEX: one freeze per solve (predictor, corrector), at least one apply per Krylov vector
+        calls.clear()
+        step(state, FlowConfig(dt=1e-3, scheme="IMEX"))
+        assert calls.count("coefficients") == 2 and calls.count("apply") >= 4
 
 
 def test_frame_and_point_accessors_are_one_node_slices():

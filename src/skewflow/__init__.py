@@ -50,6 +50,7 @@ from .flow import (
     FlowConfig,
     FlowState,
     Trajectory,
+    explicit_step_bound,
     fitted_torus_radii,
     product_torus_ode_oracle,
     run,

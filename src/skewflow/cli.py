@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DegenerateImmersionError, SkewflowError
-from .flow import FlowConfig, fitted_torus_radii, run, stable_dt
+from .flow import FlowConfig, explicit_step_bound, fitted_torus_radii, run, stable_dt
 from .geometry import (
     Immersion,
     fundamental_forms,
@@ -83,7 +83,10 @@ def _number(section: dict, key: str, where: str, default=None) -> float:
     value = section.get(key, default)
     if not _is_number(value):
         raise ConfigError(f"{where}.{key} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise ConfigError(f"{where}.{key} is too large for a float") from None
 
 
 def _integer(section: dict, key: str, where: str, default=None) -> int:
@@ -177,21 +180,40 @@ def build_immersion(config: dict) -> Immersion:
 
 def build_flow_config(config: dict, imm: Immersion) -> FlowConfig:
     """The flow settings of a config.  Unset, the scheme is IMEX on tori and
-    RK4 on curves; the step is 0.1 min(h) under IMEX, whose O(dt^2) time
-    error then matches the O(h^2) stencils, and ``stable_dt`` otherwise."""
+    RK4 on curves.  Unset, the step is 0.1 min(h) under IMEX, whose O(dt^2)
+    time error then matches the O(h^2) stencils, half of
+    ``explicit_step_bound`` under RK4 (and no more than ``stable_dt`` except
+    for the skew flow of a curve), and ``stable_dt`` under Euler.  An RK4
+    step set above the bound runs after a warning on stderr."""
     flow = dict(config.get("flow", {}))
-    flow.setdefault("scheme", "IMEX" if imm.grid.m == 2 else "RK4")
-    flow.setdefault("dt", 0.1 * min(imm.grid.spacings) if flow["scheme"] == "IMEX" else stable_dt(imm))
     try:
-        return FlowConfig(
+        flow_config = FlowConfig(
             flow_kind=flow.get("flow_kind", "SMCF"),
-            dt=_number(flow, "dt", "flow"),
+            dt=_number(flow, "dt", "flow", 1.0),  # the default replaces it below
             t_end=_number(flow, "t_end", "flow", 0.1),
-            scheme=flow["scheme"],
+            scheme=flow.get("scheme", "IMEX" if imm.grid.m == 2 else "RK4"),
             output_every=_integer(flow, "output_every", "flow", 1),
         )
     except ValueError as exc:
-        raise ConfigError(f"flow: {exc}") from exc
+        # FlowConfig's messages start with the field name
+        raise ConfigError(f"flow.{exc}") from exc
+    scheme = flow_config.scheme
+    if "dt" not in flow:
+        if scheme == "RK4":
+            dt = 0.5 * explicit_step_bound(imm)
+            if flow_config.flow_kind == "MCF" or imm.grid.m == 2:
+                # the bound holds at t = 0; only the binormal flow of a curve
+                # keeps the metric that sets it, so the others stay at or
+                # below stable_dt
+                dt = min(dt, stable_dt(imm))
+        elif scheme == "IMEX":
+            dt = 0.1 * min(imm.grid.spacings)
+        else:
+            dt = stable_dt(imm)
+        return dataclasses.replace(flow_config, dt=dt)
+    if scheme == "RK4" and flow_config.dt > (bound := explicit_step_bound(imm)):
+        print(f"warning: flow.dt = {flow_config.dt!r} exceeds the RK4 stability bound {bound!r}", file=sys.stderr)
+    return flow_config
 
 
 def _worker_count() -> int:

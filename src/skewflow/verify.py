@@ -468,16 +468,22 @@ def save_json(payload: dict, path, timestamp: bool = True):
 
 
 def save_residual_csv(report: Report, path):
-    """Per-node residual field; one row per node with its grid multi-index."""
-    axes = len(report.field.shape)
-    if axes not in (1, 2):
+    """Per-node residual field; one row per node with its grid multi-index.
+
+    The bytes are those of ``csv.writer`` (CRLF rows of ints and float
+    reprs), written one grid row at a time.
+    """
+    field = np.asarray(report.field, dtype=float)
+    if field.ndim not in (1, 2):
         raise ValueError("residual fields are 1- or 2-dimensional")
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["i", "residual"] if axes == 1 else ["i", "j", "residual"])
-        it = np.nditer(report.field, flags=["multi_index"])
-        for value in it:
-            writer.writerow([*it.multi_index, repr(float(value))])
+        if field.ndim == 1:
+            fh.write("i,residual\r\n")
+            fh.writelines(f"{i},{v!r}\r\n" for i, v in enumerate(field.tolist()))
+            return
+        fh.write("i,j,residual\r\n")
+        for i, row in enumerate(field):
+            fh.writelines(f"{i},{j},{v!r}\r\n" for j, v in enumerate(row.tolist()))
 
 
 def save_table_csv(table: ConvergenceTable, path):

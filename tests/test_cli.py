@@ -1,10 +1,19 @@
+import contextlib
 import csv
+import dataclasses
+import io
 import json
+import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from skewflow import cli
 from skewflow.cli import main
+from skewflow.flow import run
 
 
 def write_config(path, payload):
@@ -249,14 +258,129 @@ def test_runtime_degeneracy_exit_two(tmp_path, capsys):
 
 
 def test_torus_defaults_to_imex_at_a_tenth_of_h():
-    from skewflow import make_circle, make_product_torus
+    from skewflow import explicit_step_bound, make_circle, make_product_torus
     from skewflow.cli import build_flow_config
 
     torus = make_product_torus(1.0, 0.6, 32, 16)
     h = 2 * np.pi / 32
     cfg = build_flow_config({"flow": {}}, torus)
     assert (cfg.scheme, cfg.dt) == ("IMEX", 0.1 * h)
-    assert build_flow_config({"flow": {"scheme": "RK4"}}, torus).dt == 0.1 * h**2
+    # the skew flow of a torus moves its metric: half the bound, at most 0.1 h^2
+    rk4 = build_flow_config({"flow": {"scheme": "RK4"}}, torus).dt
+    assert rk4 == min(0.5 * explicit_step_bound(torus), 0.1 * h**2)
     assert build_flow_config({"flow": {"dt": 1e-3}}, torus).dt == 1e-3
-    circle = build_flow_config({}, make_circle(1.0, 64))
-    assert (circle.scheme, circle.dt) == ("RK4", 0.1 * (2 * np.pi / 64) ** 2)
+    # RK4 on curves at half the bound 2.78 / lambda_max, lambda_max = 4 / (h^2 g_00),
+    # with g_00 = (r sin(h) / h)^2 from the centered first difference
+    r, h = 0.5, 2 * np.pi / 64
+    circle = build_flow_config({}, make_circle(r, 64))
+    assert circle.scheme == "RK4"
+    assert circle.dt == pytest.approx(0.5 * 2.78 * (r * np.sin(h)) ** 2 / 4, rel=1e-12)
+    # mean curvature flow shrinks the metric that sets the bound: no more than 0.1 h^2
+    unit = make_circle(1.0, 64)
+    assert build_flow_config({"flow": {"flow_kind": "MCF"}}, unit).dt == 0.1 * h**2
+    assert build_flow_config({"flow": {"flow_kind": "MCF"}}, make_circle(r, 64)).dt == circle.dt
+
+
+def _rows(path):
+    with open(path, newline="") as fh:
+        return [[float(v) for v in row] for row in list(csv.reader(fh))[1:]]
+
+
+def test_small_circle_at_the_default_step_stays_bounded(tmp_path, capsys):
+    # at 0.1 h^2, a step that ignored the metric, this circle reached length 1.4e62 and exited 0
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "small.json", {
+        "geometry": {"kind": "circle", "r": 0.1},
+        "grid": {"sizes": [64]},
+        "flow": {"t_end": 0.03, "output_every": 100},
+        "output_dir": str(out),
+    })
+    assert main(["simulate", "--config", cfg]) == 0
+    assert "warning" not in capsys.readouterr().err
+    rows = _rows(out / "diagnostics.csv")
+    assert len(rows) >= 2 and rows[-1][0] == pytest.approx(0.03)
+    assert np.all(np.isfinite(rows))
+    lengths = np.array([row[1] for row in rows])
+    assert np.max(np.abs(lengths - lengths[0])) / lengths[0] <= 1e-6
+
+
+def test_shrinking_circle_under_mcf_stays_finite_at_the_default_step(tmp_path):
+    # r^2 = 1 - 2t: half the bound taken at t = 0 loses stability once r^2 < 1/2,
+    # and at that step this run ended at length 5.5e57 with exit 0
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "mcf.json", {
+        "geometry": {"kind": "circle", "r": 1.0},
+        "grid": {"sizes": [64]},
+        "flow": {"flow_kind": "MCF", "t_end": 0.4, "output_every": 20},
+        "output_dir": str(out),
+    })
+    assert main(["simulate", "--config", cfg]) == 0
+    rows = _rows(out / "diagnostics.csv")
+    assert rows[-1][0] == pytest.approx(0.4)
+    assert np.all(np.isfinite(rows))
+    assert rows[-1][1] == pytest.approx(2 * np.pi * np.sqrt(1 - 2 * 0.4), rel=2e-2)
+
+
+def test_rk4_step_above_the_bound_warns_and_runs(tmp_path, capsys):
+    from skewflow import explicit_step_bound, make_circle
+
+    bound = explicit_step_bound(make_circle(1.0, 64))
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", circle_config(tmp_path, out, dt=1.5 * bound, t_end=3 * bound)]) == 0
+    warnings = [line for line in capsys.readouterr().err.splitlines() if line.startswith("warning:")]
+    assert len(warnings) == 1
+    assert "flow.dt" in warnings[0] and repr(bound) in warnings[0]
+    assert len(_rows(out / "diagnostics.csv")) == 2
+    # below the bound, and under IMEX at any step, nothing is printed
+    assert main(["simulate", "--config", circle_config(tmp_path, out, dt=0.9 * bound, t_end=3 * bound)]) == 0
+    cfg = write_config(tmp_path / "imex.json", {
+        "geometry": {"kind": "circle", "r": 1.0}, "grid": {"sizes": [64]},
+        "flow": {"dt": 100 * bound, "t_end": 100 * bound, "scheme": "IMEX"}, "output_dir": str(out),
+    })
+    assert main(["simulate", "--config", cfg]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def test_integer_too_large_for_a_float_names_the_field(tmp_path, capsys):
+    cfg = tmp_path / "huge.json"
+    cfg.write_text('{"geometry": {"kind": "circle", "r": 1' + "0" * 400 + '}, "grid": {"sizes": [16]}}')
+    assert main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "geometry.r" in err
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+    | st.integers(min_value=2**1024, max_value=10**500) | st.integers(min_value=-(10**500), max_value=-(2**1024)),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=4,
+)
+_NUMERIC_FIELDS = (("geometry", "r"), ("flow", "dt"), ("flow", "t_end"), ("flow", "output_every"))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(field=st.sampled_from(_NUMERIC_FIELDS), value=_JSON_VALUES)
+def test_any_json_value_in_a_numeric_circle_field_runs_or_names_the_field(field, value):
+    """Any value either runs (exit 0, or exit 2 where the circle it gives is
+    degenerate) or stops with exit 1 and one error line naming the field;
+    ``main`` never raises.  The run is cut after two steps so that any dt and
+    t_end finish at once; parsing and validation are the CLI's own."""
+
+    def two_steps(imm, config):
+        return run(imm, dataclasses.replace(config, t_end=min(config.t_end, 2 * config.dt)))
+
+    section, key = field
+    payload = {"geometry": {"kind": "circle", "r": 1.0}, "grid": {"sizes": [16]}, "flow": {"t_end": 1e-3}}
+    payload[section][key] = value
+    stderr = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(cli, "run", two_steps), \
+            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr), np.errstate(all="ignore"):
+        payload["output_dir"] = tmp
+        code = main(["simulate", "--config", write_config(f"{tmp}/c.json", payload)])
+    lines = stderr.getvalue().splitlines()
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert lines[-1].startswith("error:") and f"{section}.{key}" in lines[-1]
+    if code == 2:
+        assert lines[-1].startswith("degenerate immersion:")
+    assert all(line.startswith(("warning:", "error:", "degenerate immersion:")) for line in lines)

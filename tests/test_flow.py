@@ -12,6 +12,7 @@ from skewflow import (
     FlowState,
     Immersion,
     Trajectory,
+    explicit_step_bound,
     fitted_torus_radii,
     fundamental_forms,
     make_circle,
@@ -181,6 +182,36 @@ def test_unstable_torus_step_aborts_with_location():
             run(imm, cfg)
     assert err.value.time is not None and err.value.time < cfg.t_end
     assert err.value.node is not None and len(err.value.node) == 2
+
+
+def test_explicit_step_bound_closed_forms():
+    # curves: lambda_max = 4 / (h^2 g_00), g_00 = (r sin(h) / h)^2 by the centered difference
+    r, size = 0.3, 64
+    h = 2 * np.pi / size
+    assert explicit_step_bound(make_circle(r, size)) == pytest.approx(2.78 * (r * np.sin(h)) ** 2 / 4, rel=1e-12)
+    # product torus: c01 = 0, c00 = 1 / g00 and c11 = 1 / g11
+    a, b, n0, n1 = 1.0, 0.6, 32, 16
+    h0, h1 = 2 * np.pi / n0, 2 * np.pi / n1
+    lam = 4 / (a * np.sin(h0)) ** 2 + 4 / (b * np.sin(h1)) ** 2
+    assert explicit_step_bound(make_product_torus(a, b, n0, n1)) == pytest.approx(2.78 / lam, rel=1e-12)
+
+
+def test_rk4_step_bound_is_tight_on_a_perturbed_curve():
+    imm = make_perturbed_circle(1.0, 0.2, 1, 256)
+    bound = explicit_step_bound(imm)
+    t_end = 60 * 0.9 * bound
+
+    def last(dt):
+        return run(imm, FlowConfig(dt=dt, t_end=t_end, output_every=10**9))[-1].immersion.F
+
+    reference = last(0.05 * bound)
+    assert np.max(np.abs(last(0.9 * bound) - reference)) <= 1e-12
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            off = float(np.max(np.abs(last(1.3 * bound) - reference)))
+        except DegenerateImmersionError:
+            off = np.inf
+    assert not off <= 1.0
 
 
 def _run_by_steps(imm, cfg):

@@ -208,14 +208,10 @@ def explicit_step_bound(imm: Immersion) -> float:
     return RK4_LIMIT / lam
 
 
-def velocity(imm, kind: str = "SMCF", time: float | None = None) -> np.ndarray:
-    """Flow velocity per node: quarter-turned mean curvature (skew) or plain H.
-
-    Accepts an immersion or a flow state.
+def velocity(imm: Immersion, kind: str = "SMCF", time: float | None = None) -> np.ndarray:
+    """Flow velocity per node, sizes + (n,): quarter-turned mean curvature
+    (skew) or plain H.  ``time`` only labels a degeneracy error.
     """
-    if isinstance(imm, FlowState):
-        time = imm.t if time is None else time
-        imm = imm.immersion
     if kind not in FLOW_KINDS:
         raise ValueError(f"unknown flow kind {kind!r}")
     ws = _Operator(imm.grid, kind)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DegenerateImmersionError, UnsupportedCaseError
 from .exterior import MultiVector, wedge_field
-# project_field and tangent_basis_field are re-exported for callers that look the field forms up here
+# project_field and tangent_basis_field are re-exported for the benchmark tracer, which looks them up here
 from .grassmann import AdaptedFrame, GrassmannPoint, project_field, rho_field, tangent_basis_field
 
 TWO_PI = 2.0 * np.pi
@@ -238,40 +238,20 @@ def tangent_data(t: np.ndarray) -> np.ndarray:
 
 
 def normal_completion(e: np.ndarray) -> np.ndarray:
-    """Deterministic oriented orthonormal basis of the normal plane, (2, n) + sizes.
+    """Oriented orthonormal basis (nu_1, J nu_1) of the normal plane, (2, n) + sizes.
 
-    Ambient axes are tried in order of increasing tangential-projection norm
-    (stable, so ties resolve by axis index); axes whose normal projection is
-    numerically dependent on the normals found so far are skipped.  The last
-    normal's sign is flipped wherever <J nu_1, nu_2> < 0 (see ``quarter_turn``).
+    nu_1 is the unit normal part of the ambient axis with the smallest
+    tangential part (ties go to the lowest axis index).  The n tangential
+    parts add up to m, so that axis keeps a normal part of norm at least
+    sqrt(1 - m/n) >= 1/sqrt(2).  In codimension two J fixes the rest of the
+    oriented frame: nu_2 = J nu_1 (see ``quarter_turn``).
     """
-    m, n = e.shape[:2]
-    k = n - m
-    lead = e.shape[2:]
-    tangential_sq = np.sum(e * e, axis=0)  # |P_tan(axis_j)|^2, per node
-    order = np.argsort(tangential_sq, axis=0, kind="stable")
-    nu = np.zeros((k, n) + lead)
-    count = np.zeros(lead, dtype=int)
-    eye = np.eye(n)
-    for r in range(n):
-        v = eye[:, order[r]]
-        v = v - np.einsum("i...,in...->n...", np.einsum("in...,n...->i...", e, v), e)
-        for s in range(k):
-            proj = np.einsum("n...,n...->...", nu[s], v) * nu[s]
-            v = v - np.where(count > s, proj, 0.0)
-        nrm = np.linalg.norm(v, axis=0)
-        accept = (nrm > RANK_TOL) & (count < k)
-        unit = v / np.maximum(nrm, 1e-300)
-        for s in range(k):
-            nu[s] = np.where(accept & (count == s), unit, nu[s])
-        count = count + accept.astype(int)
-    if not np.all(count == k):
-        bad = _locate(int(np.argmin(count)), lead)
-        raise DegenerateImmersionError(
-            f"could not complete a normal frame at node {bad}", node=bad
-        )
-    flip = np.einsum("n...,n...->...", quarter_turn(nu[0], rho_field(e)), nu[1]) < 0.0
-    nu[-1] = np.where(flip, -nu[-1], nu[-1])
+    axis = np.argmin(np.sum(e * e, axis=0), axis=0)  # per node
+    v = np.eye(e.shape[1])[:, axis]
+    v = v - np.einsum("i...,in...->n...", np.einsum("in...,n...->i...", e, v), e)
+    nu = np.empty((2,) + v.shape)
+    np.divide(v, np.linalg.norm(v, axis=0), out=nu[0])
+    quarter_turn(nu[0], rho_field(e), out=nu[1])
     return nu
 
 
@@ -431,17 +411,21 @@ def make_circle(radius: float, size: int, grid: PeriodicGrid | None = None) -> I
     return Immersion(grid=grid, F=F)
 
 
+def _waves(grid: PeriodicGrid) -> tuple[np.ndarray, ...]:
+    """cos x, sin x, cos y, sin y on the axes of a 2-D grid, shaped to broadcast."""
+    x, y = grid.axes()
+    return np.cos(x)[:, None], np.sin(x)[:, None], np.cos(y), np.sin(y)
+
+
 def make_product_torus(a: float, b: float, size1: int, size2: int | None = None) -> Immersion:
     grid = PeriodicGrid((size1, size2 or size1))
-    x, y = grid.meshgrid()
-    F = np.stack(
-        [a * np.cos(x), a * np.sin(x), b * np.cos(y), b * np.sin(y)], axis=-1
-    )
+    cx, sx, cy, sy = _waves(grid)
+    F = np.stack(np.broadcast_arrays(a * cx, a * sx, b * cy, b * sy), axis=-1)
     return Immersion(grid=grid, F=F)
 
 
-def _trig_polynomial(rng: np.random.Generator, x: np.ndarray, y: np.ndarray, max_mode: int = 1) -> np.ndarray:
-    """Seeded low-frequency trig polynomial with sum(|coeff|) = 1.
+def _trig_polynomial(rng: np.random.Generator, grid: PeriodicGrid, max_mode: int = 1) -> np.ndarray:
+    """Seeded low-frequency trig polynomial with sum(|coeff|) = 1 on a 2-D grid.
 
     Coefficients are drawn once per call, independent of the grid, so the
     same seed refines the same smooth function under grid refinement.  The
@@ -450,16 +434,14 @@ def _trig_polynomial(rng: np.random.Generator, x: np.ndarray, y: np.ndarray, max
     """
     coeffs = rng.standard_normal((max_mode + 1, max_mode + 1, 4))
     coeffs /= np.sum(np.abs(coeffs))
-    out = np.zeros_like(x)
+    x, y = grid.axes()
+    out = np.zeros(grid.sizes)
     for p in range(max_mode + 1):
+        cpx, spx = np.cos(p * x)[:, None], np.sin(p * x)[:, None]
         for q in range(max_mode + 1):
+            cqy, sqy = np.cos(q * y), np.sin(q * y)
             cc, cs, sc, ss = coeffs[p, q]
-            out += (
-                cc * np.cos(p * x) * np.cos(q * y)
-                + cs * np.cos(p * x) * np.sin(q * y)
-                + sc * np.sin(p * x) * np.cos(q * y)
-                + ss * np.sin(p * x) * np.sin(q * y)
-            )
+            out += cc * cpx * cqy + cs * cpx * sqy + sc * spx * cqy + ss * spx * sqy
     return out
 
 
@@ -468,14 +450,15 @@ def make_perturbed_torus(
 ) -> Immersion:
     """Product torus displaced by eps times a fixed smooth normal field."""
     grid = PeriodicGrid((size1, size2 or size1))
-    x, y = grid.meshgrid()
     rng = np.random.default_rng(seed)
-    phi1 = _trig_polynomial(rng, x, y)
-    phi2 = _trig_polynomial(rng, x, y)
-    r1 = np.stack([np.cos(x), np.sin(x), np.zeros_like(x), np.zeros_like(x)], axis=-1)
-    r2 = np.stack([np.zeros_like(x), np.zeros_like(x), np.cos(y), np.sin(y)], axis=-1)
-    base = np.stack([a * np.cos(x), a * np.sin(x), b * np.cos(y), b * np.sin(y)], axis=-1)
-    F = base + eps * (phi1[..., None] * r1 + phi2[..., None] * r2)
+    phi1 = _trig_polynomial(rng, grid)
+    phi2 = _trig_polynomial(rng, grid)
+    cx, sx, cy, sy = _waves(grid)
+    F = np.stack(
+        [a * cx + eps * (phi1 * cx), a * sx + eps * (phi1 * sx),
+         b * cy + eps * (phi2 * cy), b * sy + eps * (phi2 * sy)],
+        axis=-1,
+    )
     return Immersion(grid=grid, F=F)
 
 

@@ -113,24 +113,13 @@ def laplace_beltrami(values: np.ndarray, cache: GeometryCache) -> np.ndarray:
     return out / cache.sqrt_det_g
 
 
-def _rho_from(cache: GeometryCache, rho: GeometryCache | None = None) -> np.ndarray:
-    if rho is None:
-        return cache.rho
-    if rho.grid != cache.grid:
-        raise ValueError(
-            f"plane field lives on grid {rho.grid.sizes}, cache on {cache.grid.sizes}"
-        )
-    return rho.rho
-
-
-def tension(cache: GeometryCache, rho=None) -> np.ndarray:
+def tension(cache: GeometryCache) -> np.ndarray:
     """Tension field of the plane field, as tangent coefficients (m, k, *sizes).
 
     For maps into a submanifold of a linear space this is the tangential
-    projection of the componentwise Laplace-Beltrami of the embedding.  The
-    plane field defaults to the one generated by the cache's own frames.
+    projection of the componentwise Laplace-Beltrami of the embedding.
     """
-    lap = laplace_beltrami(_rho_from(cache, rho), cache)
+    lap = laplace_beltrami(cache.rho, cache)
     return project_field(cache.e, cache.nu, lap)
 
 
@@ -194,9 +183,9 @@ def residual_theorem1(traj: Trajectory, index: int, use_jtilde: bool = True, met
     )
 
 
-def residual_codazzi(cache: GeometryCache, rho=None, metadata: dict | None = None) -> Report:
+def residual_codazzi(cache: GeometryCache, metadata: dict | None = None) -> Report:
     """Tension of the plane field against the normal gradient of H."""
-    lhs = tension(cache, rho)
+    lhs = tension(cache)
     rhs = dt_rho_analytic(cache, apply_rotation=False)
     primary = _frobenius(lhs - rhs)
     return Report(
@@ -208,7 +197,7 @@ def residual_codazzi(cache: GeometryCache, rho=None, metadata: dict | None = Non
     )
 
 
-def residual_identify(cache: GeometryCache, rho=None, metadata: dict | None = None) -> Report:
+def residual_identify(cache: GeometryCache, metadata: dict | None = None) -> Report:
     """Differential of the plane field against the second fundamental form.
 
     Both sides are expressed on unit-speed frame directions: coefficients of
@@ -217,8 +206,7 @@ def residual_identify(cache: GeometryCache, rho=None, metadata: dict | None = No
     """
     grid = cache.grid
     m = grid.m
-    rho_coeffs = _rho_from(cache, rho)
-    drho = np.stack([diff1(rho_coeffs, grid, l) for l in range(m)])  # (l, C, *sizes)
+    drho = np.stack([diff1(cache.rho, grid, l) for l in range(m)])  # (l, C, *sizes)
     d_unit = np.einsum("il...,lc...->ic...", cache.R, drho)
     basis = tangent_basis_field(cache.e, cache.nu)
     lhs = np.einsum("jac...,ic...->ija...", basis, d_unit)  # (i, j, alpha, *sizes)

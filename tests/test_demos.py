@@ -1,4 +1,5 @@
-"""The demos on the pointwise exterior and Grassmann API run to completion."""
+"""Every demo runs to completion: the pointwise exterior and Grassmann API (01-02),
+the circle and torus flows (03-04) and the Schrodinger-law residuals (05)."""
 
 import os
 import subprocess
@@ -10,7 +11,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("demo", ["01_exterior_algebra.py", "02_grassmann_planes.py"])
+@pytest.mark.parametrize("demo", sorted(p.name for p in (ROOT / "demos").glob("[0-9][0-9]_*.py")))
 def test_demo_runs(demo, tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))

@@ -9,6 +9,7 @@ from skewflow import (
     fundamental_forms,
     load_immersion_csv,
     make_circle,
+    make_perturbed_circle,
     make_perturbed_torus,
     make_product_torus,
     save_immersion_csv,
@@ -23,6 +24,7 @@ from skewflow.geometry import (
     rotate_normal_field,
     tangent_basis_field,
 )
+from skewflow.grassmann import normal_rotate
 
 
 def radial_fields(imm):
@@ -395,16 +397,58 @@ def test_projection_field_matches_pointwise(tmp_path):
 
 
 def test_normal_completion_tie_nodes():
-    # grids divisible by 8 hit nodes where the two least-tangential axes
-    # project onto the same normal direction; the completion must fall back
-    for size in (16, 32):
-        imm = make_product_torus(1.0, 1.0, size)
-        e = fundamental_forms(imm).e
+    # on grids divisible by 8 the product torus has nodes, such as sizes // 8,
+    # where ambient axes tie for the smallest tangential part (the lowest
+    # index wins); seeded rotations of a perturbed torus and circle give
+    # generic frames
+    rng = np.random.default_rng(11)
+    imms = [make_product_torus(1.0, 1.0, size) for size in (16, 32)]
+    for imm in (make_perturbed_torus(1.0, 0.6, 0.05, 7, 24), make_perturbed_circle(1.0, 0.3, 5, 64)):
+        q = np.linalg.qr(rng.standard_normal((imm.n, imm.n)))[0]
+        q[:, 0] *= np.sign(np.linalg.det(q))
+        imms.append(Immersion(grid=imm.grid, F=imm.F @ q))
+    for imm in imms:
+        cache = fundamental_forms(imm)
+        e = cache.e
         nu = normal_completion(e)
         gram = np.einsum("an...,bn...->...ab", nu, nu)
         assert np.max(np.abs(gram - np.eye(2))) < 1e-12
+        assert np.max(np.abs(np.einsum("in...,an...->ia...", e, nu))) < 1e-12
         dets = np.linalg.det(np.moveaxis(np.concatenate([e, nu]), (0, 1), (-2, -1)))
         assert np.min(dets) > 0.99
+        sizes = imm.grid.sizes
+        nodes = [tuple(s // 8 for s in sizes)] + [tuple(int(rng.integers(s)) for s in sizes) for _ in range(4)]
+        for node in nodes:
+            at = (...,) + node
+            assert np.max(np.abs(nu[1][at] - normal_rotate(cache.frame_at(node), nu[0][at]))) < 1e-12
+
+
+def test_torus_families_match_the_meshgrid_formula_bitwise():
+    # the builders broadcast 1-D waves; a non-square grid shows a swapped axis
+    a, b, eps, seed = 1.0, 0.6, 0.05, 7
+    x, y = PeriodicGrid((24, 16)).meshgrid()
+    base = np.stack([a * np.cos(x), a * np.sin(x), b * np.cos(y), b * np.sin(y)], axis=-1)
+    assert make_product_torus(a, b, 24, 16).F.tobytes() == base.tobytes()
+    rng = np.random.default_rng(seed)
+    phi = []
+    for _ in range(2):
+        coeffs = rng.standard_normal((2, 2, 4))
+        coeffs /= np.sum(np.abs(coeffs))
+        out = np.zeros_like(x)
+        for p in range(2):
+            for q in range(2):
+                cc, cs, sc, ss = coeffs[p, q]
+                out += (
+                    cc * np.cos(p * x) * np.cos(q * y)
+                    + cs * np.cos(p * x) * np.sin(q * y)
+                    + sc * np.sin(p * x) * np.cos(q * y)
+                    + ss * np.sin(p * x) * np.sin(q * y)
+                )
+        phi.append(out[..., None])
+    r1 = np.stack([np.cos(x), np.sin(x), 0 * x, 0 * x], axis=-1)
+    r2 = np.stack([0 * x, 0 * x, np.cos(y), np.sin(y)], axis=-1)
+    expect = base + eps * (phi[0] * r1 + phi[1] * r2)
+    assert make_perturbed_torus(a, b, eps, seed, 24, 16).F.tobytes() == expect.tobytes()
 
 
 def test_immersion_csv_round_trip(tmp_path):

@@ -82,15 +82,6 @@ def test_dt_rho_analytic_zero_cases():
     assert np.max(np.abs(dt_rho_analytic(flat)[..., 3:-3, 3:-3])) < 1e-12
 
 
-def test_tension_rejects_mismatched_plane_field():
-    cache = fundamental_forms(make_product_torus(1.0, 0.6, 16))
-    other = fundamental_forms(make_product_torus(1.0, 0.6, 32))
-    with pytest.raises(ValueError):
-        tension(cache, other)
-    same = fundamental_forms(make_product_torus(1.0, 0.6, 16))
-    assert np.max(np.abs(tension(cache, same) - tension(cache))) == 0.0
-
-
 def test_dt_rho_numeric_frozen_trajectory_exact_zero():
     imm = make_product_torus(1.0, 0.6, 16)
     cfg = FlowConfig(dt=1e-3, t_end=2e-3, output_every=1)

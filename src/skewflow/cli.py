@@ -20,9 +20,7 @@ import argparse
 import csv
 import dataclasses
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -140,6 +138,8 @@ def load_config(path: str, overrides: argparse.Namespace) -> dict:
         config["verify_name"] = overrides.verify_name
     if getattr(overrides, "snapshots", False):
         config["snapshots"] = True
+    if not isinstance(config.get("snapshots", False), bool):
+        raise ConfigError(f"snapshots must be true or false, got {config['snapshots']!r}")
     return config
 
 
@@ -173,8 +173,13 @@ def build_immersion(config: dict) -> Immersion:
     path, periods = geometry["path"], grid_cfg.get("periods")
     if not isinstance(path, str):
         raise ConfigError(f"geometry.path must be a string, got {path!r}")
-    if periods is not None and not (isinstance(periods, list) and all(_is_number(p) for p in periods)):
-        raise ConfigError(f"grid.periods must be a list of numbers, got {periods!r}")
+    if periods is not None:
+        if not (isinstance(periods, list) and all(_is_number(p) for p in periods)):
+            raise ConfigError(f"grid.periods must be a list of numbers, got {periods!r}")
+        try:
+            periods = [float(p) for p in periods]
+        except OverflowError:
+            raise ConfigError("grid.periods holds a number too large for a float") from None
     return load_immersion_csv(path, sizes, periods)
 
 
@@ -183,8 +188,8 @@ def build_flow_config(config: dict, imm: Immersion) -> FlowConfig:
     RK4 on curves.  Unset, the step is 0.1 min(h) under IMEX, whose O(dt^2)
     time error then matches the O(h^2) stencils, half of
     ``explicit_step_bound`` under RK4 (and no more than ``stable_dt`` except
-    for the skew flow of a curve), and ``stable_dt`` under Euler.  An RK4
-    step set above the bound runs after a warning on stderr."""
+    for the skew flow of a curve).  An RK4 step set above the bound runs
+    after a warning on stderr."""
     flow = dict(config.get("flow", {}))
     try:
         flow_config = FlowConfig(
@@ -206,24 +211,12 @@ def build_flow_config(config: dict, imm: Immersion) -> FlowConfig:
                 # keeps the metric that sets it, so the others stay at or
                 # below stable_dt
                 dt = min(dt, stable_dt(imm))
-        elif scheme == "IMEX":
-            dt = 0.1 * min(imm.grid.spacings)
         else:
-            dt = stable_dt(imm)
+            dt = 0.1 * min(imm.grid.spacings)
         return dataclasses.replace(flow_config, dt=dt)
     if scheme == "RK4" and flow_config.dt > (bound := explicit_step_bound(imm)):
         print(f"warning: flow.dt = {flow_config.dt!r} exceeds the RK4 stability bound {bound!r}", file=sys.stderr)
     return flow_config
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("SKEWFLOW_THREADS")
-    if not raw:
-        return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ConfigError(f"SKEWFLOW_THREADS must be an integer, got {raw!r}")
 
 
 def _is_torus(config: dict) -> bool:
@@ -322,8 +315,7 @@ def task_converge(config: dict, out_dir: Path) -> int:
     for key in ("a", "b", "eps", "seed"):
         if key in geometry:
             kwargs[key] = (_integer if key == "seed" else _number)(geometry, key, "geometry")
-    with ThreadPoolExecutor(max_workers=_worker_count()) as pool:
-        table = convergence_study(name, resolutions, map_fn=pool.map, **kwargs)
+    table = convergence_study(name, resolutions, **kwargs)
     save_json(table_to_dict(table), out_dir / "convergence_table.json")
     save_table_csv(table, out_dir / "convergence_table.csv")
     print(f"converge {name}: observed_order={table.observed_order}")

@@ -8,19 +8,16 @@ times and degeneracy is treated as a hard error rather than remeshed.
 Explicit stepping of this dispersive system is stiff.  RK4 is stable up to
 ``explicit_step_bound`` = 2.78 / lambda_max, with lambda_max bounded from the
 operator's frozen coefficients (about 0.7 h^2 min g_00 on curves; on tori
-the two axes add and it is smaller); forward Euler has
-no stable step on the skew flow's imaginary spectrum and is kept for
-first-order studies at ``stable_dt`` = 0.1 h^2.  The "IMEX" scheme (``imex``)
-lifts the limit on curves and tori alike; caller-supplied velocities have no
-IMEX step.
+the two axes add and it is smaller).  The "IMEX" scheme (``imex``) lifts the
+limit on curves and tori alike.
 
 One flow operator serves curves and tori and every scheme, in two
 functions: ``_coefficients`` freezes it at some positions, starting with the
 metric block that GeometryCache runs too, and ``_apply`` maps the positions
 in its padded buffer to M (g^{ij} D_ij x), with M the quarter turn
 J w = *(w ^ xi) / |xi| of ``geometry.quarter_turn`` or the normal
-projection -J^2.  The velocity, RK4 and Euler freeze at each stage's
-positions and apply once; IMEX freezes once per solve and applies once per
+projection -J^2.  The velocity and RK4 freeze at each stage's positions
+and apply once; IMEX freezes once per solve and applies once per
 Krylov vector.  ``run`` keeps the positions component-first, (n, *sizes),
 and gives the stepper one workspace of preallocated buffers, so a step
 allocates no grid-sized array; recorded states are copied out in the layout
@@ -38,7 +35,7 @@ from .exterior import wedge_field
 from .geometry import Immersion, _metric_block, _Stencils, quarter_turn
 
 FLOW_KINDS = ("SMCF", "MCF")
-SCHEMES = ("RK4", "Euler", "IMEX")
+SCHEMES = ("RK4", "IMEX")
 # RK4's stability interval reaches 2.828 on the imaginary axis and 2.785 on the
 # negative real one (Hairer and Wanner, Solving ODEs II, IV.2): below both
 RK4_LIMIT = 2.78
@@ -219,24 +216,15 @@ def velocity(imm: Immersion, kind: str = "SMCF", time: float | None = None) -> n
     return np.moveaxis(_apply(ws, np.empty((imm.n,) + imm.grid.sizes)), 0, -1)
 
 
-def _check_scheme(config: FlowConfig, velocity_fn) -> None:
-    if config.scheme == "IMEX" and velocity_fn is not None:
-        raise ValueError("scheme 'IMEX' freezes the package's own velocity and cannot use a velocity_fn")
-
-
-def _advance(f: np.ndarray, t: float, dt: float, vf, scheme: str, k, stage, acc) -> None:
-    """One classical RK4 or forward Euler step of f, in place.
+def _advance(f: np.ndarray, t: float, dt: float, vf, k, stage, acc) -> None:
+    """One classical RK4 step of f, in place.
 
     ``vf(f, t, out)`` writes the right-hand side into ``out``.  The
     arithmetic is that of F + (dt/6)(k1 + 2 k2 + 2 k3 + k4) with the stages
-    F + 0.5 dt k1, F + 0.5 dt k2 and F + dt k3 (or of F + dt k1 for Euler),
-    with the buffers ``k``, ``stage`` and the running sum ``acc``.
+    F + 0.5 dt k1, F + 0.5 dt k2 and F + dt k3, with the buffers ``k``,
+    ``stage`` and the running sum ``acc``.
     """
     vf(f, t, k)
-    if scheme == "Euler":
-        k *= dt
-        f += k
-        return
     np.copyto(acc, k)
     for c, weight in ((0.5 * dt, 2.0), (0.5 * dt, 2.0), (dt, 1.0)):
         np.multiply(k, c, out=stage)
@@ -250,12 +238,11 @@ def _advance(f: np.ndarray, t: float, dt: float, vf, scheme: str, k, stage, acc)
     f += acc
 
 
-def _stepper(grid, config: FlowConfig, velocity_fn):
+def _stepper(grid, config: FlowConfig):
     """``advance(f, t, dt)``: one step of component-first positions f, in place.
 
     Each scheme keeps one workspace over all the steps of the returned
-    function; a caller's ``velocity_fn(F, t)`` sees and returns positions in
-    the (*sizes, n) layout of ``Immersion.F``.
+    function.
     """
     if config.scheme == "IMEX":
         # imported here: runs that take no IMEX step do not load the solver
@@ -264,45 +251,33 @@ def _stepper(grid, config: FlowConfig, velocity_fn):
         ws = _Imex(grid, config.flow_kind)
         return lambda f, t, dt: _imex_step(f, t, dt, ws)
     k, stage, acc = (np.empty((grid.m + 2,) + grid.sizes) for _ in range(3))
-    if velocity_fn is None:
-        ws = _Operator(grid, config.flow_kind)
+    ws = _Operator(grid, config.flow_kind)
 
-        def vf(f, t, out):
-            _coefficients(f, t, ws)
-            _apply(ws, out)
+    def vf(f, t, out):
+        _coefficients(f, t, ws)
+        _apply(ws, out)
 
-    else:
-
-        def vf(f, t, out):
-            out[...] = np.moveaxis(velocity_fn(np.moveaxis(f, 0, -1).copy(), t), -1, 0)
-
-    return lambda f, t, dt: _advance(f, t, dt, vf, config.scheme, k, stage, acc)
+    return lambda f, t, dt: _advance(f, t, dt, vf, k, stage, acc)
 
 
-def step(state: FlowState, config: FlowConfig, velocity_fn=None, dt: float | None = None) -> FlowState:
-    """One step on node positions: classical RK4, forward Euler or IMEX.
-
-    Raises ``ValueError`` when IMEX is asked for with a velocity_fn.
-    """
+def step(state: FlowState, config: FlowConfig, dt: float | None = None) -> FlowState:
+    """One step on node positions: classical RK4 or IMEX."""
     dt = config.dt if dt is None else dt
     imm = state.immersion
-    _check_scheme(config, velocity_fn)
     f = np.moveaxis(imm.F, -1, 0).copy()
-    _stepper(imm.grid, config, velocity_fn)(f, state.t, dt)
+    _stepper(imm.grid, config)(f, state.t, dt)
     return FlowState(t=state.t + dt, immersion=Immersion(grid=imm.grid, F=np.moveaxis(f, 0, -1).copy()))
 
 
-def run(imm: Immersion, config: FlowConfig, velocity_fn=None) -> Trajectory:
+def run(imm: Immersion, config: FlowConfig) -> Trajectory:
     """Integrate to t_end, recording every ``output_every``-th state (and the last).
 
     The final step is shortened when t_end is not a step multiple, so the
-    last state lands exactly on t_end.  IMEX with a velocity_fn raises
-    ``ValueError`` before the first step.  The positions stay in
+    last state lands exactly on t_end.  The positions stay in
     component-first layout (n, *sizes) between steps and are copied out for
     the recorded states only.
     """
-    _check_scheme(config, velocity_fn)
-    advance = _stepper(imm.grid, config, velocity_fn)
+    advance = _stepper(imm.grid, config)
     f = np.moveaxis(imm.F, -1, 0).copy()
     states = [FlowState(t=0.0, immersion=imm)]
     t, steps_done = 0.0, 0
@@ -348,7 +323,7 @@ def product_torus_ode_oracle(
     n_step = 0
     while t < t_end - 1e-12:
         h = min(dt, t_end - t)
-        _advance(y, t, h, rhs, "RK4", *buffers)
+        _advance(y, t, h, rhs, *buffers)
         t += h
         n_step += 1
         if np.any(y <= 0) or not np.all(np.isfinite(y)):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skewflow import cli
+from skewflow import cli, make_circle, save_immersion_csv
 from skewflow.cli import main
 from skewflow.flow import run
 
@@ -149,7 +149,7 @@ def test_verify_theorem2_and_conservation(tmp_path):
     assert doc["norms"]["max"] < 1e-8
 
 
-@pytest.mark.parametrize("h_list", [[1e-2], [1e-2, 1e-2], [1e-2, 0.0], [1e-2, -1e-3]])
+@pytest.mark.parametrize("h_list", [[1e-2], [1e-2, 1e-2], [1e-2, 0.0], [1e-2, -1e-3], [10**400, 1e-3]])
 def test_verify_theorem2_bad_h_list_exit_one(tmp_path, h_list):
     out = tmp_path / "t2"
     cfg = torus_config(tmp_path, out, h_list=h_list)
@@ -166,20 +166,6 @@ def test_converge_writes_table(tmp_path):
     assert len(doc["rows"]) == 3
     header = (out / "convergence_table.csv").read_text().splitlines()[0]
     assert header == "resolution,h,norm"
-
-
-def test_converge_threaded_matches_serial(tmp_path, monkeypatch):
-    serial_out = tmp_path / "serial"
-    cfg = torus_config(tmp_path, serial_out, resolutions=[16, 32], verify_name="codazzi")
-    assert main(["converge", "--config", cfg]) == 0
-    threaded_out = tmp_path / "threaded"
-    cfg2 = torus_config(tmp_path, threaded_out, resolutions=[16, 32], verify_name="codazzi")
-    monkeypatch.setenv("SKEWFLOW_THREADS", "2")
-    assert main(["converge", "--config", cfg2]) == 0
-    a = read_json(serial_out / "convergence_table.json")
-    b = read_json(threaded_out / "convergence_table.json")
-    assert a["rows"] == b["rows"]
-    assert a["observed_order"] == b["observed_order"]
 
 
 def test_rerun_is_byte_identical_modulo_timestamp(tmp_path):
@@ -224,6 +210,8 @@ def test_unknown_task_or_geometry_exit_one(tmp_path, capsys):
     # values of the wrong JSON type name their field before any work starts
     circle = read_json(circle_config(tmp_path, out))
     torus = read_json(torus_config(tmp_path, out, resolutions=[16, 32], verify_name="codazzi"))
+    save_immersion_csv(make_circle(1.0, 16), tmp_path / "circle.csv")
+    from_file = {**circle, "geometry": {"kind": "file", "path": str(tmp_path / "circle.csv")}}
     wrong_types = [
         ("simulate", {**torus, "geometry": 5}, "geometry"),
         ("simulate", {**torus, "flow": [1, 2]}, "flow"),
@@ -233,11 +221,17 @@ def test_unknown_task_or_geometry_exit_one(tmp_path, capsys):
         ("converge", {**torus, "geometry": {**torus["geometry"], "seed": "7"}}, "geometry.seed"),
         ("converge", {**torus, "geometry": {**torus["geometry"], "a": "1"}}, "geometry.a"),
         ("converge", {**torus, "geometry": [1]}, "geometry"),
+        ("simulate", {**circle, "flow": {**circle["flow"], "scheme": "Euler"}}, "flow.scheme"),
+        ("simulate", {**from_file, "grid": {"sizes": [16], "periods": [10**400]}}, "grid.periods"),
+        ("simulate", {**circle, "snapshots": "no"}, "snapshots"),
     ]
+    typed_out = tmp_path / "typed"
     for task, payload, field in wrong_types:
+        payload = {**payload, "output_dir": str(typed_out)}
         assert main([task, "--config", write_config(tmp_path / "typed.json", payload)]) == 1, field
         err = capsys.readouterr().err
         assert err.startswith("error: ") and field in err, (field, err)
+        assert list(typed_out.glob("*")) == [], field
 
 
 def test_malformed_config_lists_fields(tmp_path, capsys):

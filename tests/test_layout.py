@@ -53,7 +53,6 @@ def test_velocity_explicit_and_imex_steps_share_one_operator(monkeypatch):
             (lambda: velocity(imm, "MCF"), 1, 1),
             (lambda: flow.explicit_step_bound(imm), 1, 0),
             (lambda: step(state, FlowConfig(dt=1e-6)), 4, 4),
-            (lambda: step(state, FlowConfig(flow_kind="MCF", dt=1e-6, scheme="Euler")), 1, 1),
         ]
         for call, frozen, applied in cases:
             calls.clear()

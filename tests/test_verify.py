@@ -6,8 +6,10 @@ import pytest
 
 from skewflow import (
     FlowConfig,
+    FlowState,
     Immersion,
     PeriodicGrid,
+    Trajectory,
     connection_residual,
     convergence_study,
     dt_rho_analytic,
@@ -84,8 +86,7 @@ def test_dt_rho_analytic_zero_cases():
 
 def test_dt_rho_numeric_frozen_trajectory_exact_zero():
     imm = make_product_torus(1.0, 0.6, 16)
-    cfg = FlowConfig(dt=1e-3, t_end=2e-3, output_every=1)
-    traj = run(imm, cfg, velocity_fn=lambda F, t: np.zeros_like(F))
+    traj = Trajectory([FlowState(t, imm) for t in (0.0, 1e-3, 2e-3)])
     assert np.max(np.abs(dt_rho_numeric(traj, 1))) == 0.0
 
 

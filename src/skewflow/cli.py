@@ -173,6 +173,8 @@ def build_immersion(config: dict) -> Immersion:
     path, periods = geometry["path"], grid_cfg.get("periods")
     if not isinstance(path, str):
         raise ConfigError(f"geometry.path must be a string, got {path!r}")
+    if len(sizes) not in (1, 2):
+        raise ConfigError(f"grid.sizes of a file geometry needs 1 or 2 axes, got {sizes}")
     if periods is not None:
         if not (isinstance(periods, list) and all(_is_number(p) for p in periods)):
             raise ConfigError(f"grid.periods must be a list of numbers, got {periods!r}")
@@ -180,6 +182,8 @@ def build_immersion(config: dict) -> Immersion:
             periods = [float(p) for p in periods]
         except OverflowError:
             raise ConfigError("grid.periods holds a number too large for a float") from None
+        if not all(0.0 < p < np.inf for p in periods):
+            raise ConfigError(f"grid.periods must be finite and positive, got {periods}")
     return load_immersion_csv(path, sizes, periods)
 
 
@@ -273,7 +277,10 @@ def task_verify(config: dict, out_dir: Path) -> int:
         raise ConfigError(f"verify_name must be one of {VERIFY_NAMES}, got {name!r}")
     seed = _integer(config.get("flow", {}), "seed", "flow", 0)
     if name == "theorem2":
-        table = theorem2_suite(seed, config.get("h_list", [1e-2, 1e-3, 1e-4]))
+        h_list = config.get("h_list", [1e-2, 1e-3, 1e-4])
+        if not (isinstance(h_list, list) and all(_is_number(h) for h in h_list)):
+            raise ConfigError(f"h_list must be a list of numbers, got {h_list!r}")
+        table = theorem2_suite(seed, h_list)
         save_json(table_to_dict(table), out_dir / "convergence_table.json")
         save_table_csv(table, out_dir / "convergence_table.csv")
         print(f"verify theorem2: order={table.observed_order}, isometry_max={table.metadata['isometry_max']:.3e}")

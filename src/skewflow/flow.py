@@ -14,8 +14,9 @@ limit on curves and tori alike.
 One flow operator serves curves and tori and every scheme, in two
 functions: ``_coefficients`` freezes it at some positions, starting with the
 metric block that GeometryCache runs too, and ``_apply`` maps the positions
-in its padded buffer to M (g^{ij} D_ij x), with M the quarter turn
-J w = *(w ^ xi) / |xi| of ``geometry.quarter_turn`` or the normal
+in its padded buffer to M (g^{ij} D_ij x), with D_ij the second differences
+that GeometryCache takes too and M the quarter turn J w = *(w ^ xi) of
+``geometry.quarter_turn`` with the unit tangent m-vector xi, or the normal
 projection -J^2.  The velocity and RK4 freeze at each stage's positions
 and apply once; IMEX freezes once per solve and applies once per
 Krylov vector.  ``run`` keeps the positions component-first, (n, *sizes),
@@ -32,7 +33,7 @@ import numpy as np
 
 from .errors import DegenerateImmersionError
 from .exterior import wedge_field
-from .geometry import Immersion, _metric_block, _Stencils, quarter_turn
+from .geometry import Immersion, _metric_block, _second_difference, _Stencils, quarter_turn
 
 FLOW_KINDS = ("SMCF", "MCF")
 SCHEMES = ("RK4", "IMEX")
@@ -101,38 +102,37 @@ class _Operator(_Stencils):
     once per run.
 
     ``_coefficients`` overwrites the metric block's buffers; ``coef`` takes
-    g's storage.  ``xi`` is the tangent m-vector: t_0 itself on curves,
-    where J divides by ``volume`` = |t_0| = sqrt det g after each turn (the
-    metric block's ``min_sv``), and the unit t_0 ^ t_1 / sqrt(det g) on
-    tori, divided once per freeze rather than once per apply (``volume`` is
-    None).  On tori the tangents are dead once xi is wedged, so t_1's
-    storage holds ``w``, the second differences c_ij D_ij x; ``prod`` and
-    ``tmp`` are scratch.
+    g's storage and ``terms`` lists the (i, j, c_ij) of c_ij D_ij in the
+    order ``_apply`` sums them.  ``xi`` is the unit tangent m-vector: t_0's
+    storage on curves, and on tori a buffer of its own, after which the
+    tangents are dead, so t_1's storage holds ``w``, the sum c_ij D_ij x.
+    ``prod`` and ``tmp`` are scratch.
     """
 
     def __init__(self, grid, kind):
         super().__init__(grid)
         m, sizes = grid.m, grid.sizes
         self.grid, self.kind = grid, kind
-        self.coef = self.g.reshape((-1,) + sizes)[: 2 * m - 1]
+        c = self.coef = self.g.reshape((-1,) + sizes)[: 2 * m - 1]
         if m == 1:
-            self.xi, self.w, self.volume = self.t[0], np.empty((3,) + sizes), self.min_sv
-        else:
-            self.xi, self.w, self.volume = np.empty((6,) + sizes), self.t[1], None  # xi has C(4, 2) components
-            pad = self.pad
-            self.corners = (pad[:, 2:, 2:], pad[:, 2:, :-2], pad[:, :-2, 2:], pad[:, :-2, :-2])
+            self.xi, self.w, self.terms = self.t[0], np.empty((3,) + sizes), [(0, 0, c[0])]
+        else:  # xi has C(4, 2) components
+            self.xi, self.w, self.terms = np.empty((6,) + sizes), self.t[1], [(0, 0, c[0]), (1, 1, c[2]), (0, 1, c[1])]
 
 
 def _coefficients(f: np.ndarray, time: float | None, ws: _Operator) -> None:
     """Freeze the flow operator at positions f (n, *sizes).
 
-    Runs the metric block, which fills the padded buffer with f and on
-    curves leaves xi = t_0, the volume |t_0| and the coefficient g_00 in
-    place.  On tori it then keeps the unit xi = t_0 ^ t_1 / sqrt(det g) and
-    c00 = g11/det g, c01 = -2 g01/det g and c11 = g00/det g.
+    Runs the metric block, which fills the padded buffer with f, then keeps
+    the unit xi and c_ij = g^{ij}, doubled off the diagonal: xi = t_0 / |t_0|
+    and c00 = 1/g_00 on curves, xi = t_0 ^ t_1 / sqrt(det g), c00 = g11/det g,
+    c01 = -2 g01/det g and c11 = g00/det g on tori.
     """
     _metric_block(f, ws.grid, time, ws)
-    if ws.grid.m == 2:
+    if ws.grid.m == 1:
+        ws.xi /= ws.min_sv  # |t_0| = sqrt(g_00)
+        np.reciprocal(ws.coef[0], out=ws.coef[0])
+    else:
         g, det_g, c = ws.g, ws.det_g, ws.coef
         wedge_field(ws.t[0], ws.t[1], 1, 1, 4, out=ws.xi, scratch=ws.tmp)
         ws.xi /= np.sqrt(det_g, out=ws.gap)
@@ -145,64 +145,45 @@ def _coefficients(f: np.ndarray, time: float | None, ws: _Operator) -> None:
 
 def _normal_part(v: np.ndarray, out: np.ndarray, middle: np.ndarray, ws: _Operator) -> np.ndarray:
     """out = P_N v = -J(J v), through the vector field ``middle``."""
-    quarter_turn(v, ws.xi, middle, ws.tmp, ws.volume)
-    quarter_turn(middle, ws.xi, out, ws.tmp, ws.volume)
+    quarter_turn(v, ws.xi, middle, ws.tmp)
+    quarter_turn(middle, ws.xi, out, ws.tmp)
     return np.negative(out, out=out)
 
 
 def _apply(ws: _Operator, out: np.ndarray) -> np.ndarray:
     """out = M (c_ij D_ij x) for the positions x that the padded buffer holds.
 
-    With x the frozen positions this is the flow velocity.  The sum is
-    D_00 x / g_00 on curves and c00 D_00 x + c01 D_01 x + c11 D_11 x on tori,
-    D_01 by the corner stencil; it is g^{ij} D_ij x, the mean curvature
-    vector when x = F.  M is the quarter turn J w = *(w ^ xi) / |xi| for the
-    skew flow and the normal projection P_N = -J^2 for the mean curvature
-    flow.  A call allocates no grid-sized array.
+    With x the frozen positions this is the flow velocity.  The sum
+    c_ij D_ij x = g^{ij} D_ij x, term by term in the order of ``ws.terms``,
+    is the mean curvature vector when x = F.  M is the quarter turn
+    J w = *(w ^ xi) for the skew flow and the normal projection P_N = -J^2
+    for the mean curvature flow.  A call allocates no grid-sized array.
     """
-    m, h, c, w, d = ws.grid.m, ws.grid.spacings, ws.coef, ws.w, ws.prod
-    for i in range(m):
-        np.multiply(ws.center, -2.0, out=d)
-        d += ws.plus[i]
-        d += ws.minus[i]
-        d /= h[i] * h[i]
-        if m == 1:
-            np.divide(d, c[0], out=w)
-        elif i == 0:
-            np.multiply(d, c[0], out=w)
-        else:
-            d *= c[2]
-            w += d
-    if m == 2:
-        pp, pm, mp, mm = ws.corners
-        np.subtract(pp, pm, out=d)
-        d -= mp
-        d += mm
-        d /= 4.0 * h[0] * h[1]
-        d *= c[1]
+    h, w, d = ws.grid.spacings, ws.w, ws.prod
+    (i, j, c), *rest = ws.terms
+    np.multiply(_second_difference(ws, h, i, j, d), c, out=w)
+    for i, j, c in rest:
+        _second_difference(ws, h, i, j, d)
+        d *= c
         w += d
     if ws.kind == "SMCF":
-        return quarter_turn(w, ws.xi, out, ws.tmp, ws.volume)
+        return quarter_turn(w, ws.xi, out, ws.tmp)
     return _normal_part(w, out, d, ws)
 
 
 def explicit_step_bound(imm: Immersion) -> float:
     """RK4_LIMIT / lambda_max, the largest stable RK4 step of either flow at imm.
 
-    lambda_max bounds the spectral radius of the operator frozen at imm:
-    4 / (h^2 min g_00) on curves, and on tori the nodewise maximum of
-    4 c00/h0^2 + 4 c11/h1^2 + |c01|/(h0 h1), the largest modulus of the
-    frozen symbol of c_ij D_ij.  J and P_N do not enlarge it.  Raises
-    DegenerateImmersionError where the metric block does.
+    lambda_max bounds the spectral radius of the operator frozen at imm: the
+    nodewise maximum of the sum of 4 c_ii/h_i^2 and |c01|/(h0 h1), the
+    largest modulus of the frozen symbol of c_ij D_ij.  J and P_N do not
+    enlarge it.  Raises DegenerateImmersionError where the metric block does.
     """
     ws = _Operator(imm.grid, "SMCF")
     _coefficients(np.moveaxis(imm.F, -1, 0), None, ws)
-    h, c = imm.grid.spacings, ws.coef
-    if imm.grid.m == 1:
-        lam = 4.0 / (h[0] * h[0] * float(np.min(c[0])))
-    else:
-        lam = float(np.max(4.0 * c[0] / (h[0] * h[0]) + 4.0 * c[2] / (h[1] * h[1]) + np.abs(c[1]) / (h[0] * h[1])))
-    return RK4_LIMIT / lam
+    h = imm.grid.spacings
+    lam = sum(4.0 * c / (h[i] * h[i]) if i == j else np.abs(c) / (h[0] * h[1]) for i, j, c in ws.terms)
+    return RK4_LIMIT / float(np.max(lam))
 
 
 def velocity(imm: Immersion, kind: str = "SMCF", time: float | None = None) -> np.ndarray:

@@ -25,6 +25,7 @@ from .grassmann import AdaptedFrame, GrassmannPoint, project_field, rho_field, t
 
 TWO_PI = 2.0 * np.pi
 RANK_TOL = 1e-6  # smallest admissible singular value of the tangent map
+MAX_MODE = 1  # highest mode of the perturbed tori: their coarsest grids are already asymptotic
 
 
 @dataclass(frozen=True)
@@ -46,8 +47,8 @@ class PeriodicGrid:
         if periods is None:
             periods = (TWO_PI,) * len(sizes)
         periods = tuple(float(p) for p in periods)
-        if len(periods) != len(sizes) or any(p <= 0 for p in periods):
-            raise ValueError("need one positive period per grid axis")
+        if len(periods) != len(sizes) or not all(0.0 < p < np.inf for p in periods):
+            raise ValueError("need one finite positive period per grid axis")
         object.__setattr__(self, "periods", periods)
 
     @property
@@ -153,9 +154,10 @@ class _Stencils:
 
     ``pad`` holds positions (n, *sizes) with one periodic ghost cell on each
     side of every grid axis; ``center``, ``plus[i]`` and ``minus[i]`` view it
-    shifted along axis i.  The tangents ``t`` (m, n, *sizes), the metric
-    ``g`` (m, m, *sizes), ``det_g`` (g_00 itself when m = 1) and ``min_sv``
-    receive the block; ``prod``, ``gap`` and ``tmp`` are scratch.
+    shifted along axis i, and on tori ``corners`` shifted along both (++,
+    +-, -+, --).  The tangents ``t`` (m, n, *sizes), the metric ``g`` (m, m,
+    *sizes), ``det_g`` (g_00 itself when m = 1) and ``min_sv`` receive the
+    block; ``prod``, ``gap`` and ``tmp`` are scratch.
     """
 
     def __init__(self, grid):
@@ -170,6 +172,8 @@ class _Stencils:
         self.center = shifted(0, 0)
         self.plus = [shifted(i, 1) for i in range(m)]
         self.minus = [shifted(i, -1) for i in range(m)]
+        if m == 2:
+            self.corners = (pad[:, 2:, 2:], pad[:, 2:, :-2], pad[:, :-2, 2:], pad[:, :-2, :-2])
         # (ghost, source) pairs, axis by axis so that the corners come out right
         self.ghosts = []
         for axis in range(1, m + 1):
@@ -188,6 +192,23 @@ def _fill_pad(f: np.ndarray, ws: _Stencils) -> None:
     np.copyto(ws.center, f)
     for ghost, source in ws.ghosts:
         np.copyto(ghost, source)
+
+
+def _second_difference(ws: _Stencils, h: tuple[float, ...], i: int, j: int, out: np.ndarray) -> np.ndarray:
+    """out = D_ij x of the padded positions, 3-point if i == j and by the corner
+    stencil if not: the second differences of the flow operator and GeometryCache."""
+    if i == j:
+        np.multiply(ws.center, -2.0, out=out)
+        out += ws.plus[i]
+        out += ws.minus[i]
+        out /= h[i] * h[i]
+    else:
+        pp, pm, mp, mm = ws.corners
+        np.subtract(pp, pm, out=out)
+        out -= mp
+        out += mm
+        out /= 4.0 * h[0] * h[1]
+    return out
 
 
 def _metric_block(f: np.ndarray, grid: PeriodicGrid, time: float | None, ws: _Stencils) -> None:
@@ -267,15 +288,17 @@ class GeometryCache:
     (m, m), the orthonormal frames ``e`` (m, n) and ``nu`` (k, n), ``R``
     (m, m) with e_i = sum_l R[i, l] d_l F, the plane field ``rho`` (C(n, m)),
     the second fundamental form ``A`` (k, m, m) against nu, the mean
-    curvature vector ``H`` (n) and ``grad_H_perp`` (m, n), the normal part
-    of its coordinate derivatives.  Immutable by convention.
+    curvature vector ``H`` (n), both from the flow operator's second
+    differences of the padded positions, and ``grad_H_perp`` (m, n), the
+    normal part of its coordinate derivatives.  Immutable by convention.
     """
 
     def __init__(self, imm: Immersion, time: float | None = None):
         self.grid = imm.grid
         ws = _Stencils(imm.grid)
         _metric_block(np.moveaxis(imm.F, -1, 0), imm.grid, time, ws)
-        self.f = ws.center  # the positions, (n, *sizes)
+        del ws.prod, ws.gap, ws.tmp  # the block's scratch, not kept alive with the cache
+        self._stencils, self.f = ws, ws.center  # the positions, (n, *sizes)
         self.t, self.g, self.det_g, self.min_sv = ws.t, ws.g, ws.det_g, ws.min_sv
 
     @property
@@ -315,13 +338,13 @@ class GeometryCache:
         Not cached: few callers read both A and H, and keeping it would hold
         another 8 MiB per geometry at 256^2.
         """
-        grid, f, m = self.grid, self.f, self.m
-        d2 = np.empty((m, m) + f.shape)
+        h, m = self.grid.spacings, self.m
+        d2 = np.empty((m, m) + self.f.shape)
         for i in range(m):
             for j in range(i, m):
-                val = diff2(f, grid, i, j)
-                d2[i, j] = val
-                d2[j, i] = val
+                _second_difference(self._stencils, h, i, j, d2[i, j])
+        if m == 2:
+            d2[1, 0] = d2[0, 1]
         tang = np.einsum("ijn...,ln...->ijl...", d2, self.e)
         d2 -= np.einsum("ijl...,ln...->ijn...", tang, self.e)
         return d2
@@ -363,13 +386,13 @@ def volume(imm: Immersion) -> float:
 # quarter-turns of normal fields
 
 
-def quarter_turn(w: np.ndarray, xi: np.ndarray, out=None, scratch=None, volume=None) -> np.ndarray:
+def quarter_turn(w: np.ndarray, xi: np.ndarray, out=None, scratch=None) -> np.ndarray:
     """J w = *(w ^ xi), the Hodge star of a wedge, for n = m + 2.
 
     Takes a vector field w, (n, ...), and an m-vector field xi, (C(n, m),
     ...), component-first.  For xi = t_1 ^ ... ^ t_m, <J w, u> = det(t_1,
     ..., t_m, w, u): J kills the tangent vectors and turns the normal part
-    of w by a quarter, times |xi|; ``volume`` = |xi| divides that out.  The
+    of w by a quarter, times |xi|, so a unit xi gives the quarter turn.  The
     star of an (n - 1)-vector reverses the lexicographic order and flips the
     sign of every other component.  ``out`` receives J w and ``scratch`` is
     one field of one component's shape for ``wedge_field``; both are
@@ -382,8 +405,6 @@ def quarter_turn(w: np.ndarray, xi: np.ndarray, out=None, scratch=None, volume=N
     wedge_field(w, xi, 1, m, n, out=out[::-1], scratch=scratch)
     flipped = out[(n + m) % 2 :: 2]
     np.negative(flipped, out=flipped)
-    if volume is not None:
-        out /= volume
     return out
 
 
@@ -404,8 +425,8 @@ def rotate_normal_field(e: np.ndarray, w: np.ndarray) -> np.ndarray:
 # benchmark geometries
 
 
-def make_circle(radius: float, size: int, grid: PeriodicGrid | None = None) -> Immersion:
-    grid = grid or PeriodicGrid((size,))
+def make_circle(radius: float, size: int) -> Immersion:
+    grid = PeriodicGrid((size,))
     x = grid.axes()[0]
     F = np.stack([radius * np.cos(x), radius * np.sin(x), np.zeros_like(x)], axis=-1)
     return Immersion(grid=grid, F=F)
@@ -424,21 +445,19 @@ def make_product_torus(a: float, b: float, size1: int, size2: int | None = None)
     return Immersion(grid=grid, F=F)
 
 
-def _trig_polynomial(rng: np.random.Generator, grid: PeriodicGrid, max_mode: int = 1) -> np.ndarray:
-    """Seeded low-frequency trig polynomial with sum(|coeff|) = 1 on a 2-D grid.
+def _trig_polynomial(rng: np.random.Generator, grid: PeriodicGrid) -> np.ndarray:
+    """Seeded trig polynomial of modes <= MAX_MODE, sum(|coeff|) = 1, on a 2-D grid.
 
     Coefficients are drawn once per call, independent of the grid, so the
-    same seed refines the same smooth function under grid refinement.  The
-    mode cap stays at 1 so the coarsest benchmark grids already sit in the
-    asymptotic stencil range.
+    same seed refines the same smooth function under grid refinement.
     """
-    coeffs = rng.standard_normal((max_mode + 1, max_mode + 1, 4))
+    coeffs = rng.standard_normal((MAX_MODE + 1, MAX_MODE + 1, 4))
     coeffs /= np.sum(np.abs(coeffs))
     x, y = grid.axes()
     out = np.zeros(grid.sizes)
-    for p in range(max_mode + 1):
+    for p in range(MAX_MODE + 1):
         cpx, spx = np.cos(p * x)[:, None], np.sin(p * x)[:, None]
-        for q in range(max_mode + 1):
+        for q in range(MAX_MODE + 1):
             cqy, sqy = np.cos(q * y), np.sin(q * y)
             cc, cs, sc, ss = coeffs[p, q]
             out += cc * cpx * cqy + cs * cpx * sqy + sc * spx * cqy + ss * spx * sqy

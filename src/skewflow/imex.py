@@ -58,14 +58,13 @@ def _freeze(f: np.ndarray, time: float, s: float, ws: _Imex) -> None:
     """Freeze the operator and the preconditioner at positions f.
 
     The preconditioner's symbol is that of the Laplacian with the mean
-    coefficients: the mean of 1/g_00 on curves, of c00, c01 and c11 on tori.
+    coefficients c_ij.
     """
     _coefficients(f, time, ws)
-    m, c, lam = ws.grid.m, ws.coef, ws.gain
-    if m == 1:
-        np.multiply(ws.second[0], float(np.mean(np.reciprocal(c[0], out=ws.tmp))), out=lam)
+    lam, mean = ws.gain, [float(np.mean(ci)) for ci in ws.coef]
+    if ws.grid.m == 1:
+        np.multiply(ws.second[0], mean[0], out=lam)
     else:
-        mean = [float(np.mean(ci)) for ci in c]
         np.multiply(ws.first[0], -mean[1] * ws.first[1], out=lam)
         lam += mean[0] * ws.second[0]
         lam += mean[2] * ws.second[1]

@@ -149,11 +149,15 @@ def test_verify_theorem2_and_conservation(tmp_path):
     assert doc["norms"]["max"] < 1e-8
 
 
-@pytest.mark.parametrize("h_list", [[1e-2], [1e-2, 1e-2], [1e-2, 0.0], [1e-2, -1e-3], [10**400, 1e-3]])
-def test_verify_theorem2_bad_h_list_exit_one(tmp_path, h_list):
+@pytest.mark.parametrize(
+    "h_list", [[1e-2], [1e-2, 1e-2], [1e-2, 0.0], [1e-2, -1e-3], [10**400, 1e-3], ["0.01", 1e-3], [1e-2, True]]
+)
+def test_verify_theorem2_bad_h_list_exit_one(tmp_path, capsys, h_list):
     out = tmp_path / "t2"
     cfg = torus_config(tmp_path, out, h_list=h_list)
     assert main(["verify", "--config", cfg, "--verify-name", "theorem2"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "h_list" in err, err
     assert not (out / "convergence_table.json").exists()
 
 
@@ -223,6 +227,10 @@ def test_unknown_task_or_geometry_exit_one(tmp_path, capsys):
         ("converge", {**torus, "geometry": [1]}, "geometry"),
         ("simulate", {**circle, "flow": {**circle["flow"], "scheme": "Euler"}}, "flow.scheme"),
         ("simulate", {**from_file, "grid": {"sizes": [16], "periods": [10**400]}}, "grid.periods"),
+        ("simulate", {**from_file, "grid": {"sizes": [16], "periods": [float("inf")]}}, "grid.periods"),
+        ("simulate", {**from_file, "grid": {"sizes": [16], "periods": [float("nan")]}}, "grid.periods"),
+        ("simulate", {**from_file, "grid": {"sizes": []}}, "grid.sizes"),
+        ("simulate", {**from_file, "grid": {"sizes": [4, 4, 1]}}, "grid.sizes"),
         ("simulate", {**circle, "snapshots": "no"}, "snapshots"),
     ]
     typed_out = tmp_path / "typed"

@@ -39,8 +39,9 @@ def test_grid_validation():
         PeriodicGrid((7,))
     with pytest.raises(ValueError):
         PeriodicGrid((9,))
-    with pytest.raises(ValueError):
-        PeriodicGrid((16,), periods=(-1.0,))
+    for period in (-1.0, np.inf, np.nan):
+        with pytest.raises(ValueError):
+            PeriodicGrid((16,), periods=(period,))
     grid = PeriodicGrid((16, 32))
     assert grid.spacings == (2 * np.pi / 16, 2 * np.pi / 32)
 
@@ -277,8 +278,6 @@ def test_quarter_turn_is_the_determinant_form():
         out = np.full_like(got, np.nan)
         assert quarter_turn(w, xi, out=out, scratch=np.empty(40)) is out
         assert np.array_equal(out, got)
-        volume = np.linalg.norm(xi, axis=0)
-        assert np.array_equal(quarter_turn(w, xi, volume=volume), got / volume)
 
 
 def test_gauss_field_circle_great_circle():

@@ -5,7 +5,17 @@ from pathlib import Path
 
 import numpy as np
 
-from skewflow import FlowConfig, FlowState, flow, fundamental_forms, make_perturbed_circle, make_perturbed_torus, step, velocity
+from skewflow import (
+    FlowConfig,
+    FlowState,
+    flow,
+    fundamental_forms,
+    geometry,
+    make_perturbed_circle,
+    make_perturbed_torus,
+    step,
+    velocity,
+)
 from skewflow.geometry import _metric_block
 from skewflow.grassmann import project_field, rho_field
 
@@ -27,6 +37,32 @@ def test_geometry_cache_metric_block_is_the_flow_kernels(monkeypatch):
         for name, kernel_value in seen.items():
             assert getattr(cache, name).shape == kernel_value.shape
             assert np.array_equal(getattr(cache, name), kernel_value), name
+
+
+def test_velocity_and_fundamental_forms_share_one_second_difference_kernel(monkeypatch):
+    kernel, calls = geometry._second_difference, []
+
+    def recording(ws, h, i, j, out):
+        calls.append((i, j))
+        return kernel(ws, h, i, j, out)
+
+    for module in (geometry, flow):
+        monkeypatch.setattr(module, "_second_difference", recording)
+    for imm in GEOMETRIES:
+        pairs = [(0, 0)] if imm.grid.m == 1 else [(0, 0), (0, 1), (1, 1)]
+        for call in (lambda: velocity(imm), lambda: fundamental_forms(imm).A):
+            calls.clear()
+            call()
+            assert sorted(calls) == pairs
+
+
+def test_frozen_xi_is_unit_and_the_gauss_field_on_curves():
+    for imm in GEOMETRIES:
+        ws = flow._Operator(imm.grid, "SMCF")
+        flow._coefficients(np.moveaxis(imm.F, -1, 0), None, ws)
+        assert np.max(np.abs(np.sqrt(np.sum(ws.xi * ws.xi, axis=0)) - 1.0)) <= 1e-15
+        if imm.grid.m == 1:
+            assert np.array_equal(ws.xi, fundamental_forms(imm).rho)
 
 
 def test_velocity_explicit_and_imex_steps_share_one_operator(monkeypatch):

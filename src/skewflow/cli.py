@@ -38,6 +38,8 @@ from .geometry import (
     volume,
 )
 from .verify import (
+    FAMILY_PARAMS,
+    PROBLEM_FAMILIES,
     PROBLEMS,
     Report,
     convergence_study,
@@ -292,14 +294,19 @@ def task_verify(config: dict, out_dir: Path) -> int:
         meta = {"geometry": config["geometry"]["kind"], "seed": seed}
         if name in ("theorem1", "theorem1_mcf"):
             flow_config = build_flow_config(config, imm)
-            # the time derivative needs consecutive states, so record every step
-            flow_config = dataclasses.replace(flow_config, output_every=1)
-            traj = run(imm, flow_config)
-            if len(traj) < 3:
+            if flow_config.t_end < 2 * flow_config.dt:
                 raise ConfigError(
-                    "theorem1 verification needs t_end >= 2 * dt so a centered time difference exists"
+                    f"flow.t_end = {flow_config.t_end!r} is below 2 * flow.dt = {2 * flow_config.dt!r}: "
+                    f"verify {name} needs a centered time difference"
                 )
-            report = residual_theorem1(traj, len(traj) // 2, use_jtilde=(name == "theorem1"), metadata=meta)
+            # the time derivative needs consecutive states, so record every step
+            traj = run(imm, dataclasses.replace(flow_config, output_every=1))
+            # a centered difference over two full steps: when the shortened
+            # last step follows the middle state, take the state before it
+            mid = len(traj) // 2
+            if traj[mid + 1].t - traj[mid].t < (1.0 - 1e-9) * flow_config.dt:
+                mid -= 1
+            report = residual_theorem1(traj, mid, use_jtilde=(name == "theorem1"), metadata=meta)
         elif name == "codazzi":
             report = residual_codazzi(fundamental_forms(imm), metadata=meta)
         else:
@@ -318,8 +325,17 @@ def task_converge(config: dict, out_dir: Path) -> int:
     if len(resolutions) < 2:
         raise ConfigError("converge: need 'resolutions' with at least two entries")
     geometry = config.get("geometry", {})
+    family = PROBLEM_FAMILIES[name]
+    kind = geometry.get("kind", family)
+    if kind != family:
+        builds = f"a {family}" if family else "no configurable geometry"
+        raise ConfigError(f"geometry.kind is {kind!r}, but converge {name} builds {builds}")
+    keys = FAMILY_PARAMS[family]
+    for key in geometry:
+        if key != "kind" and key not in keys:
+            raise ConfigError(f"geometry.{key} is not read by converge {name}")
     kwargs = {}
-    for key in ("a", "b", "eps", "seed"):
+    for key in keys:
         if key in geometry:
             kwargs[key] = (_integer if key == "seed" else _number)(geometry, key, "geometry")
     table = convergence_study(name, resolutions, **kwargs)

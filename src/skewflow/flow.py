@@ -31,7 +31,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DegenerateImmersionError
 from .exterior import wedge_field
 from .geometry import Immersion, _metric_block, _second_difference, _Stencils, quarter_turn
 
@@ -197,20 +196,22 @@ def velocity(imm: Immersion, kind: str = "SMCF", time: float | None = None) -> n
     return np.moveaxis(_apply(ws, np.empty((imm.n,) + imm.grid.sizes)), 0, -1)
 
 
-def _advance(f: np.ndarray, t: float, dt: float, vf, k, stage, acc) -> None:
-    """One classical RK4 step of f, in place.
+def _advance(f: np.ndarray, t: float, dt: float, ws: _Operator, k, stage, acc) -> None:
+    """One classical RK4 step of the flow at positions f, in place.
 
-    ``vf(f, t, out)`` writes the right-hand side into ``out``.  The
-    arithmetic is that of F + (dt/6)(k1 + 2 k2 + 2 k3 + k4) with the stages
-    F + 0.5 dt k1, F + 0.5 dt k2 and F + dt k3, with the buffers ``k``,
-    ``stage`` and the running sum ``acc``.
+    Each stage freezes the operator at its positions and applies it once,
+    into ``k``.  The arithmetic is that of F + (dt/6)(k1 + 2 k2 + 2 k3 + k4)
+    with the stages F + 0.5 dt k1, F + 0.5 dt k2 and F + dt k3, with the
+    buffers ``k``, ``stage`` and the running sum ``acc``.
     """
-    vf(f, t, k)
+    _coefficients(f, t, ws)
+    _apply(ws, k)
     np.copyto(acc, k)
     for c, weight in ((0.5 * dt, 2.0), (0.5 * dt, 2.0), (dt, 1.0)):
         np.multiply(k, c, out=stage)
         stage += f
-        vf(stage, t + c, k)
+        _coefficients(stage, t + c, ws)
+        _apply(ws, k)
         if weight == 1.0:
             acc += k
         else:
@@ -220,7 +221,8 @@ def _advance(f: np.ndarray, t: float, dt: float, vf, k, stage, acc) -> None:
 
 
 def _stepper(grid, config: FlowConfig):
-    """``advance(f, t, dt)``: one step of component-first positions f, in place.
+    """``advance(f, t, dt)``: one step of component-first positions f, in place,
+    by ``_advance`` (RK4) or ``imex._imex_step``.
 
     Each scheme keeps one workspace over all the steps of the returned
     function.
@@ -233,12 +235,7 @@ def _stepper(grid, config: FlowConfig):
         return lambda f, t, dt: _imex_step(f, t, dt, ws)
     k, stage, acc = (np.empty((grid.m + 2,) + grid.sizes) for _ in range(3))
     ws = _Operator(grid, config.flow_kind)
-
-    def vf(f, t, out):
-        _coefficients(f, t, ws)
-        _apply(ws, out)
-
-    return lambda f, t, dt: _advance(f, t, dt, vf, k, stage, acc)
+    return lambda f, t, dt: _advance(f, t, dt, ws, k, stage, acc)
 
 
 def step(state: FlowState, config: FlowConfig, dt: float | None = None) -> FlowState:
@@ -285,34 +282,15 @@ def fitted_torus_radii(imm: Immersion) -> tuple[float, float, float]:
 def product_torus_ode_oracle(
     a0: float, b0: float, t_end: float, dt: float, s: float = 1.0, output_every: int = 1
 ):
-    """Reduced radius dynamics of the skew flow on exact product tori.
+    """Radii of the skew flow on exact product tori, in closed form.
 
-    Integrates a' = -s/b, b' = s/a with classical RK4; the product a*b is a
-    conserved quantity of the exact reduction.  Returns (t, a, b) sample
-    arrays.  Raises if a radius crosses zero before t_end.
+    The reduction a' = -s/b, b' = s/a keeps a*b = a0*b0 fixed, so
+    a = a0 exp(-s t/(a0 b0)) and b = b0 exp(s t/(a0 b0)).  Returns (t, a, b)
+    sample arrays, with samples dt * output_every apart from t = 0 and the
+    last one at t_end.
     """
     if a0 <= 0 or b0 <= 0:
         raise ValueError("radii must be positive")
-
-    def rhs(y, t, out):
-        out[0], out[1] = -s / y[1], s / y[0]
-
-    y = np.array([a0, b0], dtype=float)
-    buffers = np.empty((3, 2))
-    t = 0.0
-    ts, a_s, b_s = [0.0], [a0], [b0]
-    n_step = 0
-    while t < t_end - 1e-12:
-        h = min(dt, t_end - t)
-        _advance(y, t, h, rhs, *buffers)
-        t += h
-        n_step += 1
-        if np.any(y <= 0) or not np.all(np.isfinite(y)):
-            raise DegenerateImmersionError(
-                f"torus radius reached zero near t = {t:.6f}", time=t
-            )
-        if n_step % output_every == 0 or t >= t_end - 1e-12:
-            ts.append(t)
-            a_s.append(float(y[0]))
-            b_s.append(float(y[1]))
-    return np.array(ts), np.array(a_s), np.array(b_s)
+    t = np.append(np.arange(0.0, t_end - 1e-12, dt * output_every), t_end)
+    rate = s * t / (a0 * b0)
+    return t, a0 * np.exp(-rate), b0 * np.exp(rate)

@@ -136,19 +136,6 @@ def _check_rank(min_sv: np.ndarray, sizes: tuple[int, ...], time: float | None) 
     )
 
 
-def _minor(out, p, q, r, s, tmp):
-    """out = p q - r s, elementwise, with one scratch field."""
-    np.multiply(p, q, out=out)
-    np.multiply(r, s, out=tmp)
-    out -= tmp
-
-
-def _dot(a, b, into, prod):
-    """into = sum over the leading (component) axis of a b, with vector scratch prod."""
-    np.multiply(a, b, out=prod)
-    return np.add.reduce(prod, axis=0, out=into)
-
-
 class _Stencils:
     """The grid-sized buffers of the metric block, component-first.
 
@@ -225,13 +212,16 @@ def _metric_block(f: np.ndarray, grid: PeriodicGrid, time: float | None, ws: _St
         ti /= 2.0 * h[i]
     for i in range(m):
         for j in range(i, m):
-            _dot(t[i], t[j], g[i, j], ws.prod)
+            np.multiply(t[i], t[j], out=ws.prod)
+            np.add.reduce(ws.prod, axis=0, out=g[i, j])
     min_sv, gap, tmp = ws.min_sv, ws.gap, ws.tmp
     if m == 1:
         np.sqrt(np.maximum(g[0, 0], 0.0, out=min_sv), out=min_sv)
     else:
         g[1, 0] = g[0, 1]
-        _minor(ws.det_g, g[0, 0], g[1, 1], g[0, 1], g[0, 1], tmp)  # leaves g01^2 in tmp
+        np.multiply(g[0, 0], g[1, 1], out=ws.det_g)
+        np.multiply(g[0, 1], g[0, 1], out=tmp)  # leaves g01^2 in tmp
+        ws.det_g -= tmp
         # smallest singular value: sqrt(trace/2 - sqrt(((g00 - g11)/2)^2 + g01^2))
         np.add(g[0, 0], g[1, 1], out=min_sv)
         min_sv *= 0.5

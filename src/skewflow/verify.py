@@ -342,17 +342,17 @@ def _problem_theorem1(size, a=1.0, b=0.6, eps=0.05, seed=7, flow_kind="SMCF"):
     )
 
 
-def _problem_codazzi(size, a=1.0, b=0.6, eps=0.05, seed=7, **_):
+def _problem_codazzi(size, a=1.0, b=0.6, eps=0.05, seed=7):
     cache = fundamental_forms(make_perturbed_torus(a, b, eps, seed, size))
     return residual_codazzi(cache, metadata={"geometry": "perturbed_torus", "a": a, "b": b, "eps": eps, "seed": seed})
 
 
-def _problem_identify(size, a=1.0, b=0.6, **_):
+def _problem_identify(size, a=1.0, b=0.6):
     cache = fundamental_forms(make_product_torus(a, b, size))
     return residual_identify(cache, metadata={"geometry": "product_torus", "a": a, "b": b})
 
 
-def _problem_diff1(size, **_):
+def _problem_diff1(size):
     """Trivial stencil benchmark: centered difference of sin on a circle grid."""
     grid = PeriodicGrid((size,))
     x = grid.axes()[0]
@@ -365,7 +365,7 @@ def _problem_diff1(size, **_):
     )
 
 
-def _problem_frozen(size, **_):
+def _problem_frozen(size):
     """Identically-zero residual: time variation of a trajectory that does not move."""
     imm = make_product_torus(1.0, 0.6, size)
     dt = stable_dt(imm)
@@ -388,6 +388,17 @@ PROBLEMS = {
     "diff1": _problem_diff1,
     "frozen": _problem_frozen,
 }
+# the geometry family that each problem builds from its keyword arguments
+# (None: a fixed geometry and no arguments), and the arguments of a family
+PROBLEM_FAMILIES = {
+    "theorem1": "perturbed_torus",
+    "theorem1_mcf": "perturbed_torus",
+    "codazzi": "perturbed_torus",
+    "identify": "product_torus",
+    "diff1": None,
+    "frozen": None,
+}
+FAMILY_PARAMS = {"perturbed_torus": ("a", "b", "eps", "seed"), "product_torus": ("a", "b"), None: ()}
 
 
 def convergence_study(problem, resolutions, norm_key: str = "max", **problem_kwargs) -> ConvergenceTable:

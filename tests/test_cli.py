@@ -172,6 +172,57 @@ def test_converge_writes_table(tmp_path):
     assert header == "resolution,h,norm"
 
 
+@pytest.mark.parametrize(
+    "name, geometry, field",
+    [
+        # each of these used to run some other geometry, or record parameters it never read
+        ("codazzi", {"kind": "circle", "r": 1.0}, "geometry.kind"),
+        ("identify", {"kind": "perturbed_torus", "a": 1.0, "b": 0.6, "eps": 0.3, "seed": 3}, "geometry.kind"),
+        ("identify", {"kind": "product_torus", "a": 1.0, "b": 0.6, "eps": 0.3}, "geometry.eps"),
+        ("identify", {"a": 1.0, "seed": 3}, "geometry.seed"),
+        ("theorem1", {"kind": "perturbed_torus", "a": 1.0, "r": 1.0}, "geometry.r"),
+        ("diff1", {"kind": "circle"}, "geometry.kind"),
+        ("frozen", {"b": 0.6}, "geometry.b"),
+    ],
+)
+def test_converge_rejects_a_geometry_its_problem_does_not_build(tmp_path, capsys, name, geometry, field):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "c.json", {
+        "verify_name": name, "resolutions": [16, 32], "geometry": geometry, "output_dir": str(out),
+    })
+    with mock.patch.object(cli, "convergence_study") as study:
+        assert main(["converge", "--config", cfg]) == 1
+    study.assert_not_called()
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and field in err, err
+    assert list(out.glob("*")) == []
+
+
+def test_verify_theorem1_centers_on_two_full_steps(tmp_path):
+    # at the 16^2 defaults, dt = 0.1 h and t_end = 0.1 take two full steps and a
+    # shortened third; the middle state sits between two full steps
+    out = tmp_path / "out"
+    cfg = torus_config(tmp_path, out)
+    assert main(["verify", "--config", cfg, "--verify-name", "theorem1"]) == 0
+    config = read_json(cfg)
+    dt = cli.build_flow_config(config, cli.build_immersion(config)).dt
+    params = read_json(out / "report.json")["params"]
+    assert params["dt"] == dt
+    assert params["t"] == dt
+
+
+@pytest.mark.parametrize("t_end", [5e-3, 1e-2, 1.5e-2])
+def test_verify_theorem1_too_short_exits_one_before_the_run(tmp_path, capsys, t_end):
+    out = tmp_path / "out"
+    cfg = torus_config(tmp_path, out, flow={"dt": 1e-2, "t_end": t_end})
+    with mock.patch.object(cli, "run") as run_mock:
+        assert main(["verify", "--config", cfg, "--verify-name", "theorem1"]) == 1
+    run_mock.assert_not_called()
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "flow.t_end" in err, err
+    assert list(out.glob("*")) == []
+
+
 def test_rerun_is_byte_identical_modulo_timestamp(tmp_path):
     docs = []
     for tag in ("one", "two"):

@@ -14,6 +14,7 @@ from skewflow import (
     Trajectory,
     explicit_step_bound,
     fitted_torus_radii,
+    flow,
     fundamental_forms,
     make_circle,
     make_perturbed_circle,
@@ -355,13 +356,25 @@ def test_ode_oracle_rejects_bad_radii():
         product_torus_ode_oracle(-1.0, 1.0, 0.1, 1e-3)
 
 
-def test_ode_oracle_blow_up_detected():
-    # exact radii decay exponentially (a*b is conserved) and never vanish, so
-    # the zero-crossing guard fires only when a coarse step overshoots
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        with pytest.raises(DegenerateImmersionError) as err:
-            product_torus_ode_oracle(0.05, 1.0, 1.0, 0.1)
-    assert err.value.time is not None
+@pytest.mark.parametrize("a0, b0, s, output_every", [(1.3, 0.8, 1.0, 100), (1.0, 0.9, -1.0, 1)])
+def test_ode_oracle_samples_the_closed_form(a0, b0, s, output_every):
+    t_end, dt = 0.2, 1e-4
+    ts, a, b = product_torus_ode_oracle(a0, b0, t_end, dt, s=s, output_every=output_every)
+    np.testing.assert_allclose(a, a0 * np.exp(-s * ts / (a0 * b0)), rtol=1e-15, atol=0)
+    np.testing.assert_allclose(b, b0 * np.exp(s * ts / (a0 * b0)), rtol=1e-15, atol=0)
+    assert ts[0] == 0.0 and ts[-1] == t_end
+    assert len(ts) == round(t_end / (dt * output_every)) + 1
+    assert np.max(np.abs(np.diff(ts) - dt * output_every)) < 1e-15
+
+
+def test_ode_oracle_does_not_step_the_flow(monkeypatch):
+    # the reference must not share the integrator that it checks
+    def refuse(*args):
+        raise AssertionError("the oracle called the RK4 step")
+
+    monkeypatch.setattr(flow, "_advance", refuse)
+    _, a, b = product_torus_ode_oracle(1.0, 1.0, 0.25, 1e-4)
+    assert a[-1] == pytest.approx(np.exp(-0.25), rel=1e-15)
 
 
 def test_pde_radii_track_ode_oracle():

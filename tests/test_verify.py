@@ -1,3 +1,4 @@
+import inspect
 import json
 import math
 
@@ -29,6 +30,8 @@ from skewflow import (
     volume,
 )
 from skewflow.verify import (
+    FAMILY_PARAMS,
+    PROBLEM_FAMILIES,
     PROBLEMS,
     Report,
     fit_order,
@@ -319,6 +322,16 @@ def test_convergence_study_non_monotone_flagged():
 def test_convergence_study_needs_two_resolutions():
     with pytest.raises(ValueError):
         convergence_study("diff1", [32])
+
+
+def test_every_problem_names_the_geometry_family_it_builds():
+    assert sorted(PROBLEM_FAMILIES) == sorted(PROBLEMS)
+    for name, runner in PROBLEMS.items():
+        params = inspect.signature(runner).parameters
+        if any(p.kind is p.VAR_KEYWORD for p in params.values()):
+            continue  # theorem1_mcf forwards to the runner of theorem1
+        family_params = tuple(p for p in params if p not in ("size", "flow_kind"))
+        assert family_params == FAMILY_PARAMS[PROBLEM_FAMILIES[name]], name
 
 
 def test_convergence_study_rejects_repeated_resolutions():

@@ -54,7 +54,7 @@ from .verify import (
     theorem2_suite,
 )
 
-GEOMETRY_KINDS = ("circle", "product_torus", "perturbed_torus", "file")
+GEOMETRY_KINDS = tuple(kind for kind in FAMILY_PARAMS if kind)
 TASKS = ("simulate", "verify", "converge")
 VERIFY_NAMES = ("theorem1", "theorem1_mcf", "codazzi", "identify", "theorem2", "conservation")
 
@@ -104,6 +104,13 @@ def _int_list(value, field: str) -> list[int]:
     raise ConfigError(f"{field} must be a list of integers, got {value!r}")
 
 
+def _check_keys(geometry: dict, kind: str | None, reader: str):
+    """A ConfigError naming the first geometry key that ``kind`` does not read."""
+    for key in geometry:
+        if key != "kind" and key not in FAMILY_PARAMS[kind]:
+            raise ConfigError(f"geometry.{key} is not read by {reader}")
+
+
 def load_config(path: str, overrides: argparse.Namespace) -> dict:
     try:
         with open(path) as fh:
@@ -123,9 +130,17 @@ def load_config(path: str, overrides: argparse.Namespace) -> dict:
         flow["dt"] = overrides.dt
     if overrides.t_end is not None:
         flow["t_end"] = overrides.t_end
+    if getattr(overrides, "verify_name", None):
+        config["verify_name"] = overrides.verify_name
     if overrides.seed is not None:
         flow["seed"] = overrides.seed
-        config.setdefault("geometry", {})["seed"] = overrides.seed
+        # geometry.seed only where the geometry reads one; converge without a
+        # kind builds the family of its problem
+        kind, name = config.get("geometry", {}).get("kind"), config.get("verify_name", "theorem1")
+        if kind is None and getattr(overrides, "task", None) == "converge" and isinstance(name, str):
+            kind = PROBLEM_FAMILIES.get(name)
+        if isinstance(kind, str) and "seed" in FAMILY_PARAMS.get(kind, ()):
+            config.setdefault("geometry", {})["seed"] = overrides.seed
     if overrides.n is not None:
         grid_cfg = config.setdefault("grid", {})
         dims = len(_int_list(grid_cfg.get("sizes", []), "grid.sizes"))
@@ -136,8 +151,6 @@ def load_config(path: str, overrides: argparse.Namespace) -> dict:
         config["output_dir"] = overrides.out
     if not isinstance(config.get("output_dir", ""), str):
         raise ConfigError(f"output_dir must be a string, got {config['output_dir']!r}")
-    if getattr(overrides, "verify_name", None):
-        config["verify_name"] = overrides.verify_name
     if getattr(overrides, "snapshots", False):
         config["snapshots"] = True
     if not isinstance(config.get("snapshots", False), bool):
@@ -155,6 +168,7 @@ def build_immersion(config: dict) -> Immersion:
     sizes = _int_list(grid_cfg["sizes"], "grid.sizes")
     if kind not in GEOMETRY_KINDS:
         raise ConfigError(f"geometry: unknown kind {kind!r}, expected one of {GEOMETRY_KINDS}")
+    _check_keys(geometry, kind, f"a {kind} geometry")
     if kind == "circle":
         if len(sizes) != 1:
             raise ConfigError("geometry: circle needs a 1-axis grid")
@@ -330,12 +344,9 @@ def task_converge(config: dict, out_dir: Path) -> int:
     if kind != family:
         builds = f"a {family}" if family else "no configurable geometry"
         raise ConfigError(f"geometry.kind is {kind!r}, but converge {name} builds {builds}")
-    keys = FAMILY_PARAMS[family]
-    for key in geometry:
-        if key != "kind" and key not in keys:
-            raise ConfigError(f"geometry.{key} is not read by converge {name}")
+    _check_keys(geometry, family, f"converge {name}")
     kwargs = {}
-    for key in keys:
+    for key in FAMILY_PARAMS[family]:
         if key in geometry:
             kwargs[key] = (_integer if key == "seed" else _number)(geometry, key, "geometry")
     table = convergence_study(name, resolutions, **kwargs)

@@ -18,7 +18,8 @@ in its padded buffer to M (g^{ij} D_ij x), with D_ij the second differences
 that GeometryCache takes too and M the quarter turn J w = *(w ^ xi) of
 ``geometry.quarter_turn`` with the unit tangent m-vector xi, or the normal
 projection -J^2.  The velocity and RK4 freeze at each stage's positions
-and apply once; IMEX freezes once per solve and applies once per
+and apply once; IMEX freezes once per step (twice in a run's first step,
+which has no earlier state to extrapolate from) and applies once per
 Krylov vector.  ``run`` keeps the positions component-first, (n, *sizes),
 and gives the stepper one workspace of preallocated buffers, so a step
 allocates no grid-sized array; recorded states are copied out in the layout
@@ -239,7 +240,11 @@ def _stepper(grid, config: FlowConfig):
 
 
 def step(state: FlowState, config: FlowConfig, dt: float | None = None) -> FlowState:
-    """One step on node positions: classical RK4 or IMEX."""
+    """One step on node positions: classical RK4 or IMEX.
+
+    A call keeps no history, so its IMEX step is the starting step of a run
+    (predictor and corrector); ``run`` takes the one-solve step after it.
+    """
     dt = config.dt if dt is None else dt
     imm = state.immersion
     f = np.moveaxis(imm.F, -1, 0).copy()

@@ -4,9 +4,12 @@ The velocity is linear in the second differences once the geometry is
 frozen: L X = M (g^{ij} D_ij X) is the flow operator of ``flow``, frozen by
 ``_coefficients`` and applied by ``_apply``, and L_F F is the velocity at
 F.  This module holds the solver only.  A Crank-Nicolson step with L frozen
-at F (predictor), then at the midpoint (corrector), is second order in time
-and not bound by h^2 (the small-scale decomposition of Hou, Lowengrub and
-Shelley, JCP 114, 1994).
+at the midpoint is second order in time and not bound by h^2 (the
+small-scale decomposition of Hou, Lowengrub and Shelley, JCP 114, 1994).
+A run's first step finds that midpoint by a predictor solve; every later
+step extrapolates it from the two last states and solves once (the
+linearly implicit two-step Crank-Nicolson scheme of Akrivis, Crouzeix and
+Makridakis, Numer. Math. 82, 1999).
 Each solve is a matrix-free GMRES on normal fields, preconditioned in
 Fourier space with the mean-metric Laplacian: J^2 = -1 turns
 (I - sL)(I + sL) into I + s^2 Delta^2 there.  One workspace per run holds
@@ -33,14 +36,17 @@ class _Imex(_Operator):
     operator's buffers, then ``gain``, the preconditioner's 1/d(k) per
     Fourier mode, the iterate ``x``, ``z`` and the Krylov ``basis`` of the
     solver and the FFT's ``spectrum``.  The operator's ``w`` doubles as the
-    preconditioner's filtered field.
+    preconditioner's filtered field.  ``prev`` holds the positions before
+    the last step and ``dt_prev`` that step's size, None before a run's
+    first step.
     """
 
     def __init__(self, grid, kind):
         super().__init__(grid, kind)
         m, sizes = grid.m, grid.sizes
         vec = (m + 2,) + sizes
-        self.x, self.z = (np.empty(vec) for _ in range(2))
+        self.x, self.z, self.prev = (np.empty(vec) for _ in range(3))
+        self.dt_prev = None
         self.basis = np.empty((KRYLOV_DIM + 1,) + vec)
         half = sizes[:-1] + (sizes[-1] // 2 + 1,)
         self.spectrum = np.empty(half, dtype=complex)
@@ -198,16 +204,28 @@ def _solve(f: np.ndarray, s: float, time: float, ws: _Imex) -> int:
 def _imex_step(f: np.ndarray, t: float, dt: float, ws: _Imex) -> None:
     """One linearly implicit Crank-Nicolson step of f, in place.
 
-    Solves (I - s L) Y = (I + s L) f with s = dt/2 twice: with L frozen at f
-    (predictor f*, from the guess f), then with L frozen at (f + f*)/2 (from
-    the guess f*).
+    Solves (I - s L) Y = (I + s L) f with s = dt/2 and L frozen near the
+    midpoint.  With r = dt / dt_prev and p the positions before the last
+    step, L is frozen once at f + (r/2)(f - p), from the guess f + r(f - p).
+    A run's first step has no p: it solves with L frozen at f (predictor f*,
+    from the guess f), then at (f + f*)/2 (from the guess f*).
     """
-    s = 0.5 * dt
-    _freeze(f, t, s, ws)
-    np.copyto(ws.x, f)
-    _solve(f, s, t, ws)
-    mid = np.add(f, ws.x, out=ws.basis[0])
-    mid *= 0.5
+    s, x, mid = 0.5 * dt, ws.x, ws.basis[0]
+    if ws.dt_prev is None:
+        _freeze(f, t, s, ws)
+        np.copyto(x, f)
+        _solve(f, s, t, ws)
+        np.add(f, x, out=mid)
+        mid *= 0.5
+    else:
+        r = dt / ws.dt_prev
+        np.subtract(f, ws.prev, out=x)
+        np.multiply(x, 0.5 * r, out=mid)
+        mid += f
+        x *= r
+        x += f
     _freeze(mid, t + s, s, ws)
     _solve(f, s, t + s, ws)
-    np.copyto(f, ws.x)
+    np.copyto(ws.prev, f)
+    np.copyto(f, x)
+    ws.dt_prev = dt

@@ -198,6 +198,65 @@ def test_converge_rejects_a_geometry_its_problem_does_not_build(tmp_path, capsys
     assert list(out.glob("*")) == []
 
 
+@pytest.mark.parametrize(
+    "task, geometry, sizes, field",
+    [
+        # each of these used to run the geometry of its kind without the key
+        ("simulate", {"kind": "product_torus", "a": 1.0, "b": 0.6, "eps": 0.3, "seed": 3}, [16, 16], "geometry.eps"),
+        ("verify", {"kind": "product_torus", "a": 1.0, "b": 0.6, "seed": 3}, [16, 16], "geometry.seed"),
+        ("simulate", {"kind": "circle", "r": 1.0, "a": 1.0}, [16], "geometry.a"),
+        ("verify", {"kind": "file", "path": "nodes.csv", "r": 1.0}, [16], "geometry.r"),
+    ],
+)
+def test_a_geometry_key_its_kind_does_not_read_exits_one(tmp_path, capsys, task, geometry, sizes, field):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "c.json", {
+        "geometry": geometry, "grid": {"sizes": sizes}, "verify_name": "codazzi", "output_dir": str(out),
+    })
+    with mock.patch.object(cli, "run") as run_mock, mock.patch.object(cli, "fundamental_forms") as forms:
+        assert main([task, "--config", cfg]) == 1
+    run_mock.assert_not_called()
+    forms.assert_not_called()
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and field in err, err
+    assert list(out.glob("*")) == []
+
+
+@pytest.mark.parametrize(
+    "argv, payload, seeded",
+    [
+        (["converge"], {"resolutions": [16, 32]}, True),  # the perturbed torus of theorem1
+        (["verify", "--verify-name", "codazzi"], {"geometry": {"kind": "perturbed_torus"}}, True),
+        (["converge", "--verify-name", "identify"], {"geometry": {"kind": "product_torus"}}, False),
+        (["converge", "--verify-name", "diff1"], {}, False),
+        (["simulate"], {"geometry": {"kind": "circle"}}, False),
+    ],
+)
+def test_seed_flag_seeds_only_a_geometry_that_reads_a_seed(tmp_path, argv, payload, seeded):
+    cfg = write_config(tmp_path / "c.json", payload)
+    args = cli.build_parser().parse_args([argv[0], "--config", cfg, "--seed", "3", *argv[1:]])
+    config = cli.load_config(cfg, args)
+    assert config["flow"]["seed"] == 3
+    assert config.get("geometry", {}).get("seed") == (3 if seeded else None)
+
+
+@pytest.mark.parametrize(
+    "argv, payload",
+    [
+        # --seed is also the flow seed, so these runs are valid
+        (["converge", "--verify-name", "identify"], {"geometry": {"kind": "product_torus", "a": 1.0, "b": 0.6},
+                                                     "resolutions": [16, 32]}),
+        (["simulate"], {"geometry": {"kind": "circle", "r": 1.0}, "grid": {"sizes": [16]}, "flow": {"t_end": 1e-3}}),
+        (["simulate"], {"geometry": {"kind": "product_torus", "a": 1.0, "b": 0.6}, "grid": {"sizes": [16, 16]},
+                        "flow": {"t_end": 1e-2}}),
+    ],
+)
+def test_seed_flag_runs_a_geometry_without_a_seed(tmp_path, argv, payload):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "c.json", {**payload, "output_dir": str(out)})
+    assert main([argv[0], "--config", cfg, "--seed", "3", *argv[1:]]) == 0
+
+
 def test_verify_theorem1_centers_on_two_full_steps(tmp_path):
     # at the 16^2 defaults, dt = 0.1 h and t_end = 0.1 take two full steps and a
     # shortened third; the middle state sits between two full steps

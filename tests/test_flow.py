@@ -203,16 +203,28 @@ def test_rk4_step_bound_is_tight_on_a_perturbed_curve():
     assert not off <= 1.0
 
 
-def _run_by_steps(imm, cfg):
-    """The states ``run`` records, from repeated public ``step`` calls."""
+def _run_by_steps(imm, cfg, advance):
+    """The states ``run`` records, from repeated calls of ``advance(state, dt)``."""
     state, states, steps_done = FlowState(t=0.0, immersion=imm), [], 0
     states.append(state)
     while state.t < cfg.t_end - 1e-12:
-        state = step(state, cfg, dt=min(cfg.dt, cfg.t_end - state.t))
+        state = advance(state, min(cfg.dt, cfg.t_end - state.t))
         steps_done += 1
         if steps_done % cfg.output_every == 0 or state.t >= cfg.t_end - 1e-12:
             states.append(state)
     return states
+
+
+def _one_stepper(imm, cfg):
+    """``advance(state, dt)`` by one ``flow._stepper``, kept over all the steps as ``run`` keeps it."""
+    stepper = flow._stepper(imm.grid, cfg)
+
+    def advance(state, dt):
+        f = np.moveaxis(state.immersion.F, -1, 0).copy()
+        stepper(f, state.t, dt)
+        return FlowState(t=state.t + dt, immersion=Immersion(grid=imm.grid, F=np.moveaxis(f, 0, -1).copy()))
+
+    return advance
 
 
 @pytest.mark.parametrize("scheme", ["RK4", "IMEX"])
@@ -222,11 +234,16 @@ def test_run_equals_repeated_step_bitwise(scheme, kind):
         dt = stable_dt(imm)
         # t_end is no step multiple, so the last step is shortened
         cfg = FlowConfig(flow_kind=kind, dt=dt, t_end=7.4 * dt, scheme=scheme, output_every=3)
-        traj, states = run(imm, cfg), _run_by_steps(imm, cfg)
-        assert [s.t for s in traj.states] == [s.t for s in states]
-        assert traj[-1].t == cfg.t_end
-        for got, want in zip(traj.states, states):
-            assert np.array_equal(got.immersion.F, want.immersion.F)
+        # step keeps no history, so it takes IMEX's starting step every time:
+        # an IMEX run equals repeated step calls over one step only
+        by_step = cfg if scheme == "RK4" else FlowConfig(flow_kind=kind, dt=dt, t_end=dt, scheme=scheme)
+        checks = [(cfg, _one_stepper(imm, cfg)), (by_step, lambda state, dt: step(state, by_step, dt=dt))]
+        for c, advance in checks:
+            traj, states = run(imm, c), _run_by_steps(imm, c, advance)
+            assert [s.t for s in traj.states] == [s.t for s in states]
+            assert traj[-1].t == c.t_end
+            for got, want in zip(traj.states, states):
+                assert np.array_equal(got.immersion.F, want.immersion.F)
 
 
 @pytest.mark.parametrize("kind", ["SMCF", "MCF"])
@@ -271,7 +288,9 @@ def test_steps_allocate_no_grid_sized_array(scheme, dt):
             f = np.moveaxis(imm.F, -1, 0).copy()
             advance(f, 0.0, dt)
             tracemalloc.start()
-            advance(f, 0.0, dt)
+            advance(f, dt, dt)
+            # a shorter step: IMEX extrapolates by the step ratio r = 0.3
+            advance(f, 2 * dt, 0.3 * dt)
             peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.stop()
             assert peak < 8 * 65536 // 2, (imm.grid.sizes, kind, peak)
@@ -283,6 +302,23 @@ def test_imex_second_order_in_time():
     torus = make_perturbed_torus(1.0, 0.7, 0.05, 3, 32)
     cases = [(make_perturbed_circle(1.0, 0.2, 3, 64), "SMCF", (2e-3, 1e-3, 5e-4, 2.5e-4))]
     cases += [(torus, kind, (T / 8, T / 16, T / 32)) for kind in ("SMCF", "MCF")]
+    for imm, kind, dts in cases:
+        ref = run(imm, FlowConfig(flow_kind=kind, dt=T / 1000, t_end=T, output_every=10**9))[-1].immersion.F
+        errs = []
+        for dt in dts:
+            cfg = FlowConfig(flow_kind=kind, dt=dt, t_end=T, scheme="IMEX", output_every=10**9)
+            errs.append(np.max(np.abs(run(imm, cfg)[-1].immersion.F - ref)))
+        orders = np.log2(np.array(errs[:-1]) / np.array(errs[1:]))
+        assert np.all(orders >= 1.9), (imm.grid.sizes, kind, orders)
+
+
+def test_imex_second_order_in_time_with_a_shortened_last_step():
+    # T / dt = 7.4, 14.8 and 29.6 (18.6 ... 74.4 on the curve): every run ends
+    # with a step shorter than the one before it
+    T = 0.05
+    torus = make_perturbed_torus(1.0, 0.7, 0.05, 3, 32)
+    cases = [(make_perturbed_circle(1.0, 0.2, 3, 64), "SMCF", [T / (18.6 * 2**k) for k in range(3)])]
+    cases += [(torus, kind, [T / (7.4 * 2**k) for k in range(3)]) for kind in ("SMCF", "MCF")]
     for imm, kind, dts in cases:
         ref = run(imm, FlowConfig(flow_kind=kind, dt=T / 1000, t_end=T, output_every=10**9))[-1].immersion.F
         errs = []

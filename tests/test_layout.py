@@ -13,6 +13,7 @@ from skewflow import (
     geometry,
     make_perturbed_circle,
     make_perturbed_torus,
+    run,
     step,
     velocity,
 )
@@ -94,10 +95,14 @@ def test_velocity_explicit_and_imex_steps_share_one_operator(monkeypatch):
             calls.clear()
             call()
             assert (calls.count("coefficients"), calls.count("apply")) == (frozen, applied)
-        # IMEX: one freeze per solve (predictor, corrector), at least one apply per Krylov vector
+        # IMEX: one freeze per solve, at least one apply per Krylov vector.  step and
+        # a run's first step solve twice (predictor, corrector), each later step once
         calls.clear()
         step(state, FlowConfig(dt=1e-3, scheme="IMEX"))
         assert calls.count("coefficients") == 2 and calls.count("apply") >= 4
+        calls.clear()
+        run(imm, FlowConfig(dt=1e-3, t_end=4.5e-3, scheme="IMEX"))
+        assert calls.count("coefficients") == 5 + 1
 
 
 def test_frame_and_point_accessors_are_one_node_slices():

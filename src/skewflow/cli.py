@@ -27,19 +27,8 @@ import numpy as np
 
 from .errors import DegenerateImmersionError, SkewflowError
 from .flow import FlowConfig, explicit_step_bound, fitted_torus_radii, run, stable_dt
-from .geometry import (
-    Immersion,
-    fundamental_forms,
-    load_immersion_csv,
-    make_circle,
-    make_perturbed_torus,
-    make_product_torus,
-    save_immersion_csv,
-    volume,
-)
+from .geometry import FAMILIES, Immersion, fundamental_forms, load_immersion_csv, save_immersion_csv, volume
 from .verify import (
-    FAMILY_PARAMS,
-    PROBLEM_FAMILIES,
     PROBLEMS,
     Report,
     convergence_study,
@@ -54,9 +43,14 @@ from .verify import (
     theorem2_suite,
 )
 
-GEOMETRY_KINDS = tuple(kind for kind in FAMILY_PARAMS if kind)
 TASKS = ("simulate", "verify", "converge")
 VERIFY_NAMES = ("theorem1", "theorem1_mcf", "codazzi", "identify", "theorem2", "conservation")
+# the keys of the config root and of its grid and flow blocks (the README's schema)
+CONFIG_KEYS = {
+    None: ("geometry", "grid", "flow", "verify_name", "resolutions", "h_list", "snapshots", "output_dir"),
+    "grid": ("sizes", "periods"),
+    "flow": ("flow_kind", "dt", "t_end", "scheme", "output_every", "seed"),
+}
 
 
 class ConfigError(SkewflowError):
@@ -104,11 +98,16 @@ def _int_list(value, field: str) -> list[int]:
     raise ConfigError(f"{field} must be a list of integers, got {value!r}")
 
 
-def _check_keys(geometry: dict, kind: str | None, reader: str):
-    """A ConfigError naming the first geometry key that ``kind`` does not read."""
-    for key in geometry:
-        if key != "kind" and key not in FAMILY_PARAMS[kind]:
-            raise ConfigError(f"geometry.{key} is not read by {reader}")
+def _check_keys(section: dict, keys, where: str | None, reader: str):
+    """A ConfigError naming the first key not in ``keys`` of a config section (None: the root)."""
+    for key in section:
+        if key not in keys:
+            raise ConfigError(f"{f'{where}.' if where else ''}{key} is not read by {reader}")
+
+
+def _family_values(geometry: dict, keys) -> dict:
+    """The values of the family keys that ``geometry`` sets, checked and in ``keys`` order."""
+    return {key: (_integer if key == "seed" else _number)(geometry, key, "geometry") for key in keys if key in geometry}
 
 
 def load_config(path: str, overrides: argparse.Namespace) -> dict:
@@ -124,6 +123,8 @@ def load_config(path: str, overrides: argparse.Namespace) -> dict:
     for section in ("geometry", "grid", "flow"):
         if not isinstance(config.get(section, {}), dict):
             raise ConfigError(f"{section} must be a JSON object, got {config[section]!r}")
+    for section, keys in CONFIG_KEYS.items():
+        _check_keys(config.get(section, {}) if section else config, keys, section, "any task")
 
     flow = config.setdefault("flow", {})
     if overrides.dt is not None:
@@ -132,20 +133,18 @@ def load_config(path: str, overrides: argparse.Namespace) -> dict:
         flow["t_end"] = overrides.t_end
     if getattr(overrides, "verify_name", None):
         config["verify_name"] = overrides.verify_name
+    # the family that the config builds: geometry.kind, or under converge without one, its problem's
+    kind, name = config.get("geometry", {}).get("kind"), config.get("verify_name", "theorem1")
+    if kind is None and getattr(overrides, "task", None) == "converge" and isinstance(name, str) and name in PROBLEMS:
+        kind = PROBLEMS[name][0]
+    _, keys, axes = FAMILIES[kind] if isinstance(kind, str) and kind in FAMILIES else (None, (), None)
     if overrides.seed is not None:
         flow["seed"] = overrides.seed
-        # geometry.seed only where the geometry reads one; converge without a
-        # kind builds the family of its problem
-        kind, name = config.get("geometry", {}).get("kind"), config.get("verify_name", "theorem1")
-        if kind is None and getattr(overrides, "task", None) == "converge" and isinstance(name, str):
-            kind = PROBLEM_FAMILIES.get(name)
-        if isinstance(kind, str) and "seed" in FAMILY_PARAMS.get(kind, ()):
+        if "seed" in keys:  # geometry.seed only where the geometry reads one
             config.setdefault("geometry", {})["seed"] = overrides.seed
     if overrides.n is not None:
         grid_cfg = config.setdefault("grid", {})
-        dims = len(_int_list(grid_cfg.get("sizes", []), "grid.sizes"))
-        if dims == 0:
-            dims = 1 if config.get("geometry", {}).get("kind") == "circle" else 2
+        dims = len(_int_list(grid_cfg.get("sizes", []), "grid.sizes")) or axes or 2
         grid_cfg["sizes"] = [overrides.n] * dims
     if overrides.out is not None:
         config["output_dir"] = overrides.out
@@ -166,26 +165,17 @@ def build_immersion(config: dict) -> Immersion:
     _require(grid_cfg, ["sizes"], "grid")
     kind = geometry["kind"]
     sizes = _int_list(grid_cfg["sizes"], "grid.sizes")
-    if kind not in GEOMETRY_KINDS:
-        raise ConfigError(f"geometry: unknown kind {kind!r}, expected one of {GEOMETRY_KINDS}")
-    _check_keys(geometry, kind, f"a {kind} geometry")
-    if kind == "circle":
-        if len(sizes) != 1:
-            raise ConfigError("geometry: circle needs a 1-axis grid")
-        _require(geometry, ["r"], "geometry(circle)")
-        return make_circle(_number(geometry, "r", "geometry"), sizes[0])
-    if kind in ("product_torus", "perturbed_torus"):
-        if len(sizes) != 2:
-            raise ConfigError(f"geometry: {kind} needs a 2-axis grid")
-        _require(geometry, ["a", "b"], f"geometry({kind})")
-        a, b = _number(geometry, "a", "geometry"), _number(geometry, "b", "geometry")
-        if kind == "product_torus":
-            return make_product_torus(a, b, sizes[0], sizes[1])
-        _require(geometry, ["eps", "seed"], "geometry(perturbed_torus)")
-        return make_perturbed_torus(
-            a, b, _number(geometry, "eps", "geometry"), _integer(geometry, "seed", "geometry"), sizes[0], sizes[1]
-        )
-    _require(geometry, ["path"], "geometry(file)")
+    kinds = (*FAMILIES, "file")
+    if kind not in kinds:
+        raise ConfigError(f"geometry: unknown kind {kind!r}, expected one of {kinds}")
+    # a file geometry reads its one key, path, below
+    builder, keys, axes = FAMILIES[kind] if kind in FAMILIES else (None, ("path",), None)
+    _check_keys(geometry, ("kind", *keys), "geometry", f"a {kind} geometry")
+    _require(geometry, list(keys), f"geometry({kind})")
+    if builder is not None:
+        if len(sizes) != axes:
+            raise ConfigError(f"geometry: {kind} needs a {axes}-axis grid")
+        return builder(*_family_values(geometry, keys).values(), *sizes)
     path, periods = geometry["path"], grid_cfg.get("periods")
     if not isinstance(path, str):
         raise ConfigError(f"geometry.path must be a string, got {path!r}")
@@ -239,15 +229,12 @@ def build_flow_config(config: dict, imm: Immersion) -> FlowConfig:
     return flow_config
 
 
-def _is_torus(config: dict) -> bool:
-    return config["geometry"]["kind"] in ("product_torus", "perturbed_torus")
-
-
 def task_simulate(config: dict, out_dir: Path) -> int:
     imm = build_immersion(config)
     flow_config = build_flow_config(config, imm)
     traj = run(imm, flow_config)
-    torus = _is_torus(config)
+    # the fitted radii of the tori that a family builds; a file has no radii to fit
+    torus = config["geometry"]["kind"] in FAMILIES and imm.grid.m == 2
     diag_path = out_dir / "diagnostics.csv"
     with open(diag_path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -339,17 +326,14 @@ def task_converge(config: dict, out_dir: Path) -> int:
     if len(resolutions) < 2:
         raise ConfigError("converge: need 'resolutions' with at least two entries")
     geometry = config.get("geometry", {})
-    family = PROBLEM_FAMILIES[name]
+    family = PROBLEMS[name][0]
     kind = geometry.get("kind", family)
     if kind != family:
         builds = f"a {family}" if family else "no configurable geometry"
         raise ConfigError(f"geometry.kind is {kind!r}, but converge {name} builds {builds}")
-    _check_keys(geometry, family, f"converge {name}")
-    kwargs = {}
-    for key in FAMILY_PARAMS[family]:
-        if key in geometry:
-            kwargs[key] = (_integer if key == "seed" else _number)(geometry, key, "geometry")
-    table = convergence_study(name, resolutions, **kwargs)
+    keys = FAMILIES[family][1] if family else ()
+    _check_keys(geometry, ("kind", *keys), "geometry", f"converge {name}")
+    table = convergence_study(name, resolutions, **_family_values(geometry, keys))
     save_json(table_to_dict(table), out_dir / "convergence_table.json")
     save_table_csv(table, out_dir / "convergence_table.csv")
     print(f"converge {name}: observed_order={table.observed_order}")

@@ -471,6 +471,16 @@ def make_perturbed_torus(
     return Immersion(grid=grid, F=F)
 
 
+# the geometry families of the CLI and of the convergence problems: kind ->
+# (builder, the keys it reads in argument order, grid axes); the builder takes
+# the keys' values, then one size per axis.  Every key is a float but "seed"
+FAMILIES = {
+    "circle": (make_circle, ("r",), 1),
+    "product_torus": (make_product_torus, ("a", "b"), 2),
+    "perturbed_torus": (make_perturbed_torus, ("a", "b", "eps", "seed"), 2),
+}
+
+
 def make_perturbed_circle(r: float, eps: float, seed: int, size: int) -> Immersion:
     """Circle displaced by eps times fixed smooth radial and vertical fields."""
     grid = PeriodicGrid((size,))

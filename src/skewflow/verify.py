@@ -15,6 +15,7 @@ chord component coherently from both sides of each identity.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import time as _time
 from dataclasses import dataclass, field as dc_field
@@ -24,11 +25,11 @@ import numpy as np
 from .exterior import inner
 from .flow import FlowConfig, FlowState, Trajectory, run, stable_dt
 from .geometry import (
+    FAMILIES,
     GeometryCache,
     PeriodicGrid,
     diff1,
     fundamental_forms,
-    make_perturbed_torus,
     make_product_torus,
     quarter_turn,
 )
@@ -331,25 +332,11 @@ def fit_order(hs, norms, floor: float = RESIDUAL_FLOOR):
     return slope, monotone, False
 
 
-def _problem_theorem1(size, a=1.0, b=0.6, eps=0.05, seed=7, flow_kind="SMCF"):
-    imm = make_perturbed_torus(a, b, eps, seed, size)
+def _theorem1_residual(imm, flow_kind="SMCF"):
     dt = stable_dt(imm)
     config = FlowConfig(flow_kind=flow_kind, dt=dt, t_end=2 * dt, output_every=1)
     traj = run(imm, config)
-    return residual_theorem1(
-        traj, 1, use_jtilde=(flow_kind == "SMCF"),
-        metadata={"geometry": "perturbed_torus", "a": a, "b": b, "eps": eps, "seed": seed},
-    )
-
-
-def _problem_codazzi(size, a=1.0, b=0.6, eps=0.05, seed=7):
-    cache = fundamental_forms(make_perturbed_torus(a, b, eps, seed, size))
-    return residual_codazzi(cache, metadata={"geometry": "perturbed_torus", "a": a, "b": b, "eps": eps, "seed": seed})
-
-
-def _problem_identify(size, a=1.0, b=0.6):
-    cache = fundamental_forms(make_product_torus(a, b, size))
-    return residual_identify(cache, metadata={"geometry": "product_torus", "a": a, "b": b})
+    return residual_theorem1(traj, 1, use_jtilde=(flow_kind == "SMCF"))
 
 
 def _problem_diff1(size):
@@ -380,37 +367,28 @@ def _problem_frozen(size):
     )
 
 
+# name -> (geometry family, residual of the immersion that geometry.FAMILIES builds),
+# or (None, residual of the grid size) for a fixed geometry
 PROBLEMS = {
-    "theorem1": _problem_theorem1,
-    "theorem1_mcf": lambda size, **kw: _problem_theorem1(size, flow_kind="MCF", **kw),
-    "codazzi": _problem_codazzi,
-    "identify": _problem_identify,
-    "diff1": _problem_diff1,
-    "frozen": _problem_frozen,
+    "theorem1": ("perturbed_torus", _theorem1_residual),
+    "theorem1_mcf": ("perturbed_torus", lambda imm: _theorem1_residual(imm, "MCF")),
+    "codazzi": ("perturbed_torus", lambda imm: residual_codazzi(fundamental_forms(imm))),
+    "identify": ("product_torus", lambda imm: residual_identify(fundamental_forms(imm))),
+    "diff1": (None, _problem_diff1),
+    "frozen": (None, _problem_frozen),
 }
-# the geometry family that each problem builds from its keyword arguments
-# (None: a fixed geometry and no arguments), and the arguments of a family
-PROBLEM_FAMILIES = {
-    "theorem1": "perturbed_torus",
-    "theorem1_mcf": "perturbed_torus",
-    "codazzi": "perturbed_torus",
-    "identify": "product_torus",
-    "diff1": None,
-    "frozen": None,
-}
-# the geometry keys each kind reads besides "kind", for the CLI's geometries and
-# converge's families; None is the family of the problems that take no geometry
-FAMILY_PARAMS = {
-    "circle": ("r",),
-    "product_torus": ("a", "b"),
-    "perturbed_torus": ("a", "b", "eps", "seed"),
-    "file": ("path",),
-    None: (),
-}
+FAMILY_DEFAULTS = {"a": 1.0, "b": 0.6, "eps": 0.05, "seed": 7}  # the values of the family keys left unset
 
 
 def convergence_study(problem, resolutions, norm_key: str = "max", **problem_kwargs) -> ConvergenceTable:
     """Run a named (or callable) residual problem across resolutions and fit the order.
+
+    A named problem builds its geometry family (``PROBLEMS``) from the keys
+    of ``geometry.FAMILIES`` passed as keywords, each unset one at its
+    ``FAMILY_DEFAULTS`` value; a keyword that the family does not read raises
+    ``TypeError`` before any resolution runs.  A callable is called as
+    ``problem(size, **problem_kwargs)``.  The table's metadata records the
+    norm key and the keywords passed, not the defaults.
 
     Time steps inside flow-based problems are ``stable_dt`` = 0.1 h^2.  At
     that step the residuals are all space error: on a 48^2 perturbed torus
@@ -423,10 +401,19 @@ def convergence_study(problem, resolutions, norm_key: str = "max", **problem_kwa
         raise ValueError("need at least two resolutions")
     if len(set(resolutions)) < len(resolutions):
         raise ValueError(f"resolutions must be distinct, got {resolutions}")
-    runner = PROBLEMS[problem] if isinstance(problem, str) else problem
+    if isinstance(problem, str):
+        family, residual = PROBLEMS[problem]
+        builder, keys, axes = FAMILIES[family] if family else (None, (), 0)
+        unread = [key for key in problem_kwargs if key not in keys]
+        if unread:
+            raise TypeError(f"convergence problem {problem!r} does not read {unread}")
+        values = [problem_kwargs.get(key, FAMILY_DEFAULTS[key]) for key in keys]
+        runner = residual if builder is None else lambda size: residual(builder(*values, *[size] * axes))
+    else:
+        runner = functools.partial(problem, **problem_kwargs)
     rows = []
     for size in resolutions:
-        report = runner(size, **problem_kwargs)
+        report = runner(size)
         rows.append({"resolution": size, "h": 2.0 * np.pi / size, "norm": float(report.norms[norm_key])})
     order, monotone, below = fit_order([r["h"] for r in rows], [r["norm"] for r in rows])
     name = problem if isinstance(problem, str) else getattr(problem, "__name__", "custom")
@@ -436,7 +423,7 @@ def convergence_study(problem, resolutions, norm_key: str = "max", **problem_kwa
         observed_order=order,
         monotone=monotone,
         below_floor=below,
-        metadata={"norm_key": norm_key, **{k: v for k, v in problem_kwargs.items()}},
+        metadata={"norm_key": norm_key, **problem_kwargs},
     )
 
 

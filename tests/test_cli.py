@@ -100,7 +100,7 @@ def test_simulate_file_geometry_round_trip(tmp_path):
 
 def test_verify_theorem1_report(tmp_path):
     out = tmp_path / "out"
-    cfg = torus_config(tmp_path, out, flow={"t_end_steps": None, "seed": 7})
+    cfg = torus_config(tmp_path, out, flow={"seed": 7})
     code = main(["verify", "--config", cfg, "--verify-name", "theorem1", "--dt", "1e-3", "--t-end", "2e-3"])
     assert code == 0
     doc = read_json(out / "report.json")
@@ -257,6 +257,38 @@ def test_seed_flag_runs_a_geometry_without_a_seed(tmp_path, argv, payload):
     assert main([argv[0], "--config", cfg, "--seed", "3", *argv[1:]]) == 0
 
 
+def test_a_new_family_needs_no_cli_edit(tmp_path, monkeypatch):
+    from skewflow import geometry
+
+    built = []
+
+    def ellipse(p, q, seed, size):
+        built.append((p, q, seed, size))
+        imm = make_circle(1.0, size)
+        return dataclasses.replace(imm, F=imm.F * [p, q, 1.0])
+
+    monkeypatch.setitem(geometry.FAMILIES, "ellipse", (ellipse, ("p", "q", "seed"), 1))
+    monkeypatch.setitem(geometry.FAMILIES, "square_torus", (geometry.make_product_torus, ("a", "b"), 2))
+    block = {"kind": "ellipse", "p": 2.0, "q": 1, "seed": 3.0}
+    imm = cli.build_immersion({"geometry": block, "grid": {"sizes": [16]}})
+    assert built == [(2.0, 1.0, 3, 16)] and [type(v) for v in built[0]] == [float, float, int, int]
+    assert np.max(imm.F[:, 0]) == 2.0
+    for geometry_block, sizes, field in [
+        (block, [16, 16], "1-axis grid"),
+        ({**block, "r": 1.0}, [16], "geometry.r"),
+        ({**block, "seed": 0.5}, [16], "geometry.seed"),
+        ({"kind": "ellipse", "p": 2.0}, [16], "'q', 'seed'"),
+    ]:
+        with pytest.raises(cli.ConfigError, match=field):
+            cli.build_immersion({"geometry": geometry_block, "grid": {"sizes": sizes}})
+    # --seed reaches geometry.seed exactly when the family reads one; --n takes its axes
+    for kind, seed, axes in (("ellipse", 5, 1), ("square_torus", None, 2)):
+        cfg = write_config(tmp_path / "c.json", {"geometry": {"kind": kind}})
+        args = cli.build_parser().parse_args(["simulate", "--config", cfg, "--seed", "5", "--n", "8"])
+        config = cli.load_config(cfg, args)
+        assert (config["geometry"].get("seed"), config["grid"]["sizes"]) == (seed, [8] * axes)
+
+
 def test_verify_theorem1_centers_on_two_full_steps(tmp_path):
     # at the 16^2 defaults, dt = 0.1 h and t_end = 0.1 take two full steps and a
     # shortened third; the middle state sits between two full steps
@@ -342,6 +374,12 @@ def test_unknown_task_or_geometry_exit_one(tmp_path, capsys):
         ("simulate", {**from_file, "grid": {"sizes": []}}, "grid.sizes"),
         ("simulate", {**from_file, "grid": {"sizes": [4, 4, 1]}}, "grid.sizes"),
         ("simulate", {**circle, "snapshots": "no"}, "snapshots"),
+        # a key that no reader knows: these used to run the defaults in its place
+        ("simulate", {**circle, "flow": {**circle["flow"], "sheme": "IMEX"}}, "flow.sheme"),
+        ("simulate", {**circle, "snapshot": True}, "snapshot"),
+        ("simulate", {**circle, "grid": {"sizes": [64], "size": 32}}, "grid.size"),
+        ("verify", {**torus, "flow": {"seed": 7, "t_end_steps": 2}}, "flow.t_end_steps"),
+        ("converge", {**torus, "resolution": [16, 32]}, "resolution"),
     ]
     typed_out = tmp_path / "typed"
     for task, payload, field in wrong_types:

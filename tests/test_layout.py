@@ -1,6 +1,8 @@
 """One field layout: component-first fields whose one-node slices are the pointwise API."""
 
 import ast
+import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +10,7 @@ import numpy as np
 from skewflow import (
     FlowConfig,
     FlowState,
+    cli,
     flow,
     fundamental_forms,
     geometry,
@@ -20,7 +23,8 @@ from skewflow import (
 from skewflow.geometry import _metric_block
 from skewflow.grassmann import project_field, rho_field
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "skewflow"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "skewflow"
 GEOMETRIES = (make_perturbed_circle(1.0, 0.2, 3, 32), make_perturbed_torus(1.0, 0.7, 0.05, 3, 16))
 
 
@@ -163,3 +167,24 @@ def test_no_module_level_import_is_unused():
     assert sorted(set(unused) - set(UNUSED_IMPORT_ALLOWED)) == []
     # an allowed name that is used again no longer needs its place on the list
     assert sorted(set(UNUSED_IMPORT_ALLOWED) - set(unused)) == []
+
+
+def _readme_config_blocks():
+    """The JSON of the README's config-schema block and of its geometry blocks, comments cut."""
+    readme = (ROOT / "README.md").read_text()
+    schema, kinds = re.findall(r"```jsonc\n(.*?)```", readme.split("### Config schema")[1], re.S)[:2]
+    schema = json.loads(re.sub(r"//[^\n]*", "", schema).replace("{ ... }", "{}"))
+    return schema, [json.loads(line) for line in kinds.splitlines()]
+
+
+def test_readme_config_schema_lists_the_keys_the_cli_accepts():
+    schema, _ = _readme_config_blocks()
+    listed = {None: tuple(schema), **{section: tuple(schema[section]) for section in ("grid", "flow")}}
+    assert {k: sorted(v) for k, v in listed.items()} == {k: sorted(v) for k, v in cli.CONFIG_KEYS.items()}
+
+
+def test_readme_geometry_blocks_list_the_families_and_the_file_kind():
+    _, blocks = _readme_config_blocks()
+    listed = {block.pop("kind"): tuple(block) for block in blocks}
+    families = {kind: keys for kind, (_, keys, _) in geometry.FAMILIES.items()}
+    assert listed == {**families, "file": ("path",)}

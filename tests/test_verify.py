@@ -1,4 +1,3 @@
-import inspect
 import json
 import math
 
@@ -29,9 +28,8 @@ from skewflow import (
     theorem2_suite,
     volume,
 )
+from skewflow import geometry
 from skewflow.verify import (
-    FAMILY_PARAMS,
-    PROBLEM_FAMILIES,
     PROBLEMS,
     Report,
     fit_order,
@@ -324,14 +322,25 @@ def test_convergence_study_needs_two_resolutions():
         convergence_study("diff1", [32])
 
 
-def test_every_problem_names_the_geometry_family_it_builds():
-    assert sorted(PROBLEM_FAMILIES) == sorted(PROBLEMS)
-    for name, runner in PROBLEMS.items():
-        params = inspect.signature(runner).parameters
-        if any(p.kind is p.VAR_KEYWORD for p in params.values()):
-            continue  # theorem1_mcf forwards to the runner of theorem1
-        family_params = tuple(p for p in params if p not in ("size", "flow_kind"))
-        assert family_params == FAMILY_PARAMS[PROBLEM_FAMILIES[name]], name
+@pytest.mark.parametrize(
+    "name, kwargs, unread",
+    [
+        ("identify", {"eps": 0.3}, "eps"),
+        ("identify", {"a": 1.0, "seed": 3}, "seed"),
+        ("theorem1", {"r": 1.0}, "r"),
+        ("codazzi", {"size": 16}, "size"),
+        ("diff1", {"a": 1.0}, "a"),
+        ("frozen", {"b": 0.6}, "b"),
+    ],
+)
+def test_convergence_study_rejects_a_keyword_its_family_does_not_read(monkeypatch, name, kwargs, unread):
+    calls = []
+    monkeypatch.setitem(PROBLEMS, name, (PROBLEMS[name][0], calls.append))
+    for kind, (_, keys, axes) in list(geometry.FAMILIES.items()):
+        monkeypatch.setitem(geometry.FAMILIES, kind, (lambda *args: calls.append(args), keys, axes))
+    with pytest.raises(TypeError, match=f"{name}' does not read \\['{unread}'\\]"):
+        convergence_study(name, [16, 32], **kwargs)
+    assert calls == []  # rejected before any geometry is built or residual computed
 
 
 def test_convergence_study_rejects_repeated_resolutions():
@@ -339,7 +348,7 @@ def test_convergence_study_rejects_repeated_resolutions():
 
     def counted(size, **_):
         calls.append(size)
-        return PROBLEMS["diff1"](size)
+        return PROBLEMS["diff1"][1](size)
 
     with pytest.raises(ValueError, match="distinct"):
         convergence_study(counted, [16, 16])

@@ -99,7 +99,7 @@ def _int_list(value, field: str) -> list[int]:
 
 
 def _check_keys(section: dict, keys, where: str | None, reader: str):
-    """A ConfigError naming the first key not in ``keys`` of a config section (None: the root)."""
+    """A ConfigError naming the first key not in ``keys`` of a config section (None: the root) or flag list."""
     for key in section:
         if key not in keys:
             raise ConfigError(f"{f'{where}.' if where else ''}{key} is not read by {reader}")
@@ -125,17 +125,21 @@ def load_config(path: str, overrides: argparse.Namespace) -> dict:
             raise ConfigError(f"{section} must be a JSON object, got {config[section]!r}")
     for section, keys in CONFIG_KEYS.items():
         _check_keys(config.get(section, {}) if section else config, keys, section, "any task")
+    if overrides.task == "converge":  # its problems step at stable_dt on the grids of its resolutions
+        flags = {"--dt": overrides.dt, "--t-end": overrides.t_end, "--n": overrides.n, "--snapshots": overrides.snapshots or None}
+        _check_keys([flag for flag, value in flags.items() if value is not None], (), None, "converge")
+        _check_keys(config.get("flow", {}), ("seed",), "flow", "converge")
 
     flow = config.setdefault("flow", {})
     if overrides.dt is not None:
         flow["dt"] = overrides.dt
     if overrides.t_end is not None:
         flow["t_end"] = overrides.t_end
-    if getattr(overrides, "verify_name", None):
+    if overrides.verify_name:
         config["verify_name"] = overrides.verify_name
     # the family that the config builds: geometry.kind, or under converge without one, its problem's
     kind, name = config.get("geometry", {}).get("kind"), config.get("verify_name", "theorem1")
-    if kind is None and getattr(overrides, "task", None) == "converge" and isinstance(name, str) and name in PROBLEMS:
+    if kind is None and overrides.task == "converge" and isinstance(name, str) and name in PROBLEMS:
         kind = PROBLEMS[name][0]
     _, keys, axes = FAMILIES[kind] if isinstance(kind, str) and kind in FAMILIES else (None, (), None)
     if overrides.seed is not None:
@@ -150,7 +154,7 @@ def load_config(path: str, overrides: argparse.Namespace) -> dict:
         config["output_dir"] = overrides.out
     if not isinstance(config.get("output_dir", ""), str):
         raise ConfigError(f"output_dir must be a string, got {config['output_dir']!r}")
-    if getattr(overrides, "snapshots", False):
+    if overrides.snapshots:
         config["snapshots"] = True
     if not isinstance(config.get("snapshots", False), bool):
         raise ConfigError(f"snapshots must be true or false, got {config['snapshots']!r}")

@@ -44,16 +44,7 @@ class AdaptedFrame:
         self.nu = np.atleast_2d(np.asarray(self.nu, dtype=float))
         if self.e.shape[1] != self.nu.shape[1]:
             raise FrameError("tangent and normal vectors live in different dimensions")
-        full = np.vstack([self.e, self.nu])
-        if full.shape[0] != full.shape[1]:
-            raise FrameError(
-                f"{full.shape[0]} frame vectors cannot span R^{full.shape[1]}"
-            )
-        gram = full @ full.T
-        if np.max(np.abs(gram - np.eye(self.n))) > FRAME_TOL:
-            raise FrameError("frame is not orthonormal to tolerance")
-        if np.linalg.det(full) <= 0:
-            raise FrameError("frame is negatively oriented")
+        check_frames(np.vstack([self.e, self.nu]))
 
     @property
     def n(self) -> int:
@@ -195,12 +186,29 @@ def jtilde_coeffs(coeffs) -> np.ndarray:
     return np.stack([-coeffs[:, 1], coeffs[:, 0]], axis=1)
 
 
+def check_frames(full: np.ndarray):
+    """FrameError unless each frame of a stack (..., n, n), vectors as rows, is orthonormal and oriented."""
+    if full.shape[-2] != full.shape[-1]:
+        raise FrameError(f"{full.shape[-2]} frame vectors cannot span R^{full.shape[-1]}")
+    gram = full @ np.swapaxes(full, -1, -2)
+    if np.max(np.abs(gram - np.eye(full.shape[-1]))) > FRAME_TOL:
+        raise FrameError("frame is not orthonormal to tolerance")
+    if np.any(np.linalg.det(full) <= 0):
+        raise FrameError("frame is negatively oriented")
+
+
+def oriented_q(mats: np.ndarray) -> np.ndarray:
+    """Q factors of square matrices (..., n, n), sign-fixed so that R has a positive
+    diagonal, with the last column flipped where det Q < 0; bitwise the same stacked or alone."""
+    q, r = np.linalg.qr(mats)
+    q = q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[..., None, :]  # deterministic QR representative
+    q[..., -1] = np.where((np.linalg.det(q) < 0)[..., None], -q[..., -1], q[..., -1])
+    return q
+
+
 def random_adapted_frame(rng: np.random.Generator, m: int, n: int) -> AdaptedFrame:
-    """Seeded random frame: QR of a Gaussian matrix, sign-fixed and oriented."""
-    q, r = np.linalg.qr(rng.standard_normal((n, n)))
-    q = q * np.sign(np.diag(r))  # deterministic QR representative
-    if np.linalg.det(q) < 0:
-        q[:, -1] = -q[:, -1]
+    """Seeded random frame: the oriented Q factor of one n x n Gaussian matrix."""
+    q = oriented_q(rng.standard_normal((n, n)))
     return AdaptedFrame(e=q[:, :m].T, nu=q[:, m:].T)
 
 

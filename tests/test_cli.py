@@ -199,6 +199,35 @@ def test_converge_rejects_a_geometry_its_problem_does_not_build(tmp_path, capsys
 
 
 @pytest.mark.parametrize(
+    "flags, flow, field",
+    [
+        # each of these used to run and write the table of the values converge takes itself
+        (["--dt", "5"], {}, "--dt"),
+        (["--t-end", "-1"], {}, "--t-end"),
+        (["--n", "3"], {}, "--n"),
+        (["--n", "0"], {}, "--n"),
+        (["--snapshots"], {}, "--snapshots"),
+        ([], {"dt": 5}, "flow.dt"),
+        ([], {"t_end": -1}, "flow.t_end"),
+        ([], {"flow_kind": "MCF"}, "flow.flow_kind"),
+        ([], {"scheme": "RK4"}, "flow.scheme"),
+        ([], {"output_every": 2}, "flow.output_every"),
+    ],
+)
+def test_converge_rejects_a_flag_or_flow_key_it_does_not_read(tmp_path, capsys, flags, flow, field):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "c.json", {
+        "verify_name": "diff1", "resolutions": [16, 32], "flow": {"seed": 3, **flow}, "output_dir": str(out),
+    })
+    with mock.patch.object(cli, "convergence_study") as study:
+        assert main(["converge", "--config", cfg, "--seed", "3", *flags]) == 1
+    study.assert_not_called()
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and field in err, err
+    assert list(out.glob("*")) == []
+
+
+@pytest.mark.parametrize(
     "task, geometry, sizes, field",
     [
         # each of these used to run the geometry of its kind without the key

@@ -1,5 +1,6 @@
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,7 +29,9 @@ from skewflow import (
     theorem2_suite,
     volume,
 )
-from skewflow import geometry
+from skewflow import exterior, geometry
+from skewflow.exterior import inner
+from skewflow.grassmann import check_frames, oriented_q, psi, random_adapted_frame
 from skewflow.verify import (
     PROBLEMS,
     Report,
@@ -293,6 +296,71 @@ def test_theorem2_constant_curve_residual_zero():
 
 def test_isometry_error_curve_grassmannian():
     assert isometry_max_error(seed=4, m=1, n=3, trials=500) <= 1e-12
+
+
+def _pointwise_isometry_max_error(seed, m, n, trials):
+    """The isometry check one frame at a time through the pointwise API."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(trials):
+        frame = random_adapted_frame(rng, m, n)
+        c = rng.standard_normal((m, n - m))
+        d = rng.standard_normal((m, n - m))
+        lhs = inner(psi(frame, c), psi(frame, d))
+        worst = max(worst, abs(lhs - float(np.sum(c * d))))
+    return worst
+
+
+@pytest.mark.parametrize("m, n", [(1, 3), (1, 4), (2, 4), (2, 5), (3, 5)])
+def test_isometry_max_error_is_the_pointwise_loop_bit_for_bit(m, n):
+    for seed in (0, 1, 7, 101):
+        assert isometry_max_error(seed, m, n, 200).hex() == _pointwise_isometry_max_error(seed, m, n, 200).hex()
+
+
+@pytest.mark.parametrize("m, n", [(1, 3), (2, 4), (3, 5)])
+def test_stacked_oriented_q_is_the_pointwise_random_frame_bit_for_bit(m, n):
+    trials = 50
+    stacked = oriented_q(np.random.default_rng(5).standard_normal((trials, n, n)))
+    check_frames(np.swapaxes(stacked, 1, 2))
+    rng = np.random.default_rng(5)
+    for q in stacked:
+        frame = random_adapted_frame(rng, m, n)
+        assert np.array_equal(q[:, :m].T, frame.e) and np.array_equal(q[:, m:].T, frame.nu)
+    # and the QR, sign fix and flip one matrix at a time, written out
+    for mat, q in zip(np.random.default_rng(5).standard_normal((trials, n, n)), stacked):
+        q1, r1 = np.linalg.qr(mat)
+        q1 = q1 * np.sign(np.diag(r1))
+        if np.linalg.det(q1) < 0:
+            q1[:, -1] = -q1[:, -1]
+        assert np.array_equal(q1, q)
+
+
+def test_isometry_max_error_is_one_field_computation(monkeypatch):
+    import skewflow.grassmann as grassmann
+    import skewflow.verify as verify
+
+    basis = mock.Mock(wraps=grassmann.tangent_basis_field)
+    for module in (grassmann, verify):
+        monkeypatch.setattr(module, "tangent_basis_field", basis)
+    pointwise = {}
+    for module, name in [(grassmann, "psi"), (verify, "psi"), (grassmann, "inner"), (exterior, "inner"),
+                         (grassmann, "random_adapted_frame")]:
+        pointwise[module.__name__, name] = mock.Mock(wraps=getattr(module, name))
+        monkeypatch.setattr(module, name, pointwise[module.__name__, name])
+    isometry_max_error(seed=3, m=2, n=4, trials=100)
+    assert basis.call_count == 1
+    assert {key: spy.call_count for key, spy in pointwise.items()} == dict.fromkeys(pointwise, 0)
+
+
+@pytest.mark.parametrize("trials", [0, -1])
+def test_isometry_check_of_no_trials_raises_before_work(trials, monkeypatch):
+    import skewflow.verify as verify
+
+    with pytest.raises(ValueError, match="trial"):
+        isometry_max_error(seed=1, m=2, n=4, trials=trials)
+    monkeypatch.setattr(verify, "frame_curve", mock.Mock(side_effect=AssertionError("connection part ran")))
+    with pytest.raises(ValueError, match="trial"):
+        theorem2_suite(seed=1, h_list=[1e-2, 1e-3], trials=trials)
 
 
 def test_convergence_study_diff1_second_order():

@@ -51,6 +51,11 @@ CONFIG_KEYS = {
     "grid": ("sizes", "periods"),
     "flow": ("flow_kind", "dt", "t_end", "scheme", "output_every", "seed"),
 }
+# the root keys of the tasks that read only some of them
+ROOT_KEYS = {
+    "converge": ("geometry", "grid", "flow", "verify_name", "resolutions", "output_dir"),
+    "verify theorem2": ("flow", "verify_name", "h_list", "output_dir"),
+}
 
 
 class ConfigError(SkewflowError):
@@ -125,10 +130,16 @@ def load_config(path: str, overrides: argparse.Namespace) -> dict:
             raise ConfigError(f"{section} must be a JSON object, got {config[section]!r}")
     for section, keys in CONFIG_KEYS.items():
         _check_keys(config.get(section, {}) if section else config, keys, section, "any task")
-    if overrides.task == "converge":  # its problems step at stable_dt on the grids of its resolutions
+    # converge's problems step at stable_dt on the grids of its resolutions, and
+    # verify theorem2 draws seeded frames: neither reads a step, a grid size or snapshots
+    reader = "converge" if overrides.task == "converge" else None
+    if overrides.task == "verify" and (overrides.verify_name or config.get("verify_name")) == "theorem2":
+        reader = "verify theorem2"
+    if reader is not None:
         flags = {"--dt": overrides.dt, "--t-end": overrides.t_end, "--n": overrides.n, "--snapshots": overrides.snapshots or None}
-        _check_keys([flag for flag, value in flags.items() if value is not None], (), None, "converge")
-        _check_keys(config.get("flow", {}), ("seed",), "flow", "converge")
+        _check_keys([flag for flag, value in flags.items() if value is not None], (), None, reader)
+        _check_keys(config, ROOT_KEYS[reader], None, reader)
+        _check_keys(config.get("flow", {}), ("seed",), "flow", reader)
 
     flow = config.setdefault("flow", {})
     if overrides.dt is not None:

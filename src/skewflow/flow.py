@@ -12,23 +12,26 @@ the two axes add and it is smaller).  The "IMEX" scheme (``imex``) lifts the
 limit on curves and tori alike.
 
 One flow operator serves curves and tori and every scheme, in two
-functions: ``_coefficients`` freezes it at some positions, starting with the
-metric block that GeometryCache runs too, and ``_apply`` maps the positions
-in its padded buffer to M (g^{ij} D_ij x), with D_ij the second differences
-that GeometryCache takes too and M the quarter turn J w = *(w ^ xi) of
-``geometry.quarter_turn`` with the unit tangent m-vector xi, or the normal
-projection -J^2.  The velocity and RK4 freeze at each stage's positions
-and apply once; IMEX freezes once per step (twice in a run's first step,
-which has no earlier state to extrapolate from) and applies once per
-Krylov vector.  ``run`` keeps the positions component-first, (n, *sizes),
-and gives the stepper one workspace of preallocated buffers, so a step
-allocates no grid-sized array; recorded states are copied out in the layout
-of ``Immersion.F``.  ``step`` and ``velocity`` allocate a workspace per call.
+functions that run the same lines in either dimension, over the tangent
+legs and the axis pairs i <= j: ``_coefficients`` freezes it at some
+positions, starting with the metric block that GeometryCache runs too, and
+``_apply`` maps the positions in its padded buffer to M (g^{ij} D_ij x),
+with D_ij the second differences that GeometryCache takes too and M the
+quarter turn J w = *(w ^ xi) of ``geometry.quarter_turn`` with the unit
+tangent m-vector xi, or the normal projection -J^2.  The velocity and RK4
+freeze at each stage's positions and apply once; IMEX freezes once per step
+(twice in a run's first step, which has no earlier state to extrapolate
+from) and applies once per Krylov vector.  ``run`` keeps the positions
+component-first, (n, *sizes), and gives the stepper one workspace of
+preallocated buffers, so a step allocates no grid-sized array; recorded
+states are copied out in the layout of ``Immersion.F``.  ``step`` and
+``velocity`` allocate a workspace per call.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import comb
 
 import numpy as np
 
@@ -101,46 +104,44 @@ class _Operator(_Stencils):
     """The metric block's buffers plus those of the flow operator, allocated
     once per run.
 
-    ``_coefficients`` overwrites the metric block's buffers; ``coef`` takes
-    g's storage and ``terms`` lists the (i, j, c_ij) of c_ij D_ij in the
-    order ``_apply`` sums them.  ``xi`` is the unit tangent m-vector: t_0's
-    storage on curves, and on tori a buffer of its own, after which the
-    tangents are dead, so t_1's storage holds ``w``, the sum c_ij D_ij x.
-    ``prod`` and ``tmp`` are scratch.
+    ``_coefficients`` overwrites the metric block's buffers.  ``terms`` lists
+    the (i, j, c_ij) of c_ij D_ij over the pairs i <= j, in the order
+    ``_apply`` sums them.  The c_ij take g's first slots, in the pairs'
+    lexicographic order; ``coefficients`` holds (c_ij, minor, factor) in the
+    cofactors' order, last slot first, so no entry of g is overwritten
+    before its last read.  ``xi``, the unit tangent m-vector, has a buffer of
+    its own; the tangents are dead after it, so the last leg's storage holds
+    ``w``, the sum c_ij D_ij x.  ``prod`` and ``tmp`` are scratch.
     """
 
     def __init__(self, grid, kind):
         super().__init__(grid)
         m, sizes = grid.m, grid.sizes
         self.grid, self.kind = grid, kind
-        c = self.coef = self.g.reshape((-1,) + sizes)[: 2 * m - 1]
-        if m == 1:
-            self.xi, self.w, self.terms = self.t[0], np.empty((3,) + sizes), [(0, 0, c[0])]
-        else:  # xi has C(4, 2) components
-            self.xi, self.w, self.terms = np.empty((6,) + sizes), self.t[1], [(0, 0, c[0]), (1, 1, c[2]), (0, 1, c[1])]
+        slots = dict(zip(sorted(self.pairs), self.g.reshape((-1,) + sizes)))
+        self.terms = [(i, j, slots[i, j]) for i, j in self.pairs]
+        self.coefficients = [(slots[i, j], minor, sign if i == j else 2.0 * sign) for i, j, minor, sign in self.cofactors]
+        # xi = t_0 ^ ... ^ t_{m-1}, folded from the first leg: one wedge on tori, none on curves
+        self.head, self.legs = self.t[0], list(enumerate(self.t[1:], 1))
+        self.xi, self.w = np.empty((comb(m + 2, m),) + sizes), self.t[-1]
 
 
 def _coefficients(f: np.ndarray, time: float | None, ws: _Operator) -> None:
     """Freeze the flow operator at positions f (n, *sizes).
 
     Runs the metric block, which fills the padded buffer with f, then keeps
-    the unit xi and c_ij = g^{ij}, doubled off the diagonal: xi = t_0 / |t_0|
-    and c00 = 1/g_00 on curves, xi = t_0 ^ t_1 / sqrt(det g), c00 = g11/det g,
-    c01 = -2 g01/det g and c11 = g00/det g on tori.
+    the unit xi = t_0 ^ ... ^ t_{m-1} / sqrt(det g) and c_ij = g^{ij},
+    doubled off the diagonal, from the cofactors of g (``_closed_forms``).
     """
     _metric_block(f, ws.grid, time, ws)
-    if ws.grid.m == 1:
-        ws.xi /= ws.min_sv  # |t_0| = sqrt(g_00)
-        np.reciprocal(ws.coef[0], out=ws.coef[0])
-    else:
-        g, det_g, c = ws.g, ws.det_g, ws.coef
-        wedge_field(ws.t[0], ws.t[1], 1, 1, 4, out=ws.xi, scratch=ws.tmp)
-        ws.xi /= np.sqrt(det_g, out=ws.gap)
-        # c is g's storage: c11 goes to the free g10 first, then c00 over g00
-        np.divide(g[0, 0], det_g, out=c[2])
-        np.divide(g[1, 1], det_g, out=c[0])
-        c[1] *= -2.0
-        c[1] /= det_g
+    xi = ws.head
+    for p, leg in ws.legs:
+        xi = wedge_field(xi, leg, p, 1, len(f), out=ws.xi, scratch=ws.tmp)
+    np.divide(xi, np.sqrt(ws.det_g, out=ws.gap), out=ws.xi)
+    for c, minor, factor in ws.coefficients:
+        np.divide(minor, ws.det_g, out=c)
+        if factor != 1.0:  # off the diagonal: the cofactor's sign, doubled
+            c *= factor
 
 
 def _normal_part(v: np.ndarray, out: np.ndarray, middle: np.ndarray, ws: _Operator) -> np.ndarray:
@@ -175,14 +176,14 @@ def explicit_step_bound(imm: Immersion) -> float:
     """RK4_LIMIT / lambda_max, the largest stable RK4 step of either flow at imm.
 
     lambda_max bounds the spectral radius of the operator frozen at imm: the
-    nodewise maximum of the sum of 4 c_ii/h_i^2 and |c01|/(h0 h1), the
+    nodewise maximum of the sum of 4 c_ii/h_i^2 and |c_ij|/(h_i h_j), the
     largest modulus of the frozen symbol of c_ij D_ij.  J and P_N do not
     enlarge it.  Raises DegenerateImmersionError where the metric block does.
     """
     ws = _Operator(imm.grid, "SMCF")
     _coefficients(np.moveaxis(imm.F, -1, 0), None, ws)
     h = imm.grid.spacings
-    lam = sum(4.0 * c / (h[i] * h[i]) if i == j else np.abs(c) / (h[0] * h[1]) for i, j, c in ws.terms)
+    lam = sum(4.0 * c / (h[i] * h[i]) if i == j else np.abs(c) / (h[i] * h[j]) for i, j, c in ws.terms)
     return RK4_LIMIT / float(np.max(lam))
 
 

@@ -1,7 +1,10 @@
 """Discrete codimension-two immersions on uniform periodic grids.
 
 Supported cases: closed curves in R^3 (m = 1) and tori in R^4 (m = 2).
-All derivatives are second-order centered differences with periodic
+One code path serves both: the kernels loop over the grid axes and the
+axis pairs i <= j, and only ``_closed_forms`` (det g, min_sv and the
+cofactors of g, which hold for m <= 2) branches on the dimension.  All
+derivatives are second-order centered differences with periodic
 wraparound, so every downstream residual inherits a single O(h^2)
 convergence theory.  Per-node quantities are stored component-first: the
 structural axes lead and the grid axes trail, e.g. tangent frames have
@@ -15,13 +18,14 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations
 
 import numpy as np
 
 from .errors import DegenerateImmersionError, UnsupportedCaseError
-from .exterior import MultiVector, wedge_field
+from .exterior import wedge_field
 # project_field and tangent_basis_field are re-exported for the benchmark tracer, which looks them up here
-from .grassmann import AdaptedFrame, GrassmannPoint, project_field, rho_field, tangent_basis_field
+from .grassmann import project_field, rho_field, tangent_basis_field
 
 TWO_PI = 2.0 * np.pi
 RANK_TOL = 1e-6  # smallest admissible singular value of the tangent map
@@ -136,40 +140,70 @@ def _check_rank(min_sv: np.ndarray, sizes: tuple[int, ...], time: float | None) 
     )
 
 
+def _closed_forms(g: np.ndarray, sizes: tuple[int, ...]):
+    """The closed forms of m <= 2, the one place that branches on the dimension.
+
+    For the metric's storage g, (m, m, *sizes): det g's storage (g_00's own
+    when m = 1); the cofactors, (i, j, minor, sign) per pair i <= j, last
+    pair first, with g^{ij} = sign minor / det g; and ``det_and_sv2(min_sv, gap,
+    tmp)``, which writes det g, and min_sv^2 into min_sv (the smallest
+    eigenvalue of g, clipped at 0), with gap and tmp as scratch.
+    """
+    if len(g) == 1:  # det g is g_00, its one cofactor the empty minor 1
+        return g[0, 0], [(0, 0, 1.0, 1.0)], lambda min_sv, gap, tmp: np.maximum(g[0, 0], 0.0, out=min_sv)
+    det_g = np.empty(sizes)
+
+    def det_and_sv2(min_sv, gap, tmp):
+        np.multiply(g[0, 0], g[1, 1], out=det_g)
+        np.multiply(g[0, 1], g[0, 1], out=tmp)  # leaves g01^2 in tmp
+        np.subtract(det_g, tmp, out=det_g)
+        # trace/2 - sqrt(((g00 - g11)/2)^2 + g01^2)
+        np.add(g[0, 0], g[1, 1], out=min_sv)
+        min_sv *= 0.5
+        np.subtract(g[0, 0], g[1, 1], out=gap)
+        gap *= 0.5
+        np.power(gap, 2, out=gap)
+        gap += tmp
+        np.sqrt(np.maximum(gap, 0.0, out=gap), out=gap)
+        min_sv -= gap
+        return np.maximum(min_sv, 0.0, out=min_sv)
+
+    return det_g, [(1, 1, g[0, 0], 1.0), (0, 1, g[0, 1], -1.0), (0, 0, g[1, 1], 1.0)], det_and_sv2
+
+
 class _Stencils:
     """The grid-sized buffers of the metric block, component-first.
 
     ``pad`` holds positions (n, *sizes) with one periodic ghost cell on each
     side of every grid axis; ``center``, ``plus[i]`` and ``minus[i]`` view it
-    shifted along axis i, and on tori ``corners`` shifted along both (++,
-    +-, -+, --).  The tangents ``t`` (m, n, *sizes), the metric ``g`` (m, m,
-    *sizes), ``det_g`` (g_00 itself when m = 1) and ``min_sv`` receive the
-    block; ``prod``, ``gap`` and ``tmp`` are scratch.
+    shifted along axis i, and ``corners[i, j]`` shifted along both axes of a
+    pair i < j (++, +-, -+, --).  ``pairs`` lists the pairs i <= j, the
+    diagonal ones first.  The tangents ``t`` (m, n, *sizes), the metric ``g``
+    (m, m, *sizes), ``det_g`` and ``min_sv`` receive the block, whose closed
+    forms also give ``cofactors``; ``prod``, ``gap`` and ``tmp`` are scratch.
     """
 
     def __init__(self, grid):
         m, sizes = grid.m, grid.sizes
         pad = self.pad = np.empty((m + 2,) + tuple(s + 2 for s in sizes))
+        unit = np.eye(m, dtype=int)
 
-        def shifted(axis, by):
-            index = [slice(None)] + [slice(1, -1)] * m
-            index[axis + 1] = slice(1 + by, sizes[axis] + 1 + by)
-            return pad[tuple(index)]
+        def shifted(by):  # by[i] is the shift along axis i
+            return pad[(slice(None),) + tuple(slice(1 + b, s + 1 + b) for s, b in zip(sizes, by))]
 
-        self.center = shifted(0, 0)
-        self.plus = [shifted(i, 1) for i in range(m)]
-        self.minus = [shifted(i, -1) for i in range(m)]
-        if m == 2:
-            self.corners = (pad[:, 2:, 2:], pad[:, 2:, :-2], pad[:, :-2, 2:], pad[:, :-2, :-2])
+        self.center = shifted([0] * m)
+        self.plus, self.minus = [shifted(u) for u in unit], [shifted(-u) for u in unit]
+        self.pairs = [(i, i) for i in range(m)] + list(combinations(range(m), 2))
+        self.corners = {(i, j): tuple(shifted(a * unit[i] + b * unit[j]) for a in (1, -1) for b in (1, -1))
+                        for i, j in combinations(range(m), 2)}
         # (ghost, source) pairs, axis by axis so that the corners come out right
         self.ghosts = []
         for axis in range(1, m + 1):
             lead, rest = (slice(None),) * axis, (slice(1, -1),) * (m - axis)
             self.ghosts += [(pad[lead + (0,) + rest], pad[lead + (-2,) + rest])]
             self.ghosts += [(pad[lead + (-1,) + rest], pad[lead + (1,) + rest])]
-        self.t = np.empty((m, m + 2) + sizes)
-        self.g = np.empty((m, m) + sizes)
-        self.det_g = self.g[0, 0] if m == 1 else np.empty(sizes)
+        self.t, self.g = np.empty((m, m + 2) + sizes), np.empty((m, m) + sizes)
+        self.det_g, self.cofactors, self.det_and_sv2 = _closed_forms(self.g, sizes)
         self.min_sv, self.gap, self.tmp = (np.empty(sizes) for _ in range(3))
         self.prod = np.empty((m + 2,) + sizes)
 
@@ -190,11 +224,11 @@ def _second_difference(ws: _Stencils, h: tuple[float, ...], i: int, j: int, out:
         out += ws.minus[i]
         out /= h[i] * h[i]
     else:
-        pp, pm, mp, mm = ws.corners
+        pp, pm, mp, mm = ws.corners[i, j]
         np.subtract(pp, pm, out=out)
         out -= mp
         out += mm
-        out /= 4.0 * h[0] * h[1]
+        out /= 4.0 * h[i] * h[j]
     return out
 
 
@@ -205,34 +239,16 @@ def _metric_block(f: np.ndarray, grid: PeriodicGrid, time: float | None, ws: _St
     DegenerateImmersionError, naming the node and ``time``, unless every
     tangent singular value is finite and >= RANK_TOL.
     """
-    m, h, t, g = grid.m, grid.spacings, ws.t, ws.g
+    h, t, g = grid.spacings, ws.t, ws.g
     _fill_pad(f, ws)
     for i, (p, q, ti) in enumerate(zip(ws.plus, ws.minus, t)):
         np.subtract(p, q, out=ti)
         ti /= 2.0 * h[i]
-    for i in range(m):
-        for j in range(i, m):
-            np.multiply(t[i], t[j], out=ws.prod)
-            np.add.reduce(ws.prod, axis=0, out=g[i, j])
-    min_sv, gap, tmp = ws.min_sv, ws.gap, ws.tmp
-    if m == 1:
-        np.sqrt(np.maximum(g[0, 0], 0.0, out=min_sv), out=min_sv)
-    else:
-        g[1, 0] = g[0, 1]
-        np.multiply(g[0, 0], g[1, 1], out=ws.det_g)
-        np.multiply(g[0, 1], g[0, 1], out=tmp)  # leaves g01^2 in tmp
-        ws.det_g -= tmp
-        # smallest singular value: sqrt(trace/2 - sqrt(((g00 - g11)/2)^2 + g01^2))
-        np.add(g[0, 0], g[1, 1], out=min_sv)
-        min_sv *= 0.5
-        np.subtract(g[0, 0], g[1, 1], out=gap)
-        gap *= 0.5
-        np.power(gap, 2, out=gap)
-        gap += tmp
-        np.sqrt(np.maximum(gap, 0.0, out=gap), out=gap)
-        min_sv -= gap
-        np.sqrt(np.maximum(min_sv, 0.0, out=min_sv), out=min_sv)
-    _check_rank(min_sv, grid.sizes, time)
+    for i, j in ws.pairs:
+        np.multiply(t[i], t[j], out=ws.prod)
+        g[j, i] = np.add.reduce(ws.prod, axis=0, out=g[i, j])
+    np.sqrt(ws.det_and_sv2(ws.min_sv, ws.gap, ws.tmp), out=ws.min_sv)
+    _check_rank(ws.min_sv, grid.sizes, time)
 
 
 def tangent_data(t: np.ndarray) -> np.ndarray:
@@ -241,10 +257,10 @@ def tangent_data(t: np.ndarray) -> np.ndarray:
     Gram-Schmidt in fixed direction order, so e_1 is the unit first tangent.
     """
     e = np.empty_like(t)
-    e[0] = t[0] / np.linalg.norm(t[0], axis=0)
-    if len(t) == 2:
-        u = t[1] - np.einsum("n...,n...->...", t[1], e[0]) * e[0]
-        e[1] = u / np.linalg.norm(u, axis=0)
+    for i, u in enumerate(t):
+        for l in range(i):
+            u = u - np.einsum("n...,n...->...", u, e[l]) * e[l]
+        e[i] = u / np.linalg.norm(u, axis=0)
     return e
 
 
@@ -275,12 +291,13 @@ class GeometryCache:
     the smallest singular value of the tangent map; it raises
     DegenerateImmersionError, naming the node and ``time``, when ``min_sv``
     drops below RANK_TOL anywhere.  The rest are cached properties: ``g_inv``
-    (m, m), the orthonormal frames ``e`` (m, n) and ``nu`` (k, n), ``R``
-    (m, m) with e_i = sum_l R[i, l] d_l F, the plane field ``rho`` (C(n, m)),
-    the second fundamental form ``A`` (k, m, m) against nu, the mean
-    curvature vector ``H`` (n), both from the flow operator's second
-    differences of the padded positions, and ``grad_H_perp`` (m, n), the
-    normal part of its coordinate derivatives.  Immutable by convention.
+    (m, m) from the cofactors of g, the orthonormal frames ``e`` (m, n) and
+    ``nu`` (k, n), ``R`` (m, m) with e_i = sum_l R[i, l] d_l F, the plane
+    field ``rho`` (C(n, m)), the second fundamental form ``A`` (k, m, m)
+    against nu, the mean curvature vector ``H`` (n), both from the flow
+    operator's second differences of the padded positions, and
+    ``grad_H_perp`` (m, n), the normal part of its coordinate derivatives.
+    Immutable by convention.
     """
 
     def __init__(self, imm: Immersion, time: float | None = None):
@@ -291,20 +308,16 @@ class GeometryCache:
         self._stencils, self.f = ws, ws.center  # the positions, (n, *sizes)
         self.t, self.g, self.det_g, self.min_sv = ws.t, ws.g, ws.det_g, ws.min_sv
 
-    @property
-    def m(self) -> int:
-        return self.grid.m
-
     @cached_property
     def sqrt_det_g(self) -> np.ndarray:
         return np.sqrt(self.det_g)
 
     @cached_property
     def g_inv(self) -> np.ndarray:
-        g = self.g
-        if self.m == 1:
-            return 1.0 / g
-        return np.array([[g[1, 1], -g[0, 1]], [-g[0, 1], g[0, 0]]]) / self.det_g
+        cofactors = np.empty_like(self.g)
+        for i, j, minor, sign in self._stencils.cofactors:
+            cofactors[j, i] = np.multiply(minor, sign, out=cofactors[i, j])
+        return cofactors / self.det_g
 
     @cached_property
     def e(self) -> np.ndarray:
@@ -328,13 +341,10 @@ class GeometryCache:
         Not cached: few callers read both A and H, and keeping it would hold
         another 8 MiB per geometry at 256^2.
         """
-        h, m = self.grid.spacings, self.m
+        h, m = self.grid.spacings, self.grid.m
         d2 = np.empty((m, m) + self.f.shape)
-        for i in range(m):
-            for j in range(i, m):
-                _second_difference(self._stencils, h, i, j, d2[i, j])
-        if m == 2:
-            d2[1, 0] = d2[0, 1]
+        for i, j in self._stencils.pairs:
+            d2[j, i] = _second_difference(self._stencils, h, i, j, d2[i, j])
         tang = np.einsum("ijn...,ln...->ijl...", d2, self.e)
         d2 -= np.einsum("ijl...,ln...->ijn...", tang, self.e)
         return d2
@@ -349,17 +359,9 @@ class GeometryCache:
 
     @cached_property
     def grad_H_perp(self) -> np.ndarray:
-        dH = np.stack([diff1(self.H, self.grid, i) for i in range(self.m)])
+        dH = np.stack([diff1(self.H, self.grid, i) for i in range(self.grid.m)])
         e = self.e
         return dH - np.einsum("il...,ln...->in...", np.einsum("in...,ln...->il...", dH, e), e)
-
-    def frame_at(self, node) -> AdaptedFrame:
-        at = (...,) + np.index_exp[node]
-        return AdaptedFrame(e=self.e[at], nu=self.nu[at])
-
-    def point_at(self, node) -> GrassmannPoint:
-        rho = self.rho[(...,) + np.index_exp[node]]
-        return GrassmannPoint(xi=MultiVector(len(self.f), self.m, rho), frame=self.frame_at(node))
 
 
 def fundamental_forms(imm: Immersion, time: float | None = None) -> GeometryCache:
@@ -406,8 +408,8 @@ def rotate_normal_field(e: np.ndarray, w: np.ndarray) -> np.ndarray:
     tangent frame is, which matters when differentiating rotated fields.
     """
     m, n = e.shape[:2]
-    if (m, n) not in ((1, 3), (2, 4)):
-        raise UnsupportedCaseError(f"normal rotation fields need (m, n) in {{(1,3),(2,4)}}, got {(m, n)}")
+    if n != m + 2:
+        raise UnsupportedCaseError(f"normal rotation fields need codimension two, got (m, n) = {(m, n)}")
     return quarter_turn(w, rho_field(e))
 
 

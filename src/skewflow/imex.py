@@ -53,8 +53,8 @@ class _Imex(_Operator):
         self.gain = np.empty(half)
         # symbols of D_i (over i) and D_ii per axis, shaped to broadcast over the spectrum
         self.first, self.second = [], []
-        for axis, (size, h) in enumerate(zip(sizes, grid.spacings)):
-            freq = np.fft.rfftfreq(size) if axis == m - 1 else np.fft.fftfreq(size)
+        freqs = [np.fft.fftfreq(size) for size in sizes[:-1]] + [np.fft.rfftfreq(sizes[-1])]
+        for axis, (freq, h) in enumerate(zip(freqs, grid.spacings)):
             kh = (2.0 * np.pi * freq).reshape([-1 if a == axis else 1 for a in range(m)])
             self.first.append(np.sin(kh) / h)
             self.second.append((2.0 * np.cos(kh) - 2.0) / (h * h))
@@ -67,13 +67,13 @@ def _freeze(f: np.ndarray, time: float, s: float, ws: _Imex) -> None:
     coefficients c_ij.
     """
     _coefficients(f, time, ws)
-    lam, mean = ws.gain, [float(np.mean(ci)) for ci in ws.coef]
-    if ws.grid.m == 1:
-        np.multiply(ws.second[0], mean[0], out=lam)
-    else:
-        np.multiply(ws.first[0], -mean[1] * ws.first[1], out=lam)
-        lam += mean[0] * ws.second[0]
-        lam += mean[2] * ws.second[1]
+    lam, symbols = ws.gain, []
+    for i, j, c in sorted(ws.terms, key=lambda t: t[0] == t[1]):  # off-diagonal first: the order moves the solves
+        mean = float(np.mean(c))
+        symbols.append((ws.second[i], mean) if i == j else (ws.first[i], -mean * ws.first[j]))
+    np.multiply(*symbols[0], out=lam)
+    for a, b in symbols[1:]:
+        lam += a * b
     # 1/d with d = 1 + s^2 lambda^2 (skew flow) or 1 - s lambda (mean curvature flow)
     if ws.kind == "SMCF":
         lam *= s

@@ -475,19 +475,15 @@ def save_residual_csv(report: Report, path):
     """Per-node residual field; one row per node with its grid multi-index.
 
     The bytes are those of ``csv.writer`` (CRLF rows of ints and float
-    reprs), written one grid row at a time.
+    reprs), written one grid row at a time, for any number of grid axes.
     """
     field = np.asarray(report.field, dtype=float)
-    if field.ndim not in (1, 2):
-        raise ValueError("residual fields are 1- or 2-dimensional")
+    labels = [[f"{i}," for i in range(size)] for size in field.shape[:-1]]  # "i," per index of a leading axis
     with open(path, "w", newline="") as fh:
-        if field.ndim == 1:
-            fh.write("i,residual\r\n")
-            fh.writelines(f"{i},{v!r}\r\n" for i, v in enumerate(field.tolist()))
-            return
-        fh.write("i,j,residual\r\n")
-        for i, row in enumerate(field):
-            fh.writelines(f"{i},{j},{v!r}\r\n" for j, v in enumerate(row.tolist()))
+        fh.write("".join(f"{chr(ord('i') + axis)}," for axis in range(field.ndim)) + "residual\r\n")
+        for row in np.ndindex(field.shape[:-1]):
+            head = "".join(labels[axis][i] for axis, i in enumerate(row))
+            fh.writelines(f"{head}{j},{v!r}\r\n" for j, v in enumerate(field[row].tolist()))
 
 
 def save_table_csv(table: ConvergenceTable, path):

@@ -130,10 +130,15 @@ def test_verify_codazzi_and_identify(tmp_path):
         assert read_json(out / "report.json")["name"] == name
 
 
+def theorem2_config(tmp_path, out, **extra):
+    """The keys that verify theorem2 reads, as the frame-algebra benchmark passes them."""
+    return write_config(tmp_path / "t2.json", {"verify_name": "theorem2", "flow": {"seed": 7}, "output_dir": str(out), **extra})
+
+
 def test_verify_theorem2_and_conservation(tmp_path):
     out = tmp_path / "t2"
-    cfg = torus_config(tmp_path, out)
-    assert main(["verify", "--config", cfg, "--verify-name", "theorem2"]) == 0
+    cfg = theorem2_config(tmp_path, out, h_list=[1e-2, 1e-3, 1e-4])
+    assert main(["verify", "--config", cfg, "--seed", "7"]) == 0
     doc = read_json(out / "convergence_table.json")
     assert doc["observed_order"] >= 0.9
     assert doc["params"]["isometry_max"] <= 1e-12
@@ -154,11 +159,36 @@ def test_verify_theorem2_and_conservation(tmp_path):
 )
 def test_verify_theorem2_bad_h_list_exit_one(tmp_path, capsys, h_list):
     out = tmp_path / "t2"
-    cfg = torus_config(tmp_path, out, h_list=h_list)
-    assert main(["verify", "--config", cfg, "--verify-name", "theorem2"]) == 1
+    cfg = theorem2_config(tmp_path, out, h_list=h_list)
+    assert main(["verify", "--config", cfg]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "h_list" in err, err
     assert not (out / "convergence_table.json").exists()
+
+
+@pytest.mark.parametrize(
+    "flags, extra, field",
+    [
+        # each of these used to run, reading none of it
+        (["--n", "3", "--dt", "5"], {"geometry": {"kind": "nope"}, "grid": {"sizes": [3]}}, "--dt"),
+        ([], {"geometry": {"kind": "nope"}, "grid": {"sizes": [3]}}, "geometry"),
+        ([], {"grid": {"sizes": [16, 16]}}, "grid"),
+        ([], {"resolutions": [16, 32]}, "resolutions"),
+        ([], {"snapshots": True}, "snapshots"),
+        ([], {"flow": {"seed": 7, "t_end": 1.0}}, "flow.t_end"),
+        (["--t-end", "1"], {}, "--t-end"),
+        (["--snapshots"], {}, "--snapshots"),
+    ],
+)
+def test_verify_theorem2_rejects_a_key_or_flag_it_does_not_read(tmp_path, capsys, flags, extra, field):
+    out = tmp_path / "t2"
+    cfg = write_config(tmp_path / "t2.json", {"verify_name": "theorem2", "output_dir": str(out), **extra})
+    with mock.patch.object(cli, "theorem2_suite") as suite:
+        assert main(["verify", "--config", cfg, *flags]) == 1
+    suite.assert_not_called()
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and field in err, err
+    assert list(out.glob("*")) == []
 
 
 def test_converge_writes_table(tmp_path):
@@ -225,6 +255,21 @@ def test_converge_rejects_a_flag_or_flow_key_it_does_not_read(tmp_path, capsys, 
     err = capsys.readouterr().err
     assert err.startswith("error: ") and field in err, err
     assert list(out.glob("*")) == []
+
+
+@pytest.mark.parametrize("extra, field", [({"snapshots": True, "h_list": [5]}, "snapshots"), ({"h_list": [5]}, "h_list")])
+def test_converge_rejects_a_root_key_it_does_not_read(tmp_path, capsys, extra, field):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "c.json", {"verify_name": "diff1", "resolutions": [16, 32], **extra, "output_dir": str(out)})
+    with mock.patch.object(cli, "convergence_study") as study:
+        assert main(["converge", "--config", cfg]) == 1
+    study.assert_not_called()
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and field in err, err
+    assert list(out.glob("*")) == []
+    # a grid block stays accepted: configs share it with verify
+    cfg = write_config(tmp_path / "c.json", {"verify_name": "diff1", "resolutions": [16, 32], "grid": {"sizes": [16]}, "output_dir": str(out)})
+    assert main(["converge", "--config", cfg]) == 0
 
 
 @pytest.mark.parametrize(

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from skewflow import (
+    AdaptedFrame,
     FlowConfig,
     FlowState,
     Immersion,
@@ -96,7 +97,8 @@ def test_velocity_matches_frame_rotation_of_H():
         cache = fundamental_forms(imm)
         v = velocity(imm, "SMCF")
         for node in np.ndindex(imm.grid.sizes):
-            expect = normal_rotate(cache.frame_at(node), cache.H[(..., *node)])
+            at = (..., *node)
+            expect = normal_rotate(AdaptedFrame(cache.e[at], cache.nu[at]), cache.H[at])
             assert np.max(np.abs(v[node] - expect)) < 1e-12
         assert np.max(np.abs(velocity(imm, "MCF") - np.moveaxis(cache.H, 0, -1))) < 1e-12
 

@@ -24,7 +24,8 @@ from skewflow.geometry import (
     rotate_normal_field,
     tangent_basis_field,
 )
-from skewflow.grassmann import normal_rotate
+from skewflow.exterior import MultiVector
+from skewflow.grassmann import AdaptedFrame, GrassmannPoint, check_frames, normal_rotate
 
 
 def radial_fields(imm):
@@ -90,7 +91,7 @@ def test_frame_field_circle():
     got = np.einsum("an...,am...->nm...", frames.nu, frames.nu)
     expect_proj = np.einsum("n...,m...->nm...", radial, radial) + np.einsum("n...,m...->nm...", ez, ez)
     assert np.max(np.abs(got - expect_proj)) < 1e-12
-    frames.frame_at((5,))  # validates orthonormality and orientation
+    check_frames(np.moveaxis(np.concatenate([frames.e, frames.nu]), (0, 1), (-2, -1)))  # orthonormal and oriented
 
 
 def test_frame_field_product_torus_direct_differentiation():
@@ -300,8 +301,10 @@ def test_gauss_field_flat_patch_constant_interior():
 def test_gauss_field_point_accessor():
     imm = make_product_torus(1.0, 0.7, 16)
     field = fundamental_forms(imm)
-    point = field.point_at((3, 9))  # validates unit norm, simplicity, frame match
-    assert point.frame is not None
+    at = (..., 3, 9)
+    frame = AdaptedFrame(field.e[at], field.nu[at])
+    point = GrassmannPoint(xi=MultiVector(4, 2, field.rho[at]), frame=frame)  # validates unit norm, simplicity, frame match
+    assert point.frame is frame
 
 
 def test_gauge_independence_of_rho_and_H():
@@ -377,7 +380,7 @@ def test_normal_connection_commutes_with_rotation():
 
 
 def test_projection_field_matches_pointwise(tmp_path):
-    from skewflow.exterior import MultiVector, inner, wedge_vectors
+    from skewflow.exterior import inner, wedge_vectors
 
     rng = np.random.default_rng(33)
     imm = make_perturbed_torus(1.0, 0.8, 0.05, 2, 16)
@@ -385,7 +388,7 @@ def test_projection_field_matches_pointwise(tmp_path):
     w = rng.standard_normal((6,) + imm.grid.sizes)
     coeffs = project_field(cache.e, cache.nu, w)
     for node in [(0, 0), (7, 3), (12, 15)]:
-        frame = cache.frame_at(node)
+        frame = AdaptedFrame(cache.e[(..., *node)], cache.nu[(..., *node)])
         expect = np.empty((2, 2))
         for i in range(2):
             for alpha in range(2):
@@ -419,7 +422,7 @@ def test_normal_completion_tie_nodes():
         nodes = [tuple(s // 8 for s in sizes)] + [tuple(int(rng.integers(s)) for s in sizes) for _ in range(4)]
         for node in nodes:
             at = (...,) + node
-            assert np.max(np.abs(nu[1][at] - normal_rotate(cache.frame_at(node), nu[0][at]))) < 1e-12
+            assert np.max(np.abs(nu[1][at] - normal_rotate(AdaptedFrame(e[at], nu[at]), nu[0][at]))) < 1e-12
 
 
 def test_torus_families_match_the_meshgrid_formula_bitwise():

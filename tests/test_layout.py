@@ -42,6 +42,15 @@ def test_geometry_cache_metric_block_is_the_flow_kernels(monkeypatch):
         for name, kernel_value in seen.items():
             assert getattr(cache, name).shape == kernel_value.shape
             assert np.array_equal(getattr(cache, name), kernel_value), name
+        # one inverse metric: the cache's g^{ij} against LAPACK, and the flow
+        # operator's frozen c_ij, which are g^{ij} doubled off the diagonal
+        reference = np.moveaxis(np.linalg.inv(np.moveaxis(cache.g, (0, 1), (-2, -1))), (-2, -1), (0, 1))
+        assert np.max(np.abs(cache.g_inv - reference)) <= 1e-13 * np.max(np.abs(reference))
+        ws = flow._Operator(imm.grid, "SMCF")
+        flow._coefficients(np.moveaxis(imm.F, -1, 0), None, ws)
+        assert sorted((i, j) for i, j, _ in ws.terms) == [(i, j) for i in range(imm.grid.m) for j in range(i, imm.grid.m)]
+        for i, j, c in ws.terms:
+            assert np.array_equal(c, cache.g_inv[i, j] * (1.0 if i == j else 2.0)), (i, j)
 
 
 def test_velocity_and_fundamental_forms_share_one_second_difference_kernel(monkeypatch):
@@ -109,16 +118,6 @@ def test_velocity_explicit_and_imex_steps_share_one_operator(monkeypatch):
         assert calls.count("coefficients") == 5 + 1
 
 
-def test_frame_and_point_accessors_are_one_node_slices():
-    for imm in GEOMETRIES:
-        cache = fundamental_forms(imm)
-        for node in [(0,) * imm.grid.m, (5,) * imm.grid.m]:
-            frame, point = cache.frame_at(node), cache.point_at(node)
-            assert np.array_equal(frame.e, cache.e[(..., *node)])
-            assert np.array_equal(frame.nu, cache.nu[(..., *node)])
-            assert np.array_equal(point.xi.coeffs, cache.rho[(..., *node)])
-
-
 def test_field_forms_on_one_frame_are_the_node_slice_of_the_field_call():
     rng = np.random.default_rng(41)
     for imm in GEOMETRIES:
@@ -167,6 +166,55 @@ def test_no_module_level_import_is_unused():
     assert sorted(set(unused) - set(UNUSED_IMPORT_ALLOWED)) == []
     # an allowed name that is used again no longer needs its place on the list
     assert sorted(set(UNUSED_IMPORT_ALLOWED) - set(unused)) == []
+
+
+# comparisons of the dimension that stay, with the reason; any other comparison
+# of m, ``.m``, ``len(...)`` or ``.ndim`` in these modules is a fork to remove
+DIMENSION_TEST_ALLOWED = {
+    ("geometry.py", "PeriodicGrid.__post_init__"): "input domain: 1 or 2 grid axes, one period per axis",
+    ("geometry.py", "_closed_forms"): "det g, min_sv and the cofactors of g in closed form, which hold for m <= 2",
+    ("geometry.py", "rotate_normal_field"): "input domain: codimension two, n = m + 2, for any m",
+    ("flow.py", "Trajectory.__post_init__"): "counts the grids of a trajectory, not their axes",
+    ("verify.py", "dt_rho_numeric"): "input domain: the index needs both neighbors in the trajectory",
+    ("verify.py", "theorem2_suite"): "input domain: counts the steps of h_list",
+    ("verify.py", "convergence_study"): "input domain: counts the resolutions",
+}
+# per-axis sequences; a constant index >= 0 into one of them fixes an axis
+AXIS_INDEXED = {"h", "spacings", "sizes", "periods", "plus", "minus", "corners", "first", "second", "g", "g_inv"}
+
+
+def _dimension_forks(tree):
+    """(qualified name of the enclosing definition, line) of every comparison
+    that mentions the dimension and of every constant axis index, in a module."""
+    forks, stack = [], [("", tree)]
+    while stack:
+        scope, node = stack.pop()
+        if isinstance(node, ast.Compare) and any(
+            (isinstance(n, ast.Name) and n.id == "m")
+            or (isinstance(n, ast.Attribute) and n.attr in ("m", "ndim"))
+            or (isinstance(n, ast.Call) and getattr(n.func, "id", None) == "len")
+            for n in ast.walk(node)
+        ):
+            forks.append((scope, node.lineno))
+        if isinstance(node, ast.Subscript) and getattr(node.value, "id", getattr(node.value, "attr", None)) in AXIS_INDEXED:
+            index = node.slice.elts if isinstance(node.slice, ast.Tuple) else [node.slice]
+            if any(isinstance(i, ast.Constant) and isinstance(i.value, int) and i.value >= 0 for i in index):
+                forks.append((scope, node.lineno))
+        for child in ast.iter_child_nodes(node):
+            named = isinstance(child, (ast.FunctionDef, ast.ClassDef))
+            stack.append((f"{scope}.{child.name}".lstrip(".") if named else scope, child))
+    return forks
+
+
+def test_curves_and_tori_run_one_code_path():
+    found = []
+    for name in ("geometry.py", "flow.py", "imex.py", "verify.py"):
+        for scope, line in _dimension_forks(ast.parse((SRC / name).read_text())):
+            allowed = [key for key in DIMENSION_TEST_ALLOWED if key[0] == name and (scope + ".").startswith(key[1] + ".")]
+            found.append((allowed[0] if allowed else (name, scope), line))
+    assert sorted(f"{key[0]}:{line} in {key[1]}" for key, line in found if key not in DIMENSION_TEST_ALLOWED) == []
+    # an allowed definition that no longer tests the dimension no longer needs its place on the list
+    assert sorted(set(DIMENSION_TEST_ALLOWED) - {key for key, _ in found}) == []
 
 
 def _readme_config_blocks():

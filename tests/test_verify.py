@@ -1,3 +1,6 @@
+import csv
+import dataclasses
+import io
 import json
 import math
 from unittest import mock
@@ -452,6 +455,14 @@ def test_json_and_csv_emission(tmp_path):
     assert lines[0] == "i,j,residual"
     assert len(lines) == 1 + 16 * 16
     assert all(len(line.split(",")) == 3 for line in lines[1:])
+    # the bytes are those of csv.writer, for any number of grid axes
+    rng = np.random.default_rng(5)
+    for shape in [(5,), (3, 4), (2, 3, 4)]:
+        field = rng.standard_normal(shape)
+        save_residual_csv(dataclasses.replace(report, field=field), tmp_path / "any.csv")
+        expect = io.StringIO()
+        csv.writer(expect).writerows([[*"ijk"[: len(shape)], "residual"]] + [[*i, repr(float(field[i]))] for i in np.ndindex(shape)])
+        assert (tmp_path / "any.csv").read_bytes() == expect.getvalue().encode()
 
     table = theorem2_suite(seed=2, h_list=[1e-2, 1e-3])
     save_json(table_to_dict(table), tmp_path / "table.json", timestamp=False)

@@ -30,31 +30,43 @@ from .flow import FlowConfig, explicit_step_bound, fitted_torus_radii, run, stab
 from .geometry import FAMILIES, Immersion, fundamental_forms, load_immersion_csv, save_immersion_csv, volume
 from .verify import (
     PROBLEMS,
+    THEOREM1_FLOWS,
     Report,
     convergence_study,
     report_to_dict,
     residual_codazzi,
     residual_identify,
-    residual_theorem1,
     save_json,
     save_residual_csv,
     save_table_csv,
     table_to_dict,
+    theorem1_residual,
     theorem2_suite,
 )
 
-TASKS = ("simulate", "verify", "converge")
-VERIFY_NAMES = ("theorem1", "theorem1_mcf", "codazzi", "identify", "theorem2", "conservation")
-# the keys of the config root and of its grid and flow blocks (the README's schema)
-CONFIG_KEYS = {
-    None: ("geometry", "grid", "flow", "verify_name", "resolutions", "h_list", "snapshots", "output_dir"),
-    "grid": ("sizes", "periods"),
-    "flow": ("flow_kind", "dt", "t_end", "scheme", "output_every", "seed"),
+_RUN = ("flow_kind", "dt", "t_end", "scheme", "output_every")  # the flow keys of a run
+# task (under verify, per verify_name) -> (the root keys, the flow keys) that it reads; every
+# task also reads output_dir and flow.seed, and a task that reads grid reads GRID_KEYS of it
+READS = {
+    "simulate": (("geometry", "grid", "snapshots"), _RUN),
+    "verify theorem1": (("geometry", "grid", "verify_name"), ("dt", "t_end", "scheme")),
+    "verify theorem1_mcf": (("geometry", "grid", "verify_name"), ("dt", "t_end", "scheme")),
+    "verify codazzi": (("geometry", "grid", "verify_name"), ()),
+    "verify identify": (("geometry", "grid", "verify_name"), ()),
+    "verify theorem2": (("verify_name", "h_list"), ()),
+    "verify conservation": (("geometry", "grid", "verify_name"), _RUN),
+    "converge": (("geometry", "verify_name", "resolutions"), ()),
 }
-# the root keys of the tasks that read only some of them
-ROOT_KEYS = {
-    "converge": ("geometry", "grid", "flow", "verify_name", "resolutions", "output_dir"),
-    "verify theorem2": ("flow", "verify_name", "h_list", "output_dir"),
+GRID_KEYS = ("sizes", "periods")
+# each flag: the key that it sets, and its argparse options
+FLAGS = {
+    "--dt": ("flow.dt", {"type": float}),
+    "--t-end": ("flow.t_end", {"type": float}),
+    "--n": ("grid", {"type": int, "help": "override grid size (all axes)"}),
+    "--seed": ("flow.seed", {"type": int}),
+    "--out": ("output_dir", {"help": "output directory"}),
+    "--verify-name": ("verify_name", {}),
+    "--snapshots": ("snapshots", {"action": "store_true"}),
 }
 
 
@@ -104,18 +116,52 @@ def _int_list(value, field: str) -> list[int]:
 
 
 def _check_keys(section: dict, keys, where: str | None, reader: str):
-    """A ConfigError naming the first key not in ``keys`` of a config section (None: the root) or flag list."""
+    """A ConfigError naming the first key not in ``keys`` of a config section (None: the root)."""
     for key in section:
         if key not in keys:
             raise ConfigError(f"{f'{where}.' if where else ''}{key} is not read by {reader}")
 
 
-def _family_values(geometry: dict, keys) -> dict:
-    """The values of the family keys that ``geometry`` sets, checked and in ``keys`` order."""
-    return {key: (_integer if key == "seed" else _number)(geometry, key, "geometry") for key in keys if key in geometry}
+def _family(config: dict, task: str | None = None) -> tuple:
+    """The kind of geometry that ``config`` builds, its builder, keys and axes, and the checked numbers
+    of the family keys it sets: geometry.kind's family, or under converge, its problem's (None: a fixed
+    geometry); a file reads its path.  An unknown kind, or a key the kind does not read, raises."""
+    geometry, kinds = config.get("geometry", {}), (*FAMILIES, "file")
+    kind = geometry.get("kind")
+    reader = f"a {kind} geometry"
+    if task == "converge":
+        name = config.get("verify_name", "theorem1")
+        family, reader = PROBLEMS[name][0], f"converge {name}"
+        if kind not in (None, family):
+            builds = f"a {family}" if family else "no configurable geometry"
+            raise ConfigError(f"geometry.kind is {kind!r}, but converge {name} builds {builds}")
+        kind = family
+    elif kind is None:  # no kind to check the keys against: build_immersion names it missing
+        return None, None, (), None, {}
+    elif kind not in kinds:
+        raise ConfigError(f"geometry: unknown kind {kind!r}, expected one of {kinds}")
+    builder, keys, axes = {**FAMILIES, "file": (None, ("path",), None)}.get(kind, (None, (), None))
+    _check_keys(geometry, ("kind", *keys), "geometry", reader)
+    checks = {k: _integer if k == "seed" else _number for k in keys if builder and k in geometry}
+    return kind, builder, keys, axes, {k: check(geometry, k, "geometry") for k, check in checks.items()}
+
+
+def _reader(config: dict, overrides: argparse.Namespace) -> str:
+    """The row of ``READS`` for a run: its task, and under verify its verify_name."""
+    name = config.get("verify_name", "theorem1" if overrides.task == "converge" else None)
+    name = name if overrides.verify_name is None else overrides.verify_name
+    if overrides.task == "converge" and not (isinstance(name, str) and name in PROBLEMS):
+        raise ConfigError(f"converge supports {sorted(PROBLEMS)}, got {name!r}")
+    task = f"verify {name}" if overrides.task == "verify" else overrides.task
+    if task not in READS:
+        names = tuple(row.split()[1] for row in READS if row.startswith("verify "))
+        raise ConfigError(f"verify_name must be one of {names}, got {name!r}")
+    return task
 
 
 def load_config(path: str, overrides: argparse.Namespace) -> dict:
+    """The config at ``path`` with the flags applied.  A key or a flag that the
+    task does not read (``READS``) is a ConfigError naming it."""
     try:
         with open(path) as fh:
             config = json.load(fh)
@@ -128,45 +174,27 @@ def load_config(path: str, overrides: argparse.Namespace) -> dict:
     for section in ("geometry", "grid", "flow"):
         if not isinstance(config.get(section, {}), dict):
             raise ConfigError(f"{section} must be a JSON object, got {config[section]!r}")
-    for section, keys in CONFIG_KEYS.items():
-        _check_keys(config.get(section, {}) if section else config, keys, section, "any task")
-    # converge's problems step at stable_dt on the grids of its resolutions, and
-    # verify theorem2 draws seeded frames: neither reads a step, a grid size or snapshots
-    reader = "converge" if overrides.task == "converge" else None
-    if overrides.task == "verify" and (overrides.verify_name or config.get("verify_name")) == "theorem2":
-        reader = "verify theorem2"
-    if reader is not None:
-        flags = {"--dt": overrides.dt, "--t-end": overrides.t_end, "--n": overrides.n, "--snapshots": overrides.snapshots or None}
-        _check_keys([flag for flag, value in flags.items() if value is not None], (), None, reader)
-        _check_keys(config, ROOT_KEYS[reader], None, reader)
-        _check_keys(config.get("flow", {}), ("seed",), "flow", reader)
-
-    flow = config.setdefault("flow", {})
-    if overrides.dt is not None:
-        flow["dt"] = overrides.dt
-    if overrides.t_end is not None:
-        flow["t_end"] = overrides.t_end
-    if overrides.verify_name:
-        config["verify_name"] = overrides.verify_name
-    # the family that the config builds: geometry.kind, or under converge without one, its problem's
-    kind, name = config.get("geometry", {}).get("kind"), config.get("verify_name", "theorem1")
-    if kind is None and overrides.task == "converge" and isinstance(name, str) and name in PROBLEMS:
-        kind = PROBLEMS[name][0]
-    _, keys, axes = FAMILIES[kind] if isinstance(kind, str) and kind in FAMILIES else (None, (), None)
-    if overrides.seed is not None:
-        flow["seed"] = overrides.seed
-        if "seed" in keys:  # geometry.seed only where the geometry reads one
-            config.setdefault("geometry", {})["seed"] = overrides.seed
+    task = _reader(config, overrides)
+    roots, flow_keys = READS[task]
+    reads = {None: (*roots, "flow", "output_dir"), "grid": GRID_KEYS, "flow": (*flow_keys, "seed")}
+    for flag, (key, _) in FLAGS.items():
+        section, _, leaf = key.rpartition(".")
+        value = getattr(overrides, flag[2:].replace("-", "_"))
+        if value is not None and leaf not in reads[section or None]:
+            raise ConfigError(f"{flag} sets {key}, which {task} does not read")
+        if value is not None and flag != "--n":  # --n sets grid.sizes on the geometry's axes, below
+            (config.setdefault(section, {}) if section else config)[leaf] = value
+    for section, keys in reads.items():
+        _check_keys(config.get(section, {}) if section else config, keys, section, task)
+    _, _, keys, axes, _ = _family(config, overrides.task)
+    if overrides.seed is not None and "seed" in keys:  # geometry.seed only where the geometry reads one
+        config.setdefault("geometry", {})["seed"] = overrides.seed
     if overrides.n is not None:
         grid_cfg = config.setdefault("grid", {})
         dims = len(_int_list(grid_cfg.get("sizes", []), "grid.sizes")) or axes or 2
         grid_cfg["sizes"] = [overrides.n] * dims
-    if overrides.out is not None:
-        config["output_dir"] = overrides.out
     if not isinstance(config.get("output_dir", ""), str):
         raise ConfigError(f"output_dir must be a string, got {config['output_dir']!r}")
-    if overrides.snapshots:
-        config["snapshots"] = True
     if not isinstance(config.get("snapshots", False), bool):
         raise ConfigError(f"snapshots must be true or false, got {config['snapshots']!r}")
     return config
@@ -178,19 +206,13 @@ def build_immersion(config: dict) -> Immersion:
     grid_cfg = config["grid"]
     _require(geometry, ["kind"], "geometry")
     _require(grid_cfg, ["sizes"], "grid")
-    kind = geometry["kind"]
+    kind, builder, keys, axes, values = _family(config)
     sizes = _int_list(grid_cfg["sizes"], "grid.sizes")
-    kinds = (*FAMILIES, "file")
-    if kind not in kinds:
-        raise ConfigError(f"geometry: unknown kind {kind!r}, expected one of {kinds}")
-    # a file geometry reads its one key, path, below
-    builder, keys, axes = FAMILIES[kind] if kind in FAMILIES else (None, ("path",), None)
-    _check_keys(geometry, ("kind", *keys), "geometry", f"a {kind} geometry")
     _require(geometry, list(keys), f"geometry({kind})")
     if builder is not None:
         if len(sizes) != axes:
             raise ConfigError(f"geometry: {kind} needs a {axes}-axis grid")
-        return builder(*_family_values(geometry, keys).values(), *sizes)
+        return builder(*values.values(), *sizes)
     path, periods = geometry["path"], grid_cfg.get("periods")
     if not isinstance(path, str):
         raise ConfigError(f"geometry.path must be a string, got {path!r}")
@@ -208,8 +230,9 @@ def build_immersion(config: dict) -> Immersion:
     return load_immersion_csv(path, sizes, periods)
 
 
-def build_flow_config(config: dict, imm: Immersion) -> FlowConfig:
-    """The flow settings of a config.  Unset, the scheme is IMEX on tori and
+def build_flow_config(config: dict, imm: Immersion, flow_kind: str | None = None) -> FlowConfig:
+    """The flow settings of a config; ``flow_kind``, where given, takes the
+    place of flow.flow_kind.  Unset, the scheme is IMEX on tori and
     RK4 on curves.  Unset, the step is 0.1 min(h) under IMEX, whose O(dt^2)
     time error then matches the O(h^2) stencils, half of
     ``explicit_step_bound`` under RK4 (and no more than ``stable_dt`` except
@@ -218,7 +241,7 @@ def build_flow_config(config: dict, imm: Immersion) -> FlowConfig:
     flow = dict(config.get("flow", {}))
     try:
         flow_config = FlowConfig(
-            flow_kind=flow.get("flow_kind", "SMCF"),
+            flow_kind=flow_kind or flow.get("flow_kind", "SMCF"),
             dt=_number(flow, "dt", "flow", 1.0),  # the default replaces it below
             t_end=_number(flow, "t_end", "flow", 0.1),
             scheme=flow.get("scheme", "IMEX" if imm.grid.m == 2 else "RK4"),
@@ -273,8 +296,7 @@ def task_simulate(config: dict, out_dir: Path) -> int:
     return 0
 
 
-def _conservation_report(config: dict) -> Report:
-    imm = build_immersion(config)
+def _conservation_report(config: dict, imm: Immersion) -> Report:
     flow_config = build_flow_config(config, imm)
     traj = run(imm, flow_config)
     volumes = np.array([volume(s.immersion) for s in traj.states])
@@ -290,9 +312,7 @@ def _conservation_report(config: dict) -> Report:
 
 
 def task_verify(config: dict, out_dir: Path) -> int:
-    name = config.get("verify_name")
-    if name not in VERIFY_NAMES:
-        raise ConfigError(f"verify_name must be one of {VERIFY_NAMES}, got {name!r}")
+    name = config["verify_name"]
     seed = _integer(config.get("flow", {}), "seed", "flow", 0)
     if name == "theorem2":
         h_list = config.get("h_list", [1e-2, 1e-3, 1e-4])
@@ -303,30 +323,16 @@ def task_verify(config: dict, out_dir: Path) -> int:
         save_table_csv(table, out_dir / "convergence_table.csv")
         print(f"verify theorem2: order={table.observed_order}, isometry_max={table.metadata['isometry_max']:.3e}")
         return 0
+    imm = build_immersion(config)
+    meta = {"geometry": config["geometry"]["kind"], "seed": seed}
     if name == "conservation":
-        report = _conservation_report(config)
+        report = _conservation_report(config, imm)
+    elif name in THEOREM1_FLOWS:
+        report = theorem1_residual(imm, name, build_flow_config(config, imm, THEOREM1_FLOWS[name]), meta)
+    elif name == "codazzi":
+        report = residual_codazzi(fundamental_forms(imm), metadata=meta)
     else:
-        imm = build_immersion(config)
-        meta = {"geometry": config["geometry"]["kind"], "seed": seed}
-        if name in ("theorem1", "theorem1_mcf"):
-            flow_config = build_flow_config(config, imm)
-            if flow_config.t_end < 2 * flow_config.dt:
-                raise ConfigError(
-                    f"flow.t_end = {flow_config.t_end!r} is below 2 * flow.dt = {2 * flow_config.dt!r}: "
-                    f"verify {name} needs a centered time difference"
-                )
-            # the time derivative needs consecutive states, so record every step
-            traj = run(imm, dataclasses.replace(flow_config, output_every=1))
-            # a centered difference over two full steps: when the shortened
-            # last step follows the middle state, take the state before it
-            mid = len(traj) // 2
-            if traj[mid + 1].t - traj[mid].t < (1.0 - 1e-9) * flow_config.dt:
-                mid -= 1
-            report = residual_theorem1(traj, mid, use_jtilde=(name == "theorem1"), metadata=meta)
-        elif name == "codazzi":
-            report = residual_codazzi(fundamental_forms(imm), metadata=meta)
-        else:
-            report = residual_identify(fundamental_forms(imm), metadata=meta)
+        report = residual_identify(fundamental_forms(imm), metadata=meta)
     save_json(report_to_dict(report), out_dir / "report.json")
     save_residual_csv(report, out_dir / "residual.csv")
     print(f"verify {name}: max={report.norms['max']:.6e} l2={report.norms['l2']:.6e}")
@@ -335,20 +341,8 @@ def task_verify(config: dict, out_dir: Path) -> int:
 
 def task_converge(config: dict, out_dir: Path) -> int:
     name = config.get("verify_name", "theorem1")
-    if not isinstance(name, str) or name not in PROBLEMS:
-        raise ConfigError(f"converge supports {sorted(PROBLEMS)}, got {name!r}")
     resolutions = _int_list(config.get("resolutions"), "converge: resolutions")
-    if len(resolutions) < 2:
-        raise ConfigError("converge: need 'resolutions' with at least two entries")
-    geometry = config.get("geometry", {})
-    family = PROBLEMS[name][0]
-    kind = geometry.get("kind", family)
-    if kind != family:
-        builds = f"a {family}" if family else "no configurable geometry"
-        raise ConfigError(f"geometry.kind is {kind!r}, but converge {name} builds {builds}")
-    keys = FAMILIES[family][1] if family else ()
-    _check_keys(geometry, ("kind", *keys), "geometry", f"converge {name}")
-    table = convergence_study(name, resolutions, **_family_values(geometry, keys))
+    table = convergence_study(name, resolutions, **_family(config, "converge")[-1])
     save_json(table_to_dict(table), out_dir / "convergence_table.json")
     save_table_csv(table, out_dir / "convergence_table.csv")
     print(f"converge {name}: observed_order={table.observed_order}")
@@ -357,30 +351,20 @@ def task_converge(config: dict, out_dir: Path) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="skewflow", description=__doc__)
-    sub = parser.add_subparsers(dest="task")
-    for task in TASKS:
+    sub = parser.add_subparsers(dest="task", required=True)
+    for task in ("simulate", "verify", "converge"):
         p = sub.add_parser(task)
         p.add_argument("--config", required=True, help="path to a JSON configuration file")
-        p.add_argument("--dt", type=float, default=None)
-        p.add_argument("--t-end", dest="t_end", type=float, default=None)
-        p.add_argument("--n", type=int, default=None, help="override grid size (all axes)")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--verify-name", dest="verify_name", default=None)
-        p.add_argument("--snapshots", action="store_true")
+        for flag, (_, options) in FLAGS.items():
+            p.add_argument(flag, default=None, **options)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code == 0 else 1
-    if args.task not in TASKS:
-        parser.print_usage(sys.stderr)
-        print(f"error: task must be one of {TASKS}", file=sys.stderr)
-        return 1
     try:
         config = load_config(args.config, args)
         out_dir = Path(config.get("output_dir", "out"))
@@ -390,10 +374,7 @@ def main(argv=None) -> int:
         if args.task == "verify":
             return task_verify(config, out_dir)
         return task_converge(config, out_dir)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, KeyError, OSError) as exc:
+    except (ConfigError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except DegenerateImmersionError as exc:

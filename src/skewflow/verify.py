@@ -18,7 +18,7 @@ import csv
 import functools
 import json
 import time as _time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 
@@ -184,6 +184,28 @@ def residual_theorem1(traj: Trajectory, index: int, use_jtilde: bool = True, met
     )
 
 
+# the flow of each Gauss-map law: Theorem 1's skew flow, and MCF for its twin d(rho)/dt = tau(rho)
+THEOREM1_FLOWS = {"theorem1": "SMCF", "theorem1_mcf": "MCF"}
+
+
+def theorem1_residual(imm, name="theorem1", config: FlowConfig | None = None, metadata: dict | None = None) -> Report:
+    """The residual of ``name`` along its flow, which replaces ``config``'s, with every step
+    recorded; it sits at the middle state between two full steps, never before a shortened
+    last one.  Unset, ``config`` is two steps of ``stable_dt`` under RK4."""
+    if config is None:
+        dt = stable_dt(imm)
+        config = FlowConfig(dt=dt, t_end=2 * dt)
+    if config.t_end < 2 * config.dt:
+        raise ValueError(
+            f"flow.t_end = {config.t_end!r} is below 2 * flow.dt = {2 * config.dt!r}: {name} needs two full steps"
+        )
+    traj = run(imm, replace(config, flow_kind=THEOREM1_FLOWS[name], output_every=1))
+    mid = len(traj) // 2
+    if traj[mid + 1].t - traj[mid].t < (1.0 - 1e-9) * config.dt:
+        mid -= 1
+    return residual_theorem1(traj, mid, use_jtilde=(name == "theorem1"), metadata=metadata)
+
+
 def residual_codazzi(cache: GeometryCache, metadata: dict | None = None) -> Report:
     """Tension of the plane field against the normal gradient of H."""
     lhs = tension(cache)
@@ -340,13 +362,6 @@ def fit_order(hs, norms, floor: float = RESIDUAL_FLOOR):
     return slope, monotone, False
 
 
-def _theorem1_residual(imm, flow_kind="SMCF"):
-    dt = stable_dt(imm)
-    config = FlowConfig(flow_kind=flow_kind, dt=dt, t_end=2 * dt, output_every=1)
-    traj = run(imm, config)
-    return residual_theorem1(traj, 1, use_jtilde=(flow_kind == "SMCF"))
-
-
 def _problem_diff1(size):
     """Trivial stencil benchmark: centered difference of sin on a circle grid."""
     grid = PeriodicGrid((size,))
@@ -378,8 +393,8 @@ def _problem_frozen(size):
 # name -> (geometry family, residual of the immersion that geometry.FAMILIES builds),
 # or (None, residual of the grid size) for a fixed geometry
 PROBLEMS = {
-    "theorem1": ("perturbed_torus", _theorem1_residual),
-    "theorem1_mcf": ("perturbed_torus", lambda imm: _theorem1_residual(imm, "MCF")),
+    "theorem1": ("perturbed_torus", theorem1_residual),
+    "theorem1_mcf": ("perturbed_torus", lambda imm: theorem1_residual(imm, "theorem1_mcf")),
     "codazzi": ("perturbed_torus", lambda imm: residual_codazzi(fundamental_forms(imm))),
     "identify": ("product_torus", lambda imm: residual_identify(fundamental_forms(imm))),
     "diff1": (None, _problem_diff1),
@@ -394,7 +409,8 @@ def convergence_study(problem, resolutions, norm_key: str = "max", **problem_kwa
     A named problem builds its geometry family (``PROBLEMS``) from the keys
     of ``geometry.FAMILIES`` passed as keywords, each unset one at its
     ``FAMILY_DEFAULTS`` value; a keyword that the family does not read raises
-    ``TypeError`` before any resolution runs.  A callable is called as
+    ``TypeError`` before any resolution runs, and a size that ``PeriodicGrid``
+    refuses (odd, or below 8) raises ``ValueError``.  A callable is called as
     ``problem(size, **problem_kwargs)``.  The table's metadata records the
     norm key and the keywords passed, not the defaults.
 
@@ -409,6 +425,8 @@ def convergence_study(problem, resolutions, norm_key: str = "max", **problem_kwa
         raise ValueError("need at least two resolutions")
     if len(set(resolutions)) < len(resolutions):
         raise ValueError(f"resolutions must be distinct, got {resolutions}")
+    for size in resolutions:  # the grid's own check of each size, before any residual runs
+        PeriodicGrid((size,))
     if isinstance(problem, str):
         family, residual = PROBLEMS[problem]
         builder, keys, axes = FAMILIES[family] if family else (None, (), 0)

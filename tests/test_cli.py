@@ -11,9 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skewflow import cli, make_circle, save_immersion_csv
+from skewflow import cli, make_circle, make_perturbed_torus, residual_theorem1, save_immersion_csv, verify
 from skewflow.cli import main
-from skewflow.flow import run
+from skewflow.flow import FlowConfig, run
 
 
 def write_config(path, payload):
@@ -111,15 +111,16 @@ def test_verify_theorem1_report(tmp_path):
     assert len(lines) == 1 + 16 * 16
 
 
-def test_verify_theorem1_mcf_with_sparse_output_cadence(tmp_path):
-    # verify must densify the trajectory recording even when the config asks
-    # for sparse simulate-style outputs
+def test_verify_theorem1_mcf_runs_mean_curvature_flow_without_flow_kind(tmp_path):
+    # this used to run the skew flow, the unset flow_kind's default, and label it MCF:
+    # max = 7.26e-2 where the MCF run below gives 8.31e-4
     out = tmp_path / "out"
-    cfg = torus_config(tmp_path, out, flow={"output_every": 4, "seed": 7})
-    code = main(["verify", "--config", cfg, "--verify-name", "theorem1_mcf",
-                 "--dt", "2e-3", "--t-end", "4e-3"])
-    assert code == 0
-    assert read_json(out / "report.json")["name"] == "theorem1_mcf"
+    cfg = torus_config(tmp_path, out, grid={"sizes": [32, 32]}, flow={"scheme": "RK4", "dt": 1e-3, "t_end": 2e-3})
+    assert main(["verify", "--config", cfg, "--verify-name", "theorem1_mcf"]) == 0
+    doc = read_json(out / "report.json")
+    traj = run(make_perturbed_torus(1.0, 0.6, 0.05, 7, 32), FlowConfig(flow_kind="MCF", dt=1e-3, t_end=2e-3))
+    assert doc["params"]["flow_kind"] == "MCF"
+    assert doc["norms"] == residual_theorem1(traj, 1, use_jtilde=False).norms
 
 
 def test_verify_codazzi_and_identify(tmp_path):
@@ -166,6 +167,81 @@ def test_verify_theorem2_bad_h_list_exit_one(tmp_path, capsys, h_list):
     assert not (out / "convergence_table.json").exists()
 
 
+# the functions with which the tasks start their work: the flow, the
+# fundamental forms, the frame suite and the convergence study
+WORK = [(cli, "run"), (verify, "run"), (cli, "fundamental_forms"), (cli, "theorem2_suite"), (cli, "convergence_study")]
+
+
+def assert_exits_one_before_any_work(tmp_path, capsys, argv, payload, field):
+    """``main`` on ``argv`` and a config of ``payload`` exits 1 naming ``field``,
+    and neither calls a function of ``WORK`` nor writes a file."""
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "c.json", {**payload, "output_dir": str(out)})
+    with contextlib.ExitStack() as stack:
+        work = [stack.enter_context(mock.patch.object(module, name)) for module, name in WORK]
+        assert main([argv[0], "--config", cfg, *argv[1:]]) == 1
+    for function in work:
+        function.assert_not_called()
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and field in err, err
+    assert list(out.glob("*")) == []
+
+
+TORUS = {"geometry": {"kind": "perturbed_torus", "a": 1.0, "b": 0.6, "eps": 0.05, "seed": 7}, "grid": {"sizes": [16, 16]}}
+
+
+@pytest.mark.parametrize(
+    "argv, fragment, field",
+    [
+        # each of these used to run, reading none of it
+        (["simulate"], {"verify_name": "codazzi"}, "verify_name"),
+        (["simulate"], {"resolutions": [16, 32]}, "resolutions"),
+        (["simulate"], {"h_list": [5]}, "h_list"),
+        (["simulate", "--verify-name", "codazzi"], {}, "--verify-name"),
+        (["verify", "--verify-name", "codazzi"], {"flow": {"seed": 7, "dt": 5}}, "flow.dt"),
+        (["verify", "--verify-name", "identify"], {"flow": {"t_end": -1}}, "flow.t_end"),
+        (["verify", "--verify-name", "codazzi"], {"flow": {"scheme": "RK4"}}, "flow.scheme"),
+        (["verify", "--verify-name", "identify"], {"snapshots": True}, "snapshots"),
+        (["verify", "--verify-name", "codazzi"], {"resolutions": [3]}, "resolutions"),
+        (["verify", "--verify-name", "identify"], {"h_list": [5]}, "h_list"),
+        (["verify", "--verify-name", "codazzi", "--t-end", "1"], {}, "--t-end"),
+        (["verify", "--verify-name", "identify", "--snapshots"], {}, "--snapshots"),
+        # the name fixes the flow kind, and the residual needs every step recorded
+        (["verify", "--verify-name", "theorem1"], {"flow": {"flow_kind": "MCF"}}, "flow.flow_kind"),
+        (["verify", "--verify-name", "theorem1"], {"flow": {"output_every": 4}}, "flow.output_every"),
+        (["verify", "--verify-name", "theorem1_mcf", "--dt", "2e-3", "--t-end", "4e-3"],
+         {"flow": {"output_every": 4, "seed": 7}}, "flow.output_every"),
+    ],
+)
+def test_a_key_or_flag_its_task_does_not_read_exits_one(tmp_path, capsys, argv, fragment, field):
+    assert_exits_one_before_any_work(tmp_path, capsys, argv, {**TORUS, **fragment}, field)
+
+
+# a value for each flag whose key some task leaves out (every task reads those of --seed and --out)
+FLAG_VALUES = {"--dt": ["1"], "--t-end": ["1"], "--n": ["16"], "--verify-name": ["codazzi"], "--snapshots": []}
+
+
+def _named(row):
+    """The keys of a row of ``cli.READS``, flow keys as flow.<key>, with those every task reads."""
+    roots, flow_keys = row
+    return {*roots, "flow", "output_dir", "flow.seed", *(f"flow.{key}" for key in flow_keys)}
+
+
+@pytest.mark.parametrize("task", cli.READS)
+def test_every_key_and_flag_the_table_leaves_out_is_refused_by_name(tmp_path, task):
+    command, _, name = task.partition(" ")
+    read = _named(cli.READS[task])
+    left_out = set().union(*map(_named, cli.READS.values())) - read
+    cases = [([], {"flow": {key[5:]: 1}} if key.startswith("flow.") else {key: 1}, key) for key in sorted(left_out)]
+    cases += [([flag, *FLAG_VALUES[flag]], {}, flag) for flag, (key, _) in cli.FLAGS.items() if key not in read]
+    assert cases
+    for flags, fragment, field in cases:
+        cfg = write_config(tmp_path / "c.json", {**({"verify_name": name} if name else {}), **fragment})
+        args = cli.build_parser().parse_args([command, "--config", cfg, *flags])
+        with pytest.raises(cli.ConfigError, match=f"^{field} "):
+            cli.load_config(cfg, args)
+
+
 @pytest.mark.parametrize(
     "flags, extra, field",
     [
@@ -181,19 +257,15 @@ def test_verify_theorem2_bad_h_list_exit_one(tmp_path, capsys, h_list):
     ],
 )
 def test_verify_theorem2_rejects_a_key_or_flag_it_does_not_read(tmp_path, capsys, flags, extra, field):
-    out = tmp_path / "t2"
-    cfg = write_config(tmp_path / "t2.json", {"verify_name": "theorem2", "output_dir": str(out), **extra})
-    with mock.patch.object(cli, "theorem2_suite") as suite:
-        assert main(["verify", "--config", cfg, *flags]) == 1
-    suite.assert_not_called()
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and field in err, err
-    assert list(out.glob("*")) == []
+    assert_exits_one_before_any_work(tmp_path, capsys, ["verify", *flags], {"verify_name": "theorem2", **extra}, field)
 
 
 def test_converge_writes_table(tmp_path):
     out = tmp_path / "out"
-    cfg = torus_config(tmp_path, out, resolutions=[16, 32, 64], verify_name="theorem1")
+    cfg = write_config(tmp_path / "c.json", {
+        "geometry": TORUS["geometry"], "flow": {"seed": 7}, "resolutions": [16, 32, 64], "verify_name": "theorem1",
+        "output_dir": str(out),
+    })
     assert main(["converge", "--config", cfg]) == 0
     doc = read_json(out / "convergence_table.json")
     assert doc["observed_order"] >= 1.9
@@ -245,31 +317,29 @@ def test_converge_rejects_a_geometry_its_problem_does_not_build(tmp_path, capsys
     ],
 )
 def test_converge_rejects_a_flag_or_flow_key_it_does_not_read(tmp_path, capsys, flags, flow, field):
-    out = tmp_path / "out"
-    cfg = write_config(tmp_path / "c.json", {
-        "verify_name": "diff1", "resolutions": [16, 32], "flow": {"seed": 3, **flow}, "output_dir": str(out),
-    })
-    with mock.patch.object(cli, "convergence_study") as study:
-        assert main(["converge", "--config", cfg, "--seed", "3", *flags]) == 1
-    study.assert_not_called()
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and field in err, err
-    assert list(out.glob("*")) == []
+    payload = {"verify_name": "diff1", "resolutions": [16, 32], "flow": {"seed": 3, **flow}}
+    assert_exits_one_before_any_work(tmp_path, capsys, ["converge", "--seed", "3", *flags], payload, field)
 
 
-@pytest.mark.parametrize("extra, field", [({"snapshots": True, "h_list": [5]}, "snapshots"), ({"h_list": [5]}, "h_list")])
+@pytest.mark.parametrize(
+    "extra, field",
+    [({"snapshots": True, "h_list": [5]}, "snapshots"), ({"h_list": [5]}, "h_list"), ({"grid": {"sizes": [16]}}, "grid")],
+)
 def test_converge_rejects_a_root_key_it_does_not_read(tmp_path, capsys, extra, field):
+    payload = {"verify_name": "diff1", "resolutions": [16, 32], **extra}
+    assert_exits_one_before_any_work(tmp_path, capsys, ["converge"], payload, field)
+
+
+def test_converge_checks_every_resolution_before_the_first_residual(tmp_path, capsys):
+    # this used to compute the 16^2 and 32^2 residuals before the 7 stopped it
     out = tmp_path / "out"
-    cfg = write_config(tmp_path / "c.json", {"verify_name": "diff1", "resolutions": [16, 32], **extra, "output_dir": str(out)})
-    with mock.patch.object(cli, "convergence_study") as study:
+    cfg = write_config(tmp_path / "c.json", {"verify_name": "codazzi", "resolutions": [16, 32, 7], "output_dir": str(out)})
+    with mock.patch.object(verify, "residual_codazzi") as residual:
         assert main(["converge", "--config", cfg]) == 1
-    study.assert_not_called()
+    residual.assert_not_called()
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and field in err, err
+    assert err.startswith("error: grid sizes") and "got 7" in err, err
     assert list(out.glob("*")) == []
-    # a grid block stays accepted: configs share it with verify
-    cfg = write_config(tmp_path / "c.json", {"verify_name": "diff1", "resolutions": [16, 32], "grid": {"sizes": [16]}, "output_dir": str(out)})
-    assert main(["converge", "--config", cfg]) == 0
 
 
 @pytest.mark.parametrize(
@@ -283,17 +353,8 @@ def test_converge_rejects_a_root_key_it_does_not_read(tmp_path, capsys, extra, f
     ],
 )
 def test_a_geometry_key_its_kind_does_not_read_exits_one(tmp_path, capsys, task, geometry, sizes, field):
-    out = tmp_path / "out"
-    cfg = write_config(tmp_path / "c.json", {
-        "geometry": geometry, "grid": {"sizes": sizes}, "verify_name": "codazzi", "output_dir": str(out),
-    })
-    with mock.patch.object(cli, "run") as run_mock, mock.patch.object(cli, "fundamental_forms") as forms:
-        assert main([task, "--config", cfg]) == 1
-    run_mock.assert_not_called()
-    forms.assert_not_called()
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and field in err, err
-    assert list(out.glob("*")) == []
+    argv = [task, "--verify-name", "codazzi"] if task == "verify" else [task]
+    assert_exits_one_before_any_work(tmp_path, capsys, argv, {"geometry": geometry, "grid": {"sizes": sizes}}, field)
 
 
 @pytest.mark.parametrize(
@@ -380,7 +441,7 @@ def test_verify_theorem1_centers_on_two_full_steps(tmp_path):
 def test_verify_theorem1_too_short_exits_one_before_the_run(tmp_path, capsys, t_end):
     out = tmp_path / "out"
     cfg = torus_config(tmp_path, out, flow={"dt": 1e-2, "t_end": t_end})
-    with mock.patch.object(cli, "run") as run_mock:
+    with mock.patch.object(verify, "run") as run_mock:
         assert main(["verify", "--config", cfg, "--verify-name", "theorem1"]) == 1
     run_mock.assert_not_called()
     err = capsys.readouterr().err
@@ -417,19 +478,21 @@ def test_unknown_task_or_geometry_exit_one(tmp_path, capsys):
     cfg = circle_config(tmp_path, out, dt=float("nan"))
     assert main(["simulate", "--config", cfg]) == 1
     assert "dt must be finite" in capsys.readouterr().err
-    cfg = torus_config(tmp_path, out, resolutions=[16, 16], verify_name="codazzi")
+    torus = read_json(torus_config(tmp_path, out))
+    converge = {"geometry": torus["geometry"], "verify_name": "codazzi", "output_dir": str(out)}
+    cfg = write_config(tmp_path / "c.json", {**converge, "resolutions": [16, 16]})
     assert main(["converge", "--config", cfg]) == 1
     assert "distinct" in capsys.readouterr().err
-    cfg = torus_config(tmp_path, out, resolutions=32, verify_name="codazzi")
+    cfg = write_config(tmp_path / "c.json", {**converge, "resolutions": 32})
     assert main(["converge", "--config", cfg]) == 1
     assert "resolutions" in capsys.readouterr().err
-    for task in ("verify", "simulate"):
-        cfg = torus_config(tmp_path, out, grid={"sizes": 64}, verify_name="codazzi")
-        assert main([task, "--config", cfg]) == 1
+    for argv in (["verify", "--verify-name", "codazzi"], ["simulate"]):
+        cfg = torus_config(tmp_path, out, grid={"sizes": 64})
+        assert main([*argv, "--config", cfg]) == 1
         assert "grid.sizes" in capsys.readouterr().err
     # values of the wrong JSON type name their field before any work starts
     circle = read_json(circle_config(tmp_path, out))
-    torus = read_json(torus_config(tmp_path, out, resolutions=[16, 32], verify_name="codazzi"))
+    converge["resolutions"] = [16, 32]
     save_immersion_csv(make_circle(1.0, 16), tmp_path / "circle.csv")
     from_file = {**circle, "geometry": {"kind": "file", "path": str(tmp_path / "circle.csv")}}
     wrong_types = [
@@ -438,9 +501,9 @@ def test_unknown_task_or_geometry_exit_one(tmp_path, capsys):
         ("simulate", {**circle, "geometry": {"kind": "circle", "r": None}}, "geometry.r"),
         ("simulate", {**circle, "flow": {**circle["flow"], "dt": True}}, "flow.dt"),
         ("simulate", {**circle, "flow": {**circle["flow"], "output_every": 2.7}}, "flow.output_every"),
-        ("converge", {**torus, "geometry": {**torus["geometry"], "seed": "7"}}, "geometry.seed"),
-        ("converge", {**torus, "geometry": {**torus["geometry"], "a": "1"}}, "geometry.a"),
-        ("converge", {**torus, "geometry": [1]}, "geometry"),
+        ("converge", {**converge, "geometry": {**torus["geometry"], "seed": "7"}}, "geometry.seed"),
+        ("converge", {**converge, "geometry": {**torus["geometry"], "a": "1"}}, "geometry.a"),
+        ("converge", {**converge, "geometry": [1]}, "geometry"),
         ("simulate", {**circle, "flow": {**circle["flow"], "scheme": "Euler"}}, "flow.scheme"),
         ("simulate", {**from_file, "grid": {"sizes": [16], "periods": [10**400]}}, "grid.periods"),
         ("simulate", {**from_file, "grid": {"sizes": [16], "periods": [float("inf")]}}, "grid.periods"),
@@ -452,8 +515,8 @@ def test_unknown_task_or_geometry_exit_one(tmp_path, capsys):
         ("simulate", {**circle, "flow": {**circle["flow"], "sheme": "IMEX"}}, "flow.sheme"),
         ("simulate", {**circle, "snapshot": True}, "snapshot"),
         ("simulate", {**circle, "grid": {"sizes": [64], "size": 32}}, "grid.size"),
-        ("verify", {**torus, "flow": {"seed": 7, "t_end_steps": 2}}, "flow.t_end_steps"),
-        ("converge", {**torus, "resolution": [16, 32]}, "resolution"),
+        ("verify", {**torus, "verify_name": "codazzi", "flow": {"seed": 7, "t_end_steps": 2}}, "flow.t_end_steps"),
+        ("converge", {**converge, "resolution": [16, 32]}, "resolution"),
     ]
     typed_out = tmp_path / "typed"
     for task, payload, field in wrong_types:

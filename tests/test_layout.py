@@ -226,9 +226,22 @@ def _readme_config_blocks():
 
 
 def test_readme_config_schema_lists_the_keys_the_cli_accepts():
+    # the README's table renders cli.READS row by row, in order
+    readme = (ROOT / "README.md").read_text().split("### Config schema")[1].split("\n## ")[0]
+    rows = [line.strip("|").split("|") for line in readme.splitlines() if line.startswith("| `")]
+    rendered = {task.strip(" `"): tuple(tuple(re.findall(r"`(\w+)`", cell)) for cell in cells) for task, *cells in rows}
+    assert list(rendered.items()) == list(cli.READS.items())
+    # the schema block lists every key that some task reads, and no other
     schema, _ = _readme_config_blocks()
-    listed = {None: tuple(schema), **{section: tuple(schema[section]) for section in ("grid", "flow")}}
-    assert {k: sorted(v) for k, v in listed.items()} == {k: sorted(v) for k, v in cli.CONFIG_KEYS.items()}
+    listed = {None: set(schema), **{section: set(schema[section]) for section in ("grid", "flow")}}
+    assert listed == {
+        None: {key for roots, _ in cli.READS.values() for key in roots} | {"flow", "output_dir"},
+        "grid": set(cli.GRID_KEYS),
+        "flow": {key for _, keys in cli.READS.values() for key in keys} | {"seed"},
+    }
+    # and the flags, each with the key it sets
+    flags = dict(re.findall(r"`(--[a-z-]+)`: `([a-z_.]+)`", readme))
+    assert flags == {flag: key for flag, (key, _) in cli.FLAGS.items()}
 
 
 def test_readme_geometry_blocks_list_the_families_and_the_file_kind():

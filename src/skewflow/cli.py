@@ -46,7 +46,8 @@ from .verify import (
 
 _RUN = ("flow_kind", "dt", "t_end", "scheme", "output_every")  # the flow keys of a run
 # task (under verify, per verify_name) -> (the root keys, the flow keys) that it reads; every
-# task also reads output_dir and flow.seed, and a task that reads grid reads GRID_KEYS of it
+# task also reads output_dir and flow.seed, and a task that reads grid reads GRID_KEYS of it,
+# periods only with a file geometry
 READS = {
     "simulate": (("geometry", "grid", "snapshots"), _RUN),
     "verify theorem1": (("geometry", "grid", "verify_name"), ("dt", "t_end", "scheme")),
@@ -125,7 +126,8 @@ def _check_keys(section: dict, keys, where: str | None, reader: str):
 def _family(config: dict, task: str | None = None) -> tuple:
     """The kind of geometry that ``config`` builds, its builder, keys and axes, and the checked numbers
     of the family keys it sets: geometry.kind's family, or under converge, its problem's (None: a fixed
-    geometry); a file reads its path.  An unknown kind, or a key the kind does not read, raises."""
+    geometry); a file reads its path.  An unknown kind, or a geometry or grid key the kind does not
+    read, raises."""
     geometry, kinds = config.get("geometry", {}), (*FAMILIES, "file")
     kind = geometry.get("kind")
     reader = f"a {kind} geometry"
@@ -142,6 +144,7 @@ def _family(config: dict, task: str | None = None) -> tuple:
         raise ConfigError(f"geometry: unknown kind {kind!r}, expected one of {kinds}")
     builder, keys, axes = {**FAMILIES, "file": (None, ("path",), None)}.get(kind, (None, (), None))
     _check_keys(geometry, ("kind", *keys), "geometry", reader)
+    _check_keys(config.get("grid", {}), ("sizes",) if builder else GRID_KEYS, "grid", reader)  # a family's period is 2 pi
     checks = {k: _integer if k == "seed" else _number for k in keys if builder and k in geometry}
     return kind, builder, keys, axes, {k: check(geometry, k, "geometry") for k, check in checks.items()}
 

@@ -38,9 +38,6 @@ from .grassmann import (
     jtilde_coeffs,
     oriented_q,
     project_field,
-    project_to_tangent,
-    psi,
-    tangent_basis,
     tangent_basis_field,
 )
 
@@ -253,37 +250,36 @@ def connection_residual(frame_fn, h: float) -> float:
 
     Left side: tensor-product covariant derivative of each frame leg pair,
     mapped into tangent coefficients.  Right side: projected centered
-    difference of the corresponding tangent basis multivectors.
+    difference of the corresponding tangent basis multivectors, all (i, alpha)
+    entries at once.
     """
     f0 = frame_fn(0.0)
     fp, fm = frame_fn(h), frame_fn(-h)
     de = (fp.e - fm.e) / (2.0 * h)
     dnu = (fp.nu - fm.nu) / (2.0 * h)
-    basis_p = tangent_basis(fp)
-    basis_m = tangent_basis(fm)
-    worst = 0.0
-    for i in range(f0.m):
-        for alpha in range(f0.k):
-            lhs = np.zeros((f0.m, f0.k))
-            for j in range(f0.m):
-                lhs[j, alpha] += float(np.dot(de[i], f0.e[j]))
-            for beta in range(f0.k):
-                lhs[i, beta] += float(np.dot(dnu[alpha], f0.nu[beta]))
-            d_basis = (basis_p[i][alpha] - basis_m[i][alpha]) / (2.0 * h)
-            rhs = project_to_tangent(f0, d_basis)
-            worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    return worst
+    d_basis = (tangent_basis_field(fp.e, fp.nu) - tangent_basis_field(fm.e, fm.nu)) / (2.0 * h)
+    rhs = project_field(f0.e, f0.nu, np.moveaxis(d_basis, 2, 0))  # (j, beta, i, alpha)
+    lhs = np.zeros_like(rhs)
+    for i, alpha in np.ndindex(f0.m, f0.k):
+        lhs[:, alpha, i, alpha] += [float(np.dot(de[i], e)) for e in f0.e]
+        lhs[i, :, i, alpha] += [float(np.dot(dnu[alpha], nu)) for nu in f0.nu]
+    return float(np.max(np.abs(lhs - rhs)))
 
 
 def kahler_residual(frame_fn, h: float, coeffs: np.ndarray) -> float:
     """Commutation of the complex structure with the projected derivative."""
     f0 = frame_fn(0.0)
     fp, fm = frame_fn(h), frame_fn(-h)
-    section_p, section_m = psi(fp, coeffs), psi(fm, coeffs)
-    rotated = jtilde_coeffs(coeffs)
-    rotated_p, rotated_m = psi(fp, rotated), psi(fm, rotated)
-    lhs = project_to_tangent(f0, (rotated_p - rotated_m) / (2.0 * h))
-    rhs = jtilde_coeffs(project_to_tangent(f0, (section_p - section_m) / (2.0 * h)))
+    coeffs = np.asarray(coeffs, dtype=float)
+    if coeffs.shape != (f0.m, f0.k):
+        raise ValueError(f"expected coefficient shape {(f0.m, f0.k)}, got {coeffs.shape}")
+    basis_p, basis_m = tangent_basis_field(fp.e, fp.nu), tangent_basis_field(fm.e, fm.nu)
+    section, rotated = (
+        (np.einsum("ik,ikc->c", c, basis_p) - np.einsum("ik,ikc->c", c, basis_m)) / (2.0 * h)
+        for c in (coeffs, jtilde_coeffs(coeffs))
+    )
+    lhs = project_field(f0.e, f0.nu, rotated)
+    rhs = jtilde_coeffs(project_field(f0.e, f0.nu, section))
     return float(np.max(np.abs(lhs - rhs)))
 
 

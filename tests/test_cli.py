@@ -527,6 +527,32 @@ def test_unknown_task_or_geometry_exit_one(tmp_path, capsys):
         assert list(typed_out.glob("*")) == [], field
 
 
+def test_grid_periods_is_read_with_a_file_geometry_only(tmp_path, capsys):
+    # a family's data is periodic on 2 pi only; a 16-node circle given periods [3.0] used to
+    # exit 0 and write the 2 pi grid's length
+    out = tmp_path / "out"
+    circle = {
+        "geometry": {"kind": "circle", "r": 1.0},
+        "grid": {"sizes": [16], "periods": [3.0]},
+        "flow": {"dt": 1e-4, "t_end": 2e-4},
+        "output_dir": str(out),
+    }
+    torus = read_json(torus_config(tmp_path, out, grid={"sizes": [16, 16], "periods": [6.0, 6.0]}))
+    for argv, payload in [(["simulate"], circle), (["verify", "--verify-name", "codazzi"], torus)]:
+        with mock.patch.object(cli, "build_immersion", wraps=cli.build_immersion) as build:
+            assert main([*argv, "--config", write_config(tmp_path / "p.json", payload)]) == 1
+        build.assert_not_called()
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "grid.periods" in err, err
+        assert not out.exists()
+    # a file geometry reads the key into its grid, and runs
+    save_immersion_csv(make_circle(1.0, 16), tmp_path / "circle.csv")
+    from_file = {**circle, "geometry": {"kind": "file", "path": str(tmp_path / "circle.csv")}}
+    assert cli.build_immersion(from_file).grid.periods == (3.0,)
+    assert main(["simulate", "--config", write_config(tmp_path / "p.json", from_file)]) == 0
+    assert (out / "diagnostics.csv").exists()
+
+
 def test_malformed_config_lists_fields(tmp_path, capsys):
     cfg = write_config(tmp_path / "bad.json", {"geometry": {"kind": "circle"}})
     assert main(["simulate", "--config", cfg]) == 1

@@ -168,6 +168,18 @@ def test_no_module_level_import_is_unused():
     assert sorted(set(UNUSED_IMPORT_ALLOWED) - set(unused)) == []
 
 
+# the one-node wrappers of grassmann and exterior; verify works on fields only
+POINTWISE_NAMES = {"psi", "psi_inv", "project_to_tangent", "tangent_basis", "MultiVector", "inner"}
+
+
+def test_verify_imports_no_pointwise_name():
+    imported = set()
+    for node in ast.walk(ast.parse((SRC / "verify.py").read_text())):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            imported |= {alias.name.split(".")[-1] for alias in node.names}
+    assert sorted(imported & POINTWISE_NAMES) == []
+
+
 # comparisons of the dimension that stay, with the reason; any other comparison
 # of m, ``.m``, ``len(...)`` or ``.ndim`` in these modules is a fork to remove
 DIMENSION_TEST_ALLOWED = {
@@ -176,6 +188,7 @@ DIMENSION_TEST_ALLOWED = {
     ("geometry.py", "rotate_normal_field"): "input domain: codimension two, n = m + 2, for any m",
     ("flow.py", "Trajectory.__post_init__"): "counts the grids of a trajectory, not their axes",
     ("verify.py", "dt_rho_numeric"): "input domain: the index needs both neighbors in the trajectory",
+    ("verify.py", "kahler_residual"): "input domain: one (m, k) coefficient matrix",
     ("verify.py", "theorem2_suite"): "input domain: counts the steps of h_list",
     ("verify.py", "convergence_study"): "input domain: counts the resolutions",
 }

@@ -3,6 +3,7 @@ import dataclasses
 import io
 import json
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -20,6 +21,7 @@ from skewflow import (
     dt_rho_numeric,
     fundamental_forms,
     isometry_max_error,
+    kahler_residual,
     make_circle,
     make_perturbed_torus,
     make_product_torus,
@@ -34,7 +36,16 @@ from skewflow import (
 )
 from skewflow import exterior, geometry
 from skewflow.exterior import inner
-from skewflow.grassmann import check_frames, oriented_q, psi, random_adapted_frame
+from skewflow.grassmann import (
+    check_frames,
+    frame_curve,
+    jtilde_coeffs,
+    oriented_q,
+    project_to_tangent,
+    psi,
+    random_adapted_frame,
+    tangent_basis,
+)
 from skewflow.verify import (
     PROBLEMS,
     Report,
@@ -346,13 +357,85 @@ def test_isometry_max_error_is_one_field_computation(monkeypatch):
     for module in (grassmann, verify):
         monkeypatch.setattr(module, "tangent_basis_field", basis)
     pointwise = {}
-    for module, name in [(grassmann, "psi"), (verify, "psi"), (grassmann, "inner"), (exterior, "inner"),
+    for module, name in [(grassmann, "psi"), (grassmann, "inner"), (exterior, "inner"),
                          (grassmann, "random_adapted_frame")]:
         pointwise[module.__name__, name] = mock.Mock(wraps=getattr(module, name))
         monkeypatch.setattr(module, name, pointwise[module.__name__, name])
     isometry_max_error(seed=3, m=2, n=4, trials=100)
     assert basis.call_count == 1
     assert {key: spy.call_count for key, spy in pointwise.items()} == dict.fromkeys(pointwise, 0)
+
+
+def _pointwise_connection_residual(frame_fn, h):
+    """The connection check one (i, alpha) leg pair at a time through the pointwise API."""
+    f0 = frame_fn(0.0)
+    fp, fm = frame_fn(h), frame_fn(-h)
+    de = (fp.e - fm.e) / (2.0 * h)
+    dnu = (fp.nu - fm.nu) / (2.0 * h)
+    basis_p = tangent_basis(fp)
+    basis_m = tangent_basis(fm)
+    worst = 0.0
+    for i in range(f0.m):
+        for alpha in range(f0.k):
+            lhs = np.zeros((f0.m, f0.k))
+            for j in range(f0.m):
+                lhs[j, alpha] += float(np.dot(de[i], f0.e[j]))
+            for beta in range(f0.k):
+                lhs[i, beta] += float(np.dot(dnu[alpha], f0.nu[beta]))
+            d_basis = (basis_p[i][alpha] - basis_m[i][alpha]) / (2.0 * h)
+            rhs = project_to_tangent(f0, d_basis)
+            worst = max(worst, float(np.max(np.abs(lhs - rhs))))
+    return worst
+
+
+def _pointwise_kahler_residual(frame_fn, h, coeffs):
+    """The Kahler check through psi and project_to_tangent, one multivector at a time."""
+    f0 = frame_fn(0.0)
+    fp, fm = frame_fn(h), frame_fn(-h)
+    section_p, section_m = psi(fp, coeffs), psi(fm, coeffs)
+    rotated = jtilde_coeffs(coeffs)
+    rotated_p, rotated_m = psi(fp, rotated), psi(fm, rotated)
+    lhs = project_to_tangent(f0, (rotated_p - rotated_m) / (2.0 * h))
+    rhs = jtilde_coeffs(project_to_tangent(f0, (section_p - section_m) / (2.0 * h)))
+    return float(np.max(np.abs(lhs - rhs)))
+
+
+@pytest.mark.parametrize("m, n", [(1, 3), (1, 4), (2, 4), (2, 5), (3, 5)])
+def test_connection_residual_is_the_pointwise_loop_bit_for_bit(m, n):
+    for seed in (0, 5, 7, 23):
+        curve = frame_curve(seed, m, n)
+        for h in (1e-2, 1e-3, 1e-4):
+            assert connection_residual(curve, h).hex() == _pointwise_connection_residual(curve, h).hex()
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_kahler_residual_is_the_pointwise_loop_bit_for_bit(m):
+    for seed in (0, 5, 7, 25):
+        curve = frame_curve(seed, m, m + 2)
+        coeffs = np.random.default_rng(seed).standard_normal((m, 2))
+        for h in (1e-2, 1e-3, 1e-4):
+            assert kahler_residual(curve, h, coeffs).hex() == _pointwise_kahler_residual(curve, h, coeffs).hex()
+
+
+def test_connection_and_kahler_residuals_make_no_pointwise_call(monkeypatch):
+    import skewflow.grassmann as grassmann
+    import skewflow.verify as verify
+
+    pointwise = {}
+    for name in ("psi", "project_to_tangent", "tangent_basis"):
+        pointwise[name] = mock.Mock(wraps=getattr(grassmann, name))
+        for module in (grassmann, verify):  # verify's own binding too, should it import the name again
+            monkeypatch.setattr(module, name, pointwise[name], raising=False)
+    curve = frame_curve(3, 2, 4)
+    connection_residual(curve, 1e-3)
+    kahler_residual(curve, 1e-3, np.ones((2, 2)))
+    assert {name: spy.call_count for name, spy in pointwise.items()} == dict.fromkeys(pointwise, 0)
+
+
+@pytest.mark.parametrize("shape", [(2,), (2, 3), (1, 2), (4,)])
+def test_kahler_residual_names_the_coefficient_shape_it_expects(shape):
+    with pytest.raises(ValueError, match=re.escape("expected coefficient shape (2, 2)")):
+        kahler_residual(frame_curve(3, 2, 4), 1e-3, np.ones(shape))
 
 
 @pytest.mark.parametrize("trials", [0, -1])

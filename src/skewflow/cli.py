@@ -34,13 +34,10 @@ from .verify import (
     Report,
     convergence_study,
     report_to_dict,
-    residual_codazzi,
-    residual_identify,
     save_json,
     save_residual_csv,
     save_table_csv,
     table_to_dict,
-    theorem1_residual,
     theorem2_suite,
 )
 
@@ -125,9 +122,8 @@ def _check_keys(section: dict, keys, where: str | None, reader: str):
 
 def _family(config: dict, task: str | None = None) -> tuple:
     """The kind of geometry that ``config`` builds, its builder, keys and axes, and the checked numbers
-    of the family keys it sets: geometry.kind's family, or under converge, its problem's (None: a fixed
-    geometry); a file reads its path.  An unknown kind, or a geometry or grid key the kind does not
-    read, raises."""
+    of the family keys it sets: geometry.kind's family, or under converge, its problem's; a file reads
+    its path.  An unknown kind, or a geometry or grid key the kind does not read, raises."""
     geometry, kinds = config.get("geometry", {}), (*FAMILIES, "file")
     kind = geometry.get("kind")
     reader = f"a {kind} geometry"
@@ -135,14 +131,13 @@ def _family(config: dict, task: str | None = None) -> tuple:
         name = config.get("verify_name", "theorem1")
         family, reader = PROBLEMS[name][0], f"converge {name}"
         if kind not in (None, family):
-            builds = f"a {family}" if family else "no configurable geometry"
-            raise ConfigError(f"geometry.kind is {kind!r}, but converge {name} builds {builds}")
+            raise ConfigError(f"geometry.kind is {kind!r}, but converge {name} builds a {family}")
         kind = family
     elif kind is None:  # no kind to check the keys against: build_immersion names it missing
         return None, None, (), None, {}
     elif kind not in kinds:
         raise ConfigError(f"geometry: unknown kind {kind!r}, expected one of {kinds}")
-    builder, keys, axes = {**FAMILIES, "file": (None, ("path",), None)}.get(kind, (None, (), None))
+    builder, keys, axes = {**FAMILIES, "file": (None, ("path",), None)}[kind]
     _check_keys(geometry, ("kind", *keys), "geometry", reader)
     _check_keys(config.get("grid", {}), ("sizes",) if builder else GRID_KEYS, "grid", reader)  # a family's period is 2 pi
     checks = {k: _integer if k == "seed" else _number for k in keys if builder and k in geometry}
@@ -330,12 +325,9 @@ def task_verify(config: dict, out_dir: Path) -> int:
     meta = {"geometry": config["geometry"]["kind"], "seed": seed}
     if name == "conservation":
         report = _conservation_report(config, imm)
-    elif name in THEOREM1_FLOWS:
-        report = theorem1_residual(imm, name, build_flow_config(config, imm, THEOREM1_FLOWS[name]), meta)
-    elif name == "codazzi":
-        report = residual_codazzi(fundamental_forms(imm), metadata=meta)
     else:
-        report = residual_identify(fundamental_forms(imm), metadata=meta)
+        flow = build_flow_config(config, imm, THEOREM1_FLOWS[name]) if name in THEOREM1_FLOWS else None
+        report = PROBLEMS[name][1](imm, flow, meta)
     save_json(report_to_dict(report), out_dir / "report.json")
     save_residual_csv(report, out_dir / "residual.csv")
     print(f"verify {name}: max={report.norms['max']:.6e} l2={report.norms['l2']:.6e}")

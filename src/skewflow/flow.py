@@ -187,14 +187,14 @@ def explicit_step_bound(imm: Immersion) -> float:
     return RK4_LIMIT / float(np.max(lam))
 
 
-def velocity(imm: Immersion, kind: str = "SMCF", time: float | None = None) -> np.ndarray:
+def velocity(imm: Immersion, kind: str = "SMCF") -> np.ndarray:
     """Flow velocity per node, sizes + (n,): quarter-turned mean curvature
-    (skew) or plain H.  ``time`` only labels a degeneracy error.
+    (skew) or plain H.
     """
     if kind not in FLOW_KINDS:
         raise ValueError(f"unknown flow kind {kind!r}")
     ws = _Operator(imm.grid, kind)
-    _coefficients(np.moveaxis(imm.F, -1, 0), time, ws)
+    _coefficients(np.moveaxis(imm.F, -1, 0), None, ws)
     return np.moveaxis(_apply(ws, np.empty((imm.n,) + imm.grid.sizes)), 0, -1)
 
 

@@ -123,7 +123,7 @@ def _locate(flat_index: int, sizes: tuple[int, ...]) -> tuple[int, ...]:
 
 def _check_rank(min_sv: np.ndarray, sizes: tuple[int, ...], time: float | None) -> None:
     """Raise, naming the node, unless every tangent singular value is finite and >= RANK_TOL."""
-    if min_sv.min() >= RANK_TOL:  # False on NaN as well
+    if min_sv.min() >= RANK_TOL and min_sv.max() < np.inf:  # False on NaN and on +inf
         return
     finite = np.isfinite(min_sv)
     if not np.all(finite):
@@ -511,6 +511,9 @@ def load_immersion_csv(path, sizes, periods=None) -> Immersion:
     except ValueError:
         start = 1  # header row
     data = np.array([[float(v) for v in row] for row in rows[start:]])
+    bad = np.flatnonzero(~np.isfinite(data).all(axis=-1))
+    if bad.size:
+        raise ValueError(f"CSV {path} row {start + bad[0] + 1} holds a non-finite coordinate: {rows[start + bad[0]]}")
     grid = PeriodicGrid(tuple(sizes), periods)
     n = grid.m + 2
     if data.shape != (int(np.prod(grid.sizes)), n):

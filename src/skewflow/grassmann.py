@@ -146,13 +146,13 @@ def psi(frame: AdaptedFrame, coeffs) -> MultiVector:
     return MultiVector(frame.n, frame.m, np.einsum("ik,ikc->c", coeffs, tangent_basis_field(frame.e, frame.nu)))
 
 
-def psi_inv(frame: AdaptedFrame, v: MultiVector, tol: float = TANGENT_TOL) -> np.ndarray:
+def psi_inv(frame: AdaptedFrame, v: MultiVector) -> np.ndarray:
     """Coefficient matrix of a tangent multivector; errors if v leaves the span."""
     coeffs = project_to_tangent(frame, v)
     residual = (v - psi(frame, coeffs)).norm()
-    if residual > tol * max(1.0, v.norm()):
+    if residual > TANGENT_TOL * max(1.0, v.norm()):
         raise NotTangentError(
-            f"multivector has out-of-tangent component {residual:.3e} beyond tolerance {tol:.1e}"
+            f"multivector has out-of-tangent component {residual:.3e} beyond tolerance {TANGENT_TOL:.1e}"
         )
     return coeffs
 

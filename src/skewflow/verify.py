@@ -22,16 +22,8 @@ from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 
-from .flow import FlowConfig, FlowState, Trajectory, run, stable_dt
-from .geometry import (
-    FAMILIES,
-    GeometryCache,
-    PeriodicGrid,
-    diff1,
-    fundamental_forms,
-    make_product_torus,
-    quarter_turn,
-)
+from .flow import FlowConfig, Trajectory, run, stable_dt
+from .geometry import FAMILIES, GeometryCache, PeriodicGrid, diff1, fundamental_forms, quarter_turn
 from .grassmann import (
     check_frames,
     frame_curve,
@@ -185,7 +177,7 @@ def residual_theorem1(traj: Trajectory, index: int, use_jtilde: bool = True, met
 THEOREM1_FLOWS = {"theorem1": "SMCF", "theorem1_mcf": "MCF"}
 
 
-def theorem1_residual(imm, name="theorem1", config: FlowConfig | None = None, metadata: dict | None = None) -> Report:
+def theorem1_residual(imm, config: FlowConfig | None = None, metadata: dict | None = None, *, name="theorem1") -> Report:
     """The residual of ``name`` along its flow, which replaces ``config``'s, with every step
     recorded; it sits at the middle state between two full steps, never before a shortened
     last one.  Unset, ``config`` is two steps of ``stable_dt`` under RK4."""
@@ -245,6 +237,11 @@ def residual_identify(cache: GeometryCache, metadata: dict | None = None) -> Rep
 # frame-bundle identities by finite differences
 
 
+def _check_step(h) -> None:
+    if not 0.0 < h < np.inf:  # False on NaN as well
+        raise ValueError(f"the step h must be finite and positive, got {h!r}")
+
+
 def connection_residual(frame_fn, h: float) -> float:
     """Max mismatch between the two sides of the connection identity at step h.
 
@@ -253,6 +250,7 @@ def connection_residual(frame_fn, h: float) -> float:
     difference of the corresponding tangent basis multivectors, all (i, alpha)
     entries at once.
     """
+    _check_step(h)
     f0 = frame_fn(0.0)
     fp, fm = frame_fn(h), frame_fn(-h)
     de = (fp.e - fm.e) / (2.0 * h)
@@ -268,6 +266,7 @@ def connection_residual(frame_fn, h: float) -> float:
 
 def kahler_residual(frame_fn, h: float, coeffs: np.ndarray) -> float:
     """Commutation of the complex structure with the projected derivative."""
+    _check_step(h)
     f0 = frame_fn(0.0)
     fp, fm = frame_fn(h), frame_fn(-h)
     coeffs = np.asarray(coeffs, dtype=float)
@@ -303,14 +302,16 @@ def isometry_max_error(seed: int, m: int, n: int, trials: int = 1000) -> float:
     return float(np.max(np.abs(np.vecdot(psi_c, psi_d) - np.sum((c * d).reshape(trials, m * k), axis=1))))
 
 
-def theorem2_suite(seed: int, h_list, m: int = 2, n: int = 4, trials: int = 1000) -> ConvergenceTable:
-    """Isometry (exact) plus connection preservation (finite differences).
+def theorem2_suite(seed: int, h_list, trials: int = 1000) -> ConvergenceTable:
+    """Isometry (exact) plus connection preservation (finite differences), for
+    2-planes in R^4.
 
     The isometry part has no step size; its worst error over ``trials`` >= 1
     frames is stored in the table metadata.  The connection part is sampled
     along a seeded smooth frame curve at every h in h_list, which needs at
     least two distinct, finite, positive steps.
     """
+    m, n = 2, 4
     try:
         hs = [float(h) for h in h_list]
     except TypeError as exc:
@@ -343,58 +344,29 @@ def theorem2_suite(seed: int, h_list, m: int = 2, n: int = 4, trials: int = 1000
 # convergence studies
 
 
-def fit_order(hs, norms, floor: float = RESIDUAL_FLOOR):
+def fit_order(hs, norms):
     """Least-squares slope of log norm against log h.
 
     Returns (order, monotone, below_floor); no order is fitted when any
-    residual sits at the floor, and a non-monotone sequence is flagged so the
-    caller can mark the fit unreliable.
+    residual sits at ``RESIDUAL_FLOOR``, and a non-monotone sequence is
+    flagged so the caller can mark the fit unreliable.
     """
     norms = [float(v) for v in norms]
-    if any(v <= floor for v in norms):
+    if any(v <= RESIDUAL_FLOOR for v in norms):
         return None, True, True
     monotone = all(b < a for a, b in zip(norms, norms[1:]))
     slope = float(np.polyfit(np.log(hs), np.log(norms), 1)[0])
     return slope, monotone, False
 
 
-def _problem_diff1(size):
-    """Trivial stencil benchmark: centered difference of sin on a circle grid."""
-    grid = PeriodicGrid((size,))
-    x = grid.axes()[0]
-    err = np.abs(diff1(np.sin(x), grid, 0) - np.cos(x))
-    return Report(
-        name="diff1",
-        field=err,
-        norms={"max": float(np.max(err)), "l2": float(np.sqrt(np.mean(err**2) * 2 * np.pi))},
-        grid_sizes=grid.sizes,
-    )
-
-
-def _problem_frozen(size):
-    """Identically-zero residual: time variation of a trajectory that does not move."""
-    imm = make_product_torus(1.0, 0.6, size)
-    dt = stable_dt(imm)
-    traj = Trajectory([FlowState(t, imm) for t in (0.0, dt, 2 * dt)])
-    coeffs = dt_rho_numeric(traj, 1)
-    err = _frobenius(coeffs)
-    return Report(
-        name="frozen",
-        field=err,
-        norms={"max": float(np.max(err)), "l2": float(np.sqrt(np.mean(err**2)))},
-        grid_sizes=traj.grid.sizes,
-    )
-
-
-# name -> (geometry family, residual of the immersion that geometry.FAMILIES builds),
-# or (None, residual of the grid size) for a fixed geometry
+# name -> (geometry family, residual(imm, flow=None, metadata=None) of the immersion that
+# geometry.FAMILIES builds): the one table that verify and converge run a name through;
+# flow is the FlowConfig of a theorem1 name, and codazzi and identify read none
 PROBLEMS = {
     "theorem1": ("perturbed_torus", theorem1_residual),
-    "theorem1_mcf": ("perturbed_torus", lambda imm: theorem1_residual(imm, "theorem1_mcf")),
-    "codazzi": ("perturbed_torus", lambda imm: residual_codazzi(fundamental_forms(imm))),
-    "identify": ("product_torus", lambda imm: residual_identify(fundamental_forms(imm))),
-    "diff1": (None, _problem_diff1),
-    "frozen": (None, _problem_frozen),
+    "theorem1_mcf": ("perturbed_torus", functools.partial(theorem1_residual, name="theorem1_mcf")),
+    "codazzi": ("perturbed_torus", lambda imm, flow=None, metadata=None: residual_codazzi(fundamental_forms(imm), metadata)),
+    "identify": ("product_torus", lambda imm, flow=None, metadata=None: residual_identify(fundamental_forms(imm), metadata)),
 }
 FAMILY_DEFAULTS = {"a": 1.0, "b": 0.6, "eps": 0.05, "seed": 7}  # the values of the family keys left unset
 
@@ -425,12 +397,12 @@ def convergence_study(problem, resolutions, norm_key: str = "max", **problem_kwa
         PeriodicGrid((size,))
     if isinstance(problem, str):
         family, residual = PROBLEMS[problem]
-        builder, keys, axes = FAMILIES[family] if family else (None, (), 0)
+        builder, keys, axes = FAMILIES[family]
         unread = [key for key in problem_kwargs if key not in keys]
         if unread:
             raise TypeError(f"convergence problem {problem!r} does not read {unread}")
         values = [problem_kwargs.get(key, FAMILY_DEFAULTS[key]) for key in keys]
-        runner = residual if builder is None else lambda size: residual(builder(*values, *[size] * axes))
+        runner = lambda size: residual(builder(*values, *[size] * axes))
     else:
         runner = functools.partial(problem, **problem_kwargs)
     rows = []

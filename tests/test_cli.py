@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skewflow import cli, make_circle, make_perturbed_torus, residual_theorem1, save_immersion_csv, verify
+from skewflow import cli, geometry, make_circle, make_perturbed_torus, residual_theorem1, save_immersion_csv, verify
 from skewflow.cli import main
 from skewflow.flow import FlowConfig, run
 
@@ -283,8 +283,8 @@ def test_converge_writes_table(tmp_path):
         ("identify", {"kind": "product_torus", "a": 1.0, "b": 0.6, "eps": 0.3}, "geometry.eps"),
         ("identify", {"a": 1.0, "seed": 3}, "geometry.seed"),
         ("theorem1", {"kind": "perturbed_torus", "a": 1.0, "r": 1.0}, "geometry.r"),
-        ("diff1", {"kind": "circle"}, "geometry.kind"),
-        ("frozen", {"b": 0.6}, "geometry.b"),
+        ("theorem1_mcf", {"kind": "product_torus"}, "geometry.kind"),
+        ("codazzi", {"path": "nodes.csv"}, "geometry.path"),
     ],
 )
 def test_converge_rejects_a_geometry_its_problem_does_not_build(tmp_path, capsys, name, geometry, field):
@@ -317,7 +317,7 @@ def test_converge_rejects_a_geometry_its_problem_does_not_build(tmp_path, capsys
     ],
 )
 def test_converge_rejects_a_flag_or_flow_key_it_does_not_read(tmp_path, capsys, flags, flow, field):
-    payload = {"verify_name": "diff1", "resolutions": [16, 32], "flow": {"seed": 3, **flow}}
+    payload = {"verify_name": "identify", "resolutions": [16, 32], "flow": {"seed": 3, **flow}}
     assert_exits_one_before_any_work(tmp_path, capsys, ["converge", "--seed", "3", *flags], payload, field)
 
 
@@ -326,8 +326,48 @@ def test_converge_rejects_a_flag_or_flow_key_it_does_not_read(tmp_path, capsys, 
     [({"snapshots": True, "h_list": [5]}, "snapshots"), ({"h_list": [5]}, "h_list"), ({"grid": {"sizes": [16]}}, "grid")],
 )
 def test_converge_rejects_a_root_key_it_does_not_read(tmp_path, capsys, extra, field):
-    payload = {"verify_name": "diff1", "resolutions": [16, 32], **extra}
+    payload = {"verify_name": "identify", "resolutions": [16, 32], **extra}
     assert_exits_one_before_any_work(tmp_path, capsys, ["converge"], payload, field)
+
+
+@pytest.mark.parametrize("name", sorted(verify.PROBLEMS))
+def test_verify_and_converge_run_a_name_through_its_problems_row(tmp_path, monkeypatch, name):
+    family, _ = verify.PROBLEMS[name]
+    assert family in geometry.FAMILIES
+    calls = []
+
+    def spy(imm, flow=None, metadata=None):
+        calls.append((imm.grid.sizes, flow, metadata))
+        value = 1.0 / imm.grid.sizes[0] ** 2
+        return verify.Report(name, np.full(imm.grid.sizes, value), {"max": value, "l2": value}, imm.grid.sizes)
+
+    monkeypatch.setitem(verify.PROBLEMS, name, (family, spy))
+    _, keys, axes = geometry.FAMILIES[family]
+    values = {"kind": family, **{key: verify.FAMILY_DEFAULTS[key] for key in keys}}
+    out = tmp_path / "out"
+    payload = {"geometry": values, "grid": {"sizes": [16] * axes}, "verify_name": name, "output_dir": str(out)}
+    assert main(["verify", "--config", write_config(tmp_path / "v.json", payload)]) == 0
+    ((sizes, flow, metadata),) = calls
+    assert sizes == (16,) * axes and metadata == {"geometry": family, "seed": 0}
+    assert getattr(flow, "flow_kind", None) == verify.THEOREM1_FLOWS.get(name)  # codazzi and identify read no flow
+    assert read_json(out / "report.json")["norms"]["max"] == 1.0 / 256
+    calls.clear()
+    payload = {"verify_name": name, "resolutions": [16, 32], "output_dir": str(out)}
+    assert main(["converge", "--config", write_config(tmp_path / "c.json", payload)]) == 0
+    assert calls == [((16,) * axes, None, None), ((32,) * axes, None, None)]
+    assert read_json(out / "convergence_table.json")["observed_order"] == pytest.approx(2.0)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e400"])
+def test_a_file_with_a_non_finite_position_exits_one_naming_its_row(tmp_path, capsys, value):
+    # this used to exit 2 as a degenerate immersion, with inf only after the first RK4 stage
+    path = tmp_path / "nodes.csv"
+    save_immersion_csv(make_circle(1.0, 16), path)
+    lines = path.read_text().splitlines()
+    lines[6] = f"{value},0.0,0.0"  # node 5, the CSV's row 7 after the header
+    path.write_text("\n".join(lines) + "\n")
+    payload = {"geometry": {"kind": "file", "path": str(path)}, "grid": {"sizes": [16]}, "flow": {"scheme": "RK4"}}
+    assert_exits_one_before_any_work(tmp_path, capsys, ["simulate"], payload, "row 7 holds a non-finite coordinate")
 
 
 def test_converge_checks_every_resolution_before_the_first_residual(tmp_path, capsys):
@@ -363,7 +403,7 @@ def test_a_geometry_key_its_kind_does_not_read_exits_one(tmp_path, capsys, task,
         (["converge"], {"resolutions": [16, 32]}, True),  # the perturbed torus of theorem1
         (["verify", "--verify-name", "codazzi"], {"geometry": {"kind": "perturbed_torus"}}, True),
         (["converge", "--verify-name", "identify"], {"geometry": {"kind": "product_torus"}}, False),
-        (["converge", "--verify-name", "diff1"], {}, False),
+        (["converge", "--verify-name", "identify"], {}, False),  # the product torus of identify
         (["simulate"], {"geometry": {"kind": "circle"}}, False),
     ],
 )

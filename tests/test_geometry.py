@@ -262,6 +262,17 @@ def test_degenerate_immersion_raises_at_construction_with_time():
     assert err.value.node is not None
 
 
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_fundamental_forms_of_a_non_finite_node_names_a_neighbour(value):
+    # an infinite node used to pass the rank check, returning min_sv = inf
+    imm = make_circle(1.0, 16)
+    F = imm.F.copy()
+    F[5, 0] = value
+    with pytest.raises(DegenerateImmersionError, match="non-finite") as err:
+        fundamental_forms(Immersion(grid=imm.grid, F=F))
+    assert err.value.node == (4,)
+
+
 def test_quarter_turn_is_the_determinant_form():
     # <J w, u> = det(t_1, ..., t_m, w, u) for xi = t_1 ^ ... ^ t_m, node by node
     rng = np.random.default_rng(5)

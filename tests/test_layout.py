@@ -19,6 +19,7 @@ from skewflow import (
     run,
     step,
     velocity,
+    verify,
 )
 from skewflow.geometry import _metric_block
 from skewflow.grassmann import project_field, rho_field
@@ -172,12 +173,24 @@ def test_no_module_level_import_is_unused():
 POINTWISE_NAMES = {"psi", "psi_inv", "project_to_tangent", "tangent_basis", "MultiVector", "inner"}
 
 
-def test_verify_imports_no_pointwise_name():
+def _imported(module: str) -> set:
+    """The names that a module of the package imports, anywhere in it."""
     imported = set()
-    for node in ast.walk(ast.parse((SRC / "verify.py").read_text())):
+    for node in ast.walk(ast.parse((SRC / module).read_text())):
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             imported |= {alias.name.split(".")[-1] for alias in node.names}
-    assert sorted(imported & POINTWISE_NAMES) == []
+    return imported
+
+
+def test_verify_imports_no_pointwise_name():
+    assert sorted(_imported("verify.py") & POINTWISE_NAMES) == []
+
+
+def test_cli_runs_named_residuals_through_the_problems_table():
+    assert sorted(_imported("cli.py") & {"theorem1_residual", "residual_codazzi", "residual_identify"}) == []
+    # every verify name but the two without a geometry family is a row of the table
+    names = {task.split()[1] for task in cli.READS if task.startswith("verify ")}
+    assert names == set(verify.PROBLEMS) | {"theorem2", "conservation"}
 
 
 # comparisons of the dimension that stay, with the reason; any other comparison

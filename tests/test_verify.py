@@ -438,6 +438,15 @@ def test_kahler_residual_names_the_coefficient_shape_it_expects(shape):
         kahler_residual(frame_curve(3, 2, 4), 1e-3, np.ones(shape))
 
 
+@pytest.mark.parametrize("h", [0.0, -1e-3, math.nan, math.inf])
+def test_frame_bundle_residuals_name_a_step_that_is_not_finite_and_positive(h):
+    # a step of 0 or NaN used to return nan after a RuntimeWarning
+    frame_fn = mock.Mock(side_effect=AssertionError("a frame was built"))
+    for check in (lambda: connection_residual(frame_fn, h), lambda: kahler_residual(frame_fn, h, np.ones((2, 2)))):
+        with pytest.raises(ValueError, match=re.escape(f"step h must be finite and positive, got {h!r}")):
+            check()
+
+
 @pytest.mark.parametrize("trials", [0, -1])
 def test_isometry_check_of_no_trials_raises_before_work(trials, monkeypatch):
     import skewflow.verify as verify
@@ -449,14 +458,29 @@ def test_isometry_check_of_no_trials_raises_before_work(trials, monkeypatch):
         theorem2_suite(seed=1, h_list=[1e-2, 1e-3], trials=trials)
 
 
+def diff1_error(size):
+    """Trivial stencil benchmark: centered difference of sin on a circle grid."""
+    grid = PeriodicGrid((size,))
+    x = grid.axes()[0]
+    err = np.abs(geometry.diff1(np.sin(x), grid, 0) - np.cos(x))
+    return Report(name="diff1", field=err, norms={"max": float(np.max(err))}, grid_sizes=grid.sizes)
+
+
 def test_convergence_study_diff1_second_order():
-    table = convergence_study("diff1", [32, 64, 128])
+    table = convergence_study(diff1_error, [32, 64, 128])
     assert table.observed_order == pytest.approx(2.0, abs=0.1)
     assert table.monotone
+    assert table.name == "diff1_error"
 
 
 def test_convergence_study_zero_residual_flagged():
-    table = convergence_study("frozen", [16, 32])
+    def frozen(size):
+        """Time variation of a trajectory that does not move: identically zero."""
+        imm = make_product_torus(1.0, 0.6, size)
+        err = np.max(np.abs(dt_rho_numeric(Trajectory([FlowState(t, imm) for t in (0.0, 1e-3, 2e-3)]), 1)))
+        return Report(name="frozen", field=np.array([err]), norms={"max": float(err)}, grid_sizes=imm.grid.sizes)
+
+    table = convergence_study(frozen, [16, 32])
     assert table.below_floor
     assert table.observed_order is None
 
@@ -473,7 +497,7 @@ def test_convergence_study_non_monotone_flagged():
 
 def test_convergence_study_needs_two_resolutions():
     with pytest.raises(ValueError):
-        convergence_study("diff1", [32])
+        convergence_study("identify", [32])
 
 
 @pytest.mark.parametrize(
@@ -483,8 +507,8 @@ def test_convergence_study_needs_two_resolutions():
         ("identify", {"a": 1.0, "seed": 3}, "seed"),
         ("theorem1", {"r": 1.0}, "r"),
         ("codazzi", {"size": 16}, "size"),
-        ("diff1", {"a": 1.0}, "a"),
-        ("frozen", {"b": 0.6}, "b"),
+        ("theorem1_mcf", {"path": "nodes.csv"}, "path"),
+        pytest.param("identify", {"r": 1.0, "b": 0.6}, "r", id="only-the-unread-key-is-named"),
     ],
 )
 def test_convergence_study_rejects_a_keyword_its_family_does_not_read(monkeypatch, name, kwargs, unread):
@@ -502,7 +526,7 @@ def test_convergence_study_rejects_repeated_resolutions():
 
     def counted(size, **_):
         calls.append(size)
-        return PROBLEMS["diff1"][1](size)
+        return diff1_error(size)
 
     with pytest.raises(ValueError, match="distinct"):
         convergence_study(counted, [16, 16])

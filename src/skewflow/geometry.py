@@ -16,6 +16,7 @@ of ``Immersion.F``.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
@@ -94,11 +95,23 @@ class Immersion:
         return self.F.shape[-1]
 
 
-def diff1(values: np.ndarray, grid: PeriodicGrid, direction: int) -> np.ndarray:
+def periodic_difference(values: np.ndarray, axis: int, lo: int, hi: int, out: np.ndarray) -> np.ndarray:
+    """out[k] = values[k + hi] - values[k + lo] along a periodic axis, for offsets
+    in {-1, 0, 1}: elementwise the subtraction of two ``np.roll``s, with no copy."""
+    src, dst = np.moveaxis(values, axis, 0), np.moveaxis(out, axis, 0)
+    size = len(src)
+    np.subtract(src[1 + hi : size - 1 + hi], src[1 + lo : size - 1 + lo], out=dst[1:-1])
+    for k in (0, size - 1):
+        np.subtract(src[(k + hi) % size], src[(k + lo) % size], out=dst[k, ...])  # a view, also in 1-D
+    return out
+
+
+def diff1(values: np.ndarray, grid: PeriodicGrid, direction: int, out: np.ndarray | None = None) -> np.ndarray:
     """Centered first difference along a grid direction (a trailing axis), periodic."""
-    h = grid.spacings[direction]
     axis = values.ndim - grid.m + direction
-    return (np.roll(values, -1, axis=axis) - np.roll(values, 1, axis=axis)) / (2.0 * h)
+    out = periodic_difference(values, axis, -1, 1, np.empty_like(values) if out is None else out)
+    out /= 2.0 * grid.spacings[direction]
+    return out
 
 
 def diff2(values: np.ndarray, grid: PeriodicGrid, dir_a: int, dir_b: int) -> np.ndarray:
@@ -335,33 +348,43 @@ class GeometryCache:
     def rho(self) -> np.ndarray:
         return rho_field(self.e)
 
-    def _d2_perp(self) -> np.ndarray:
-        """Normal part of the second coordinate derivatives, (m, m, n, *sizes).
+    def _d2_perp(self) -> dict:
+        """Normal part of the second coordinate derivatives D_ij F, one (n, *sizes)
+        array per pair i <= j.
 
-        Not cached: few callers read both A and H, and keeping it would hold
-        another 8 MiB per geometry at 256^2.
+        Not cached: few callers read both A and H, and keeping the pairs would
+        hold another 6 MiB per geometry at 256^2.
         """
-        h, m = self.grid.spacings, self.grid.m
-        d2 = np.empty((m, m) + self.f.shape)
+        h, e = self.grid.spacings, self.e
+        d2 = {}
         for i, j in self._stencils.pairs:
-            d2[j, i] = _second_difference(self._stencils, h, i, j, d2[i, j])
-        tang = np.einsum("ijn...,ln...->ijl...", d2, self.e)
-        d2 -= np.einsum("ijl...,ln...->ijn...", tang, self.e)
+            d = d2[i, j] = _second_difference(self._stencils, h, i, j, np.empty(self.f.shape))
+            d -= np.einsum("l...,ln...->n...", np.einsum("n...,ln...->l...", d, e), e)
         return d2
 
     @cached_property
     def A(self) -> np.ndarray:
-        return np.einsum("ijn...,an...->aij...", self._d2_perp(), self.nu)
+        A = np.empty((len(self.nu),) + self.g.shape)
+        for (i, j), d in self._d2_perp().items():
+            A[:, j, i] = np.einsum("n...,an...->a...", d, self.nu, out=A[:, i, j])
+        return A
 
     @cached_property
     def H(self) -> np.ndarray:
-        return np.einsum("ij...,ijn...->n...", self.g_inv, self._d2_perp())
+        m, d2 = self.grid.m, self._d2_perp()
+        H = np.zeros(self.f.shape)
+        for i, j in np.ndindex(m, m):  # every (i, j), row by row: the bits of H depend on the order
+            H += self.g_inv[i, j] * d2[min(i, j), max(i, j)]
+        return H
 
     @cached_property
     def grad_H_perp(self) -> np.ndarray:
-        dH = np.stack([diff1(self.H, self.grid, i) for i in range(self.grid.m)])
-        e = self.e
-        return dH - np.einsum("il...,ln...->in...", np.einsum("in...,ln...->il...", dH, e), e)
+        m, e = self.grid.m, self.e
+        dH = np.empty((m,) + self.f.shape)
+        for i in range(m):
+            diff1(self.H, self.grid, i, out=dH[i])
+        dH -= np.einsum("il...,ln...->in...", np.einsum("in...,ln...->il...", dH, e), e)
+        return dH
 
 
 def fundamental_forms(imm: Immersion, time: float | None = None) -> GeometryCache:
@@ -501,21 +524,26 @@ def make_perturbed_circle(r: float, eps: float, seed: int, size: int) -> Immersi
 
 def load_immersion_csv(path, sizes, periods=None) -> Immersion:
     """Node positions from CSV (columns x1..xn, rows in row-major grid order)."""
+    grid = PeriodicGrid(tuple(sizes), periods)
+    n = grid.m + 2
     with open(path, newline="") as fh:
         rows = [row for row in csv.reader(fh) if row]
     if not rows:
         raise ValueError(f"CSV {path} holds no rows")
-    start = 0
-    try:
-        [float(v) for v in rows[0]]
-    except ValueError:
-        start = 1  # header row
-    data = np.array([[float(v) for v in row] for row in rows[start:]])
-    bad = np.flatnonzero(~np.isfinite(data).all(axis=-1))
-    if bad.size:
-        raise ValueError(f"CSV {path} row {start + bad[0] + 1} holds a non-finite coordinate: {rows[start + bad[0]]}")
-    grid = PeriodicGrid(tuple(sizes), periods)
-    n = grid.m + 2
+    data = []
+    for r, row in enumerate(rows, 1):
+        try:
+            values = [float(v) for v in row]
+        except ValueError:
+            if r == 1:
+                continue  # header row
+            raise ValueError(f"CSV {path} row {r} is not numeric: {row}") from None
+        if len(values) != n:
+            raise ValueError(f"CSV {path} row {r} holds {len(values)} values, expected {n}: {row}")
+        if not all(map(math.isfinite, values)):
+            raise ValueError(f"CSV {path} row {r} holds a non-finite coordinate: {row}")
+        data.append(values)
+    data = np.array(data).reshape(-1, n)
     if data.shape != (int(np.prod(grid.sizes)), n):
         raise ValueError(
             f"CSV holds {data.shape} values, expected {(int(np.prod(grid.sizes)), n)} "

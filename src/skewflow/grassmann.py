@@ -78,15 +78,15 @@ class GrassmannPoint:
                 raise FrameError("frame does not span the stored multivector")
 
 
-def rho_field(e: np.ndarray) -> np.ndarray:
+def rho_field(e) -> np.ndarray:
     """Wedge e_1 ^ ... ^ e_m of the rows of e, shape (m, n, ...) -> (C(n, m), ...).
 
     For an orthonormal tangent frame this is the unit simple m-vector of the
-    plane, per node.  When m = 1 the result is a view of e's only row.
+    plane, per node.  ``e`` may also be a sequence of m vector fields.  When
+    m = 1 the result is a view of e's only row.
     """
-    m, n = e.shape[:2]
-    out = e[0]
-    for i in range(1, m):
+    out, n = e[0], len(e[0])
+    for i in range(1, len(e)):
         out = wedge_field(out, e[i], i, 1, n)
     return out
 
@@ -95,17 +95,18 @@ def tangent_basis_field(e: np.ndarray, nu: np.ndarray) -> np.ndarray:
     """Per-node orthonormal tangent basis of the Grassmannian, shape (m, k, C, ...).
 
     Entry (i, alpha) is the wedge of the plane basis with leg i replaced by
-    normal vector alpha.  One wedge chain serves every entry; its last wedge
-    writes into the (m, k, C) order, so one frame's basis is contiguous.
+    normal vector alpha.  Each row i runs one wedge chain over views of the
+    legs, leg i swapped for nu, whose alpha axis broadcasts against the other
+    legs; its last wedge writes into the basis, so one frame's basis is
+    contiguous and no grid-sized copy of the legs is made.
     """
     (m, n), k = e.shape[:2], nu.shape[0]
-    legs = np.empty((m, n, m, k) + e.shape[2:])
-    legs[...] = e[:, :, None, None]
-    for i in range(m):
-        legs[i, :, i] = np.swapaxes(nu, 0, 1)
-    head = rho_field(legs[:-1]) if m > 1 else np.ones(1)  # 1 is the empty wedge
     basis = np.empty((m, k, comb(n, m)) + e.shape[2:])
-    wedge_field(head, legs[-1], m - 1, 1, n, out=np.moveaxis(basis, 2, 0))
+    scratch = np.empty((k,) + e.shape[2:])
+    for i in range(m):
+        legs = [*e[:i, :, None], np.moveaxis(nu, 0, 1), *e[i + 1 :, :, None]]  # (n, 1 or k, ...) each
+        head = rho_field(legs[:-1]) if m > 1 else np.ones(1)  # 1 is the empty wedge
+        wedge_field(head, legs[-1], m - 1, 1, n, out=np.moveaxis(basis[i], 1, 0), scratch=scratch)
     return basis
 
 

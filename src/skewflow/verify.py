@@ -23,7 +23,7 @@ from dataclasses import dataclass, field as dc_field, replace
 import numpy as np
 
 from .flow import FlowConfig, Trajectory, run, stable_dt
-from .geometry import FAMILIES, GeometryCache, PeriodicGrid, diff1, fundamental_forms, quarter_turn
+from .geometry import FAMILIES, GeometryCache, PeriodicGrid, diff1, fundamental_forms, periodic_difference, quarter_turn
 from .grassmann import (
     check_frames,
     frame_curve,
@@ -87,20 +87,25 @@ def laplace_beltrami(values: np.ndarray, cache: GeometryCache) -> np.ndarray:
     m = grid.m
     w = cache.sqrt_det_g * cache.g_inv
     out = np.zeros_like(values)
+    a, b = np.empty_like(values), np.empty_like(values)  # scratch, reused by every term
     for i in range(m):
         h = grid.spacings[i]
         axis = values.ndim - m + i
         wi = w[i, i]
         w_plus = 0.5 * (wi + np.roll(wi, -1, axis=i))
         w_minus = 0.5 * (wi + np.roll(wi, 1, axis=i))
-        out += (
-            w_plus * (np.roll(values, -1, axis=axis) - values)
-            - w_minus * (values - np.roll(values, 1, axis=axis))
-        ) / (h * h)
+        # (w_plus (v[k+1] - v[k]) - w_minus (v[k] - v[k-1])) / h^2
+        np.multiply(w_plus, periodic_difference(values, axis, 0, 1, a), out=a)
+        np.multiply(w_minus, periodic_difference(values, axis, -1, 0, b), out=b)
+        a -= b
+        a /= h * h
+        out += a
         for j in range(m):
             if j != i:
-                out += diff1(w[i, j] * diff1(values, grid, j), grid, i)
-    return out / cache.sqrt_det_g
+                np.multiply(w[i, j], diff1(values, grid, j, out=a), out=a)
+                out += diff1(a, grid, i, out=b)
+    out /= cache.sqrt_det_g
+    return out
 
 
 def tension(cache: GeometryCache) -> np.ndarray:
@@ -119,22 +124,27 @@ def dt_rho_analytic(cache: GeometryCache, apply_rotation: bool = True) -> np.nda
     Skew flow: the quarter-turned normal gradient of the mean curvature along
     each frame direction; plain mean curvature flow drops the rotation.
     """
-    w = np.einsum("il...,ln...->in...", cache.R, cache.grad_H_perp)  # along each e_i
-    if apply_rotation:
-        w = np.stack([quarter_turn(wi, cache.rho) for wi in w])
-    return np.einsum("in...,an...->ia...", w, cache.nu)
+    m, nu = cache.grid.m, cache.nu
+    out = np.empty((m, len(nu)) + cache.grid.sizes)
+    for i in range(m):
+        w = np.einsum("l...,ln...->n...", cache.R[i], cache.grad_H_perp)  # along e_i
+        if apply_rotation:
+            w = quarter_turn(w, cache.rho)
+        np.einsum("n...,an...->a...", w, nu, out=out[i])
+    return out
 
 
 def dt_rho_numeric(traj: Trajectory, index: int, cache: GeometryCache | None = None) -> np.ndarray:
-    """Centered time difference of the plane field, projected at the middle time."""
+    """Centered time difference of the plane field, projected at the middle time; the
+    chord is formed in place in the later neighbour's plane field, whose geometry is dropped."""
     if index <= 0 or index >= len(traj) - 1:
         raise ValueError(f"index {index} needs both neighbors in a trajectory of length {len(traj)}")
     prev_state, mid_state, next_state = traj[index - 1], traj[index], traj[index + 1]
     if cache is None:
         cache = fundamental_forms(mid_state.immersion)
-    rho_prev = fundamental_forms(prev_state.immersion).rho
-    rho_next = fundamental_forms(next_state.immersion).rho
-    chord = (rho_next - rho_prev) / (next_state.t - prev_state.t)
+    chord = fundamental_forms(next_state.immersion).rho
+    chord -= fundamental_forms(prev_state.immersion).rho
+    chord /= next_state.t - prev_state.t
     return project_field(cache.e, cache.nu, chord)
 
 
@@ -217,13 +227,14 @@ def residual_identify(cache: GeometryCache, metadata: dict | None = None) -> Rep
     frame-contracted second fundamental form.
     """
     grid = cache.grid
-    m = grid.m
-    drho = np.stack([diff1(cache.rho, grid, l) for l in range(m)])  # (l, C, *sizes)
-    d_unit = np.einsum("il...,lc...->ic...", cache.R, drho)
-    basis = tangent_basis_field(cache.e, cache.nu)
-    lhs = np.einsum("jac...,ic...->ija...", basis, d_unit)  # (i, j, alpha, *sizes)
     rhs = np.einsum("il...,alp...,jp...->ija...", cache.R, cache.A, cache.R)
-    primary = np.max(np.abs(lhs - rhs), axis=(0, 1, 2))
+    drho = np.empty((grid.m,) + cache.rho.shape)  # (l, C, *sizes)
+    for l in range(grid.m):
+        diff1(cache.rho, grid, l, out=drho[l])
+    d_unit = np.einsum("il...,lc...->ic...", cache.R, drho)
+    lhs = np.einsum("jac...,ic...->ija...", tangent_basis_field(cache.e, cache.nu), d_unit)  # (i, j, alpha, *sizes)
+    lhs -= rhs
+    primary = np.max(np.abs(lhs, out=lhs), axis=(0, 1, 2))
     return Report(
         name="identify",
         field=primary,

@@ -370,6 +370,23 @@ def test_a_file_with_a_non_finite_position_exits_one_naming_its_row(tmp_path, ca
     assert_exits_one_before_any_work(tmp_path, capsys, ["simulate"], payload, "row 7 holds a non-finite coordinate")
 
 
+@pytest.mark.parametrize(
+    "row, message",
+    [("1.0,0.0", "row 7 holds 2 values, expected 3"), ("1.0,0.0,0.0,0.0", "row 7 holds 4 values, expected 3"),
+     ("abc,0.0,0.0", "row 7 is not numeric")],
+)
+def test_a_file_with_a_short_or_non_numeric_row_exits_one_naming_it(tmp_path, capsys, row, message):
+    # these used to exit 1 with numpy's "inhomogeneous shape" error or float()'s
+    # "could not convert string to float", naming no row
+    path = tmp_path / "nodes.csv"
+    save_immersion_csv(make_circle(1.0, 16), path)
+    lines = path.read_text().splitlines()
+    lines[6] = row  # node 5, the CSV's row 7 after the header
+    path.write_text("\n".join(lines) + "\n")
+    payload = {"geometry": {"kind": "file", "path": str(path)}, "grid": {"sizes": [16]}, "flow": {"scheme": "RK4"}}
+    assert_exits_one_before_any_work(tmp_path, capsys, ["simulate"], payload, f"CSV {path} {message}")
+
+
 def test_converge_checks_every_resolution_before_the_first_residual(tmp_path, capsys):
     # this used to compute the 16^2 and 32^2 residuals before the 7 stopped it
     out = tmp_path / "out"

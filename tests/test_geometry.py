@@ -27,6 +27,8 @@ from skewflow.geometry import (
 from skewflow.exterior import MultiVector
 from skewflow.grassmann import AdaptedFrame, GrassmannPoint, check_frames, normal_rotate
 
+from conftest import REFERENCE_GEOMETRIES, REFERENCE_IDS
+
 
 def radial_fields(imm):
     x, y = imm.grid.meshgrid()
@@ -251,6 +253,43 @@ def test_second_fundamental_form_and_mean_curvature_independent_of_read_order():
     H = h_first.H
     assert np.array_equal(A, h_first.A)
     assert np.array_equal(H, a_first.H)
+
+
+def _rolled_diff1(values, grid, direction):
+    """diff1 by two np.rolls: the layout before the copy-free differences."""
+    h = grid.spacings[direction]
+    axis = values.ndim - grid.m + direction
+    return (np.roll(values, -1, axis=axis) - np.roll(values, 1, axis=axis)) / (2.0 * h)
+
+
+def _mirrored_d2_perp(cache):
+    """Normal part of D_ij F as one (m, m, n, *sizes) array with the pair i < j
+    mirrored: the layout before the per-pair arrays."""
+    from skewflow.geometry import _second_difference
+
+    h, m = cache.grid.spacings, cache.grid.m
+    d2 = np.empty((m, m) + cache.f.shape)
+    for i, j in cache._stencils.pairs:
+        d2[j, i] = _second_difference(cache._stencils, h, i, j, d2[i, j])
+    tang = np.einsum("ijn...,ln...->ijl...", d2, cache.e)
+    d2 -= np.einsum("ijl...,ln...->ijn...", tang, cache.e)
+    return d2
+
+
+@pytest.mark.parametrize("imm", REFERENCE_GEOMETRIES, ids=REFERENCE_IDS)
+def test_second_derivatives_are_the_mirrored_layout_bit_for_bit(imm):
+    cache = fundamental_forms(imm)
+    d2 = _mirrored_d2_perp(cache)
+    A = np.einsum("ijn...,an...->aij...", d2, cache.nu)
+    H = np.einsum("ij...,ijn...->n...", cache.g_inv, d2)
+    dH = np.stack([_rolled_diff1(H, imm.grid, i) for i in range(imm.grid.m)])
+    grad = dH - np.einsum("il...,ln...->in...", np.einsum("in...,ln...->il...", dH, cache.e), cache.e)
+    for got, expect in [(cache.A, A), (cache.H, H), (cache.grad_H_perp, grad)]:
+        assert got.shape == expect.shape and got.tobytes() == expect.tobytes()
+    for direction in range(imm.grid.m):
+        for values in (cache.rho, cache.H):
+            got, expect = diff1(values, imm.grid, direction), _rolled_diff1(values, imm.grid, direction)
+            assert got.tobytes() == expect.tobytes()
 
 
 def test_degenerate_immersion_raises_at_construction_with_time():

@@ -1,3 +1,5 @@
+from math import comb
+
 import numpy as np
 import pytest
 
@@ -18,7 +20,8 @@ from skewflow import (
 )
 from skewflow.errors import FrameError, NotNormalError, NotTangentError, UnsupportedCaseError
 from skewflow.geometry import rotate_normal_field
-from skewflow.grassmann import frame_curve
+from skewflow.exterior import wedge_field
+from skewflow.grassmann import frame_curve, oriented_q, project_field, rho_field, tangent_basis_field
 from skewflow.verify import connection_residual, kahler_residual
 
 
@@ -288,3 +291,48 @@ def test_frame_curve_is_smoothly_adapted():
         assert frame.m == 2 and frame.k == 2
     drift = np.max(np.abs(curve(1e-5).e - curve(0.0).e))
     assert drift < 1e-3
+
+
+def _legs_tangent_basis_field(e, nu):
+    """The tangent basis from one (m, n, m, k, ...) copy of the legs and one
+    wedge chain over all entries: the layout before one chain per row."""
+    (m, n), k = e.shape[:2], nu.shape[0]
+    legs = np.empty((m, n, m, k) + e.shape[2:])
+    legs[...] = e[:, :, None, None]
+    for i in range(m):
+        legs[i, :, i] = np.swapaxes(nu, 0, 1)
+    head = rho_field(legs[:-1]) if m > 1 else np.ones(1)
+    basis = np.empty((m, k, comb(n, m)) + e.shape[2:])
+    wedge_field(head, legs[-1], m - 1, 1, n, out=np.moveaxis(basis, 2, 0))
+    return basis
+
+
+def _oriented_frames(seed, n, tail):
+    """Oriented orthonormal frames of R^n on the trailing axes, (n, n, *tail) with
+    vectors as rows, views of stacked Q factors as ``isometry_max_error`` takes them."""
+    q = oriented_q(np.random.default_rng(seed).standard_normal(tail + (n, n)))
+    return np.moveaxis(q, (-1, -2), (0, 1))  # [r, :, *node] is column r of that node's Q
+
+
+@pytest.mark.parametrize("m, n", [(1, 3), (1, 4), (2, 4), (2, 5), (3, 5)])
+@pytest.mark.parametrize("tail", [(), (40,), (6, 5)], ids=["frame", "trials", "grid"])
+def test_tangent_basis_field_is_the_legs_layout_bit_for_bit(m, n, tail):
+    full = _oriented_frames(m * 10 + n, n, tail)
+    e, nu = full[:m], full[m:]
+    basis = tangent_basis_field(e, nu)
+    expect = _legs_tangent_basis_field(e, nu)
+    assert basis.shape == expect.shape and basis.tobytes() == expect.tobytes()
+
+
+@pytest.mark.parametrize("m, n", [(1, 3), (1, 4), (2, 4), (2, 5), (3, 5)])
+def test_project_field_is_the_legs_layout_bit_for_bit(m, n):
+    # connection_residual projects a (C, m, k) stack of differenced basis entries
+    # at one frame; a grid field and one multivector at a frame are the other shapes
+    rng = np.random.default_rng(m * 10 + n)
+    k, C = n - m, comb(n, m)
+    for tail, w_shape in [((), (C, m, k)), ((), (C,)), ((6, 5), (C, 6, 5))]:
+        full = _oriented_frames(m + n, n, tail)
+        e, nu, w = full[:m], full[m:], rng.standard_normal(w_shape)
+        coeffs = project_field(e, nu, w)
+        expect = np.einsum("ikc...,c...->ik...", _legs_tangent_basis_field(e, nu), w)
+        assert coeffs.shape == expect.shape and coeffs.tobytes() == expect.tobytes()

@@ -199,6 +199,7 @@ DIMENSION_TEST_ALLOWED = {
     ("geometry.py", "PeriodicGrid.__post_init__"): "input domain: 1 or 2 grid axes, one period per axis",
     ("geometry.py", "_closed_forms"): "det g, min_sv and the cofactors of g in closed form, which hold for m <= 2",
     ("geometry.py", "rotate_normal_field"): "input domain: codimension two, n = m + 2, for any m",
+    ("geometry.py", "load_immersion_csv"): "input domain: counts the values of each CSV row",
     ("flow.py", "Trajectory.__post_init__"): "counts the grids of a trajectory, not their axes",
     ("verify.py", "dt_rho_numeric"): "input domain: the index needs both neighbors in the trajectory",
     ("verify.py", "kahler_residual"): "input domain: one (m, k) coefficient matrix",

@@ -41,14 +41,18 @@ from skewflow.grassmann import (
     frame_curve,
     jtilde_coeffs,
     oriented_q,
+    project_field,
     project_to_tangent,
     psi,
     random_adapted_frame,
     tangent_basis,
 )
+from skewflow.geometry import diff1, quarter_turn
 from skewflow.verify import (
+    FAMILY_DEFAULTS,
     PROBLEMS,
     Report,
+    laplace_beltrami,
     fit_order,
     report_to_dict,
     save_json,
@@ -56,6 +60,8 @@ from skewflow.verify import (
     save_table_csv,
     table_to_dict,
 )
+
+from conftest import REFERENCE_GEOMETRIES, REFERENCE_IDS, traced_peak
 
 
 def short_trajectory(imm, flow_kind="SMCF", factor=0.1):
@@ -276,6 +282,81 @@ def test_residual_identify_product_torus_analytic_A():
     kappa = 2.0 / (1.0 + np.cos(h))
     expect = (kappa - 1.0) / 0.6
     assert report.norms["max"] == pytest.approx(expect, rel=1e-2)
+
+
+def _rolled_laplace_beltrami(values, cache):
+    """Laplace-Beltrami by np.roll, one fresh array per operation: the layout
+    before the two scratch arrays."""
+    grid = cache.grid
+    m = grid.m
+    w = cache.sqrt_det_g * cache.g_inv
+    out = np.zeros_like(values)
+    for i in range(m):
+        h = grid.spacings[i]
+        axis = values.ndim - m + i
+        wi = w[i, i]
+        w_plus = 0.5 * (wi + np.roll(wi, -1, axis=i))
+        w_minus = 0.5 * (wi + np.roll(wi, 1, axis=i))
+        out += (
+            w_plus * (np.roll(values, -1, axis=axis) - values)
+            - w_minus * (values - np.roll(values, 1, axis=axis))
+        ) / (h * h)
+        for j in range(m):
+            if j != i:
+                out += diff1(w[i, j] * diff1(values, grid, j), grid, i)
+    return out / cache.sqrt_det_g
+
+
+def _stacked_dt_rho_analytic(cache, apply_rotation=True):
+    """dt_rho_analytic over all frame directions at once, rotated by np.stack."""
+    w = np.einsum("il...,ln...->in...", cache.R, cache.grad_H_perp)
+    if apply_rotation:
+        w = np.stack([quarter_turn(wi, cache.rho) for wi in w])
+    return np.einsum("in...,an...->ia...", w, cache.nu)
+
+
+def _stacked_identify_field(cache):
+    """residual_identify's field from the stacked differences and the full difference."""
+    from skewflow.geometry import tangent_basis_field
+
+    grid = cache.grid
+    drho = np.stack([diff1(cache.rho, grid, l) for l in range(grid.m)])
+    d_unit = np.einsum("il...,lc...->ic...", cache.R, drho)
+    lhs = np.einsum("jac...,ic...->ija...", tangent_basis_field(cache.e, cache.nu), d_unit)
+    rhs = np.einsum("il...,alp...,jp...->ija...", cache.R, cache.A, cache.R)
+    return np.max(np.abs(lhs - rhs), axis=(0, 1, 2))
+
+
+def _same_bits(got, expect):
+    return got.shape == expect.shape and got.tobytes() == expect.tobytes()
+
+
+@pytest.mark.parametrize("imm", REFERENCE_GEOMETRIES, ids=REFERENCE_IDS)
+def test_field_residual_stages_are_the_copying_layout_bit_for_bit(imm):
+    cache = fundamental_forms(imm)
+    for values in (cache.rho, cache.f):
+        assert _same_bits(laplace_beltrami(values, cache), _rolled_laplace_beltrami(values, cache))
+    for rotate in (True, False):
+        assert _same_bits(dt_rho_analytic(cache, rotate), _stacked_dt_rho_analytic(cache, rotate))
+    assert _same_bits(residual_identify(cache).field, _stacked_identify_field(cache))
+    traj = short_trajectory(imm)
+    mid = fundamental_forms(traj[1].immersion)
+    chord = (fundamental_forms(traj[2].immersion).rho - fundamental_forms(traj[0].immersion).rho) / (traj[2].t - traj[0].t)
+    assert _same_bits(dt_rho_numeric(traj, 1), project_field(mid.e, mid.nu, chord))
+
+
+# 64^2 peaks of a PROBLEMS row in grid fields, with tracemalloc: theorem1 125.7,
+# codazzi 113.6 and identify 146.5 while the residuals copied the legs of the
+# tangent basis, mirrored the second derivatives and rolled into fresh arrays;
+# 99.8, 87.6 and 120.5 without those copies.  Each bound lies between the two
+@pytest.mark.parametrize("name, bound", [("theorem1", 112), ("codazzi", 100), ("identify", 133)])
+def test_residual_rows_make_no_grid_sized_copy(name, bound):
+    family, residual = PROBLEMS[name]
+    builder, keys, axes = geometry.FAMILIES[family]
+    imm = builder(*[FAMILY_DEFAULTS[key] for key in keys], *[64] * axes)
+    residual(imm)  # the wedge tables are cached on first use
+    fields = traced_peak(lambda: residual(imm)) / (8 * 64 * 64)
+    assert fields < bound, (name, fields)
 
 
 def test_theorem2_suite_isometry_and_connection():

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import combinations
 
@@ -187,8 +187,9 @@ def _closed_forms(g: np.ndarray, sizes: tuple[int, ...]):
 class _Stencils:
     """The grid-sized buffers of the metric block, component-first.
 
-    ``pad`` holds positions (n, *sizes) with one periodic ghost cell on each
-    side of every grid axis; ``center``, ``plus[i]`` and ``minus[i]`` view it
+    ``pad`` holds positions (n, *sizes) with one ghost cell on each side of
+    every grid axis, periodic unless given as ``ghost_rows`` (2, n, *sizes[1:])
+    for the first axis; ``center``, ``plus[i]`` and ``minus[i]`` view it
     shifted along axis i, and ``corners[i, j]`` shifted along both axes of a
     pair i < j (++, +-, -+, --).  ``pairs`` lists the pairs i <= j, the
     diagonal ones first.  The tangents ``t`` (m, n, *sizes), the metric ``g``
@@ -196,7 +197,7 @@ class _Stencils:
     forms also give ``cofactors``; ``prod``, ``gap`` and ``tmp`` are scratch.
     """
 
-    def __init__(self, grid):
+    def __init__(self, grid, ghost_rows=None):
         m, sizes = grid.m, grid.sizes
         pad = self.pad = np.empty((m + 2,) + tuple(s + 2 for s in sizes))
         unit = np.eye(m, dtype=int)
@@ -215,6 +216,9 @@ class _Stencils:
             lead, rest = (slice(None),) * axis, (slice(1, -1),) * (m - axis)
             self.ghosts += [(pad[lead + (0,) + rest], pad[lead + (-2,) + rest])]
             self.ghosts += [(pad[lead + (-1,) + rest], pad[lead + (1,) + rest])]
+        if ghost_rows is not None:  # the first axis's two ghost cells come first
+            (low, _), (high, _) = self.ghosts[:2]
+            self.ghosts[:2] = zip((low, high), ghost_rows)
         self.t, self.g = np.empty((m, m + 2) + sizes), np.empty((m, m) + sizes)
         self.det_g, self.cofactors, self.det_and_sv2 = _closed_forms(self.g, sizes)
         self.min_sv, self.gap, self.tmp = (np.empty(sizes) for _ in range(3))
@@ -311,11 +315,24 @@ class GeometryCache:
     operator's second differences of the padded positions, and
     ``grad_H_perp`` (m, n), the normal part of its coordinate derivatives.
     Immutable by convention.
+
+    Given ``rows``, a range of the first axis (wrapping), it is the geometry
+    of those rows alone, on a grid of their sizes at the whole grid's
+    spacings, with the true rows beyond as ghost cells: each field is the
+    whole grid's bit for bit, but for ``grad_H_perp``, a difference of H, in
+    its first and last rows.
     """
 
-    def __init__(self, imm: Immersion, time: float | None = None):
-        self.grid = imm.grid
-        ws = _Stencils(imm.grid)
+    def __init__(self, imm: Immersion, time: float | None = None, rows: range | None = None):
+        ghost_rows = None
+        if rows is not None:
+            F = np.take(imm.F, range(rows.start - 1, rows.stop + 1), axis=0, mode="wrap")
+            _, *sizes = imm.grid.sizes
+            grid = replace(imm.grid, sizes=(len(rows), *sizes))
+            vars(grid)["spacings"] = imm.grid.spacings  # the whole grid's, as are its periods
+            imm, ghost_rows = Immersion(grid, F[1:-1]), np.moveaxis(F[[0, -1]], -1, 1)
+        self.grid, self.rows = imm.grid, rows
+        ws = _Stencils(imm.grid, ghost_rows)
         _metric_block(np.moveaxis(imm.F, -1, 0), imm.grid, time, ws)
         del ws.prod, ws.gap, ws.tmp  # the block's scratch, not kept alive with the cache
         self._stencils, self.f = ws, ws.center  # the positions, (n, *sizes)
@@ -353,7 +370,8 @@ class GeometryCache:
         array per pair i <= j.
 
         Not cached: few callers read both A and H, and keeping the pairs would
-        hold another 6 MiB per geometry at 256^2.
+        hold another 6 MiB per geometry of a whole 256^2 grid; the residuals'
+        slab geometries hold a slab's share of both.
         """
         h, e = self.grid.spacings, self.e
         d2 = {}
@@ -371,6 +389,8 @@ class GeometryCache:
 
     @cached_property
     def H(self) -> np.ndarray:
+        """Summed from ``_d2_perp``'s pairs, held until it returns: with H, 8 MiB on a
+        whole 256^2 torus, and a slab's share of that in a residual."""
         m, d2 = self.grid.m, self._d2_perp()
         H = np.zeros(self.f.shape)
         for i, j in np.ndindex(m, m):  # every (i, j), row by row: the bits of H depend on the order

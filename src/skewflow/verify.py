@@ -22,8 +22,9 @@ from dataclasses import dataclass, field as dc_field, replace
 
 import numpy as np
 
+from .errors import DegenerateImmersionError
 from .flow import FlowConfig, Trajectory, run, stable_dt
-from .geometry import FAMILIES, GeometryCache, PeriodicGrid, diff1, fundamental_forms, periodic_difference, quarter_turn
+from .geometry import FAMILIES, GeometryCache, Immersion, PeriodicGrid, diff1, fundamental_forms, periodic_difference, quarter_turn
 from .grassmann import (
     check_frames,
     frame_curve,
@@ -34,6 +35,8 @@ from .grassmann import (
 )
 
 RESIDUAL_FLOOR = 1e-13
+SLAB_ROWS = 32  # the most rows of the first grid axis that one slab of a residual evaluation holds
+HALO = 1  # rows on each side of a slab whose geometry it computes and drops
 
 
 @dataclass
@@ -60,10 +63,37 @@ class ConvergenceTable:
     metadata: dict = dc_field(default_factory=dict)
 
 
-def _weighted_norms(residual: np.ndarray, cache: GeometryCache) -> dict:
-    cell = cache.grid.cell_measure()
-    l2 = float(np.sqrt(np.sum(residual**2 * cache.sqrt_det_g) * cell))
+def _weighted_norms(residual: np.ndarray, sqrt_det_g: np.ndarray, grid: PeriodicGrid) -> dict:
+    cell = grid.cell_measure()
+    l2 = float(np.sqrt(np.sum(residual**2 * sqrt_det_g) * cell))
     return {"max": float(np.max(residual)), "l2": l2}
+
+
+def _slab_bounds(rows: int) -> list[tuple[int, int]]:
+    """(start, stop) of the slabs of ``rows`` rows: even, at most SLAB_ROWS, as equal as can be."""
+    count = -(-rows // SLAB_ROWS)
+    bounds = [2 * (k * rows // (2 * count)) for k in range(count + 1)]
+    return list(zip(bounds, bounds[1:]))
+
+
+def _by_slabs(grid: PeriodicGrid, evaluate) -> list[np.ndarray]:
+    """The per-node fields that ``evaluate(rows)`` computes on ``GeometryCache(imm, rows=rows)``,
+    assembled slab by slab into fields of the whole grid.
+
+    A slab's range holds its own rows and HALO more on each side, whose values
+    are dropped: with the true neighbours beyond as ghost rows, it reads the two
+    rows of positions that a difference of a second difference needs, so the
+    fields are the whole grid's bit for bit.  One slab wraps onto itself: no halo.
+    """
+    rows, *_ = grid.sizes
+    halo = HALO if rows > SLAB_ROWS else 0
+    fields = None
+    for start, stop in _slab_bounds(rows):
+        parts = evaluate(range(start - halo, stop + halo))
+        fields = fields or [np.empty(grid.sizes) for _ in parts]
+        for field, part in zip(fields, parts):
+            field[start:stop] = part[halo : halo + stop - start]
+    return fields
 
 
 def _frobenius(coeffs: np.ndarray) -> np.ndarray:
@@ -135,15 +165,16 @@ def dt_rho_analytic(cache: GeometryCache, apply_rotation: bool = True) -> np.nda
 
 
 def dt_rho_numeric(traj: Trajectory, index: int, cache: GeometryCache | None = None) -> np.ndarray:
-    """Centered time difference of the plane field, projected at the middle time; the
-    chord is formed in place in the later neighbour's plane field, whose geometry is dropped."""
+    """Centered time difference of the plane field, projected at the middle time, on the
+    rows of ``cache``; the chord is formed in place in the later neighbour's plane field,
+    whose geometry is dropped."""
     if index <= 0 or index >= len(traj) - 1:
         raise ValueError(f"index {index} needs both neighbors in a trajectory of length {len(traj)}")
     prev_state, mid_state, next_state = traj[index - 1], traj[index], traj[index + 1]
     if cache is None:
         cache = fundamental_forms(mid_state.immersion)
-    chord = fundamental_forms(next_state.immersion).rho
-    chord -= fundamental_forms(prev_state.immersion).rho
+    chord = GeometryCache(next_state.immersion, rows=cache.rows).rho
+    chord -= GeometryCache(prev_state.immersion, rows=cache.rows).rho
     chord /= next_state.t - prev_state.t
     return project_field(cache.e, cache.nu, chord)
 
@@ -153,24 +184,34 @@ def dt_rho_numeric(traj: Trajectory, index: int, cache: GeometryCache | None = N
 
 
 def residual_theorem1(traj: Trajectory, index: int, use_jtilde: bool = True, metadata: dict | None = None) -> Report:
-    """Flow identity residual at one trajectory index.
+    """Flow identity residual at one trajectory index, slab by slab (``_by_slabs``).
 
     Primary field: |numeric time derivative - (rotated) tension|.  The
     closed-form time derivative is evaluated as well, both against the right
     side and against the numeric left side, so the intermediate identity the
-    proof chains through is monitored at the same order.
+    proof chains through is monitored at the same order.  When a slab fails
+    the rank check, the whole grid's checks name the node.
     """
     mid = traj[index]
-    cache = fundamental_forms(mid.immersion)
-    lhs_num = dt_rho_numeric(traj, index, cache)
-    rhs = tension(cache)
-    if use_jtilde:
-        rhs = jtilde_coeffs(rhs)
-    lhs_ana = dt_rho_analytic(cache, apply_rotation=use_jtilde)
-    primary = _frobenius(lhs_num - rhs)
-    norms = _weighted_norms(primary, cache)
-    norms["max_analytic"] = float(np.max(_frobenius(lhs_ana - rhs)))
-    norms["max_lhs_agreement"] = float(np.max(_frobenius(lhs_num - lhs_ana)))
+
+    def evaluate(rows):
+        cache = GeometryCache(mid.immersion, rows=rows)
+        lhs_num = dt_rho_numeric(traj, index, cache)
+        rhs = tension(cache)
+        if use_jtilde:
+            rhs = jtilde_coeffs(rhs)
+        lhs_ana = dt_rho_analytic(cache, apply_rotation=use_jtilde)
+        return _frobenius(lhs_num - rhs), _frobenius(lhs_ana - rhs), _frobenius(lhs_num - lhs_ana), cache.sqrt_det_g
+
+    try:
+        primary, analytic, agreement, sqrt_det_g = _by_slabs(traj.grid, evaluate)
+    except DegenerateImmersionError:
+        for state in (mid, traj[index + 1], traj[index - 1]):
+            fundamental_forms(state.immersion)
+        raise
+    norms = _weighted_norms(primary, sqrt_det_g, traj.grid)
+    norms["max_analytic"] = float(np.max(analytic))
+    norms["max_lhs_agreement"] = float(np.max(agreement))
     meta = {"flow_kind": "SMCF" if use_jtilde else "MCF", "t": mid.t}
     meta.update(metadata or {})
     return Report(
@@ -205,27 +246,29 @@ def theorem1_residual(imm, config: FlowConfig | None = None, metadata: dict | No
     return residual_theorem1(traj, mid, use_jtilde=(name == "theorem1"), metadata=metadata)
 
 
-def residual_codazzi(cache: GeometryCache, metadata: dict | None = None) -> Report:
-    """Tension of the plane field against the normal gradient of H."""
-    lhs = tension(cache)
-    rhs = dt_rho_analytic(cache, apply_rotation=False)
-    primary = _frobenius(lhs - rhs)
+def _slab_report(name: str, cache: GeometryCache, field, metadata: dict | None) -> Report:
+    """The report of the per-node residual ``field(geometry)`` on cache's positions, by slabs."""
+    imm = Immersion(cache.grid, np.moveaxis(cache.f, 0, -1))
+    (primary,) = _by_slabs(cache.grid, lambda rows: (field(GeometryCache(imm, rows=rows)),))
     return Report(
-        name="codazzi",
+        name=name,
         field=primary,
-        norms=_weighted_norms(primary, cache),
+        norms=_weighted_norms(primary, cache.sqrt_det_g, cache.grid),
         grid_sizes=cache.grid.sizes,
         metadata=metadata or {},
     )
 
 
-def residual_identify(cache: GeometryCache, metadata: dict | None = None) -> Report:
-    """Differential of the plane field against the second fundamental form.
+def _codazzi_field(cache: GeometryCache) -> np.ndarray:
+    return _frobenius(tension(cache) - dt_rho_analytic(cache, apply_rotation=False))
 
-    Both sides are expressed on unit-speed frame directions: coefficients of
-    the projected directional derivatives of the plane field versus the
-    frame-contracted second fundamental form.
-    """
+
+def residual_codazzi(cache: GeometryCache, metadata: dict | None = None) -> Report:
+    """Tension of the plane field against the normal gradient of H, slab by slab."""
+    return _slab_report("codazzi", cache, _codazzi_field, metadata)
+
+
+def _identify_field(cache: GeometryCache) -> np.ndarray:
     grid = cache.grid
     rhs = np.einsum("il...,alp...,jp...->ija...", cache.R, cache.A, cache.R)
     drho = np.empty((grid.m,) + cache.rho.shape)  # (l, C, *sizes)
@@ -234,14 +277,17 @@ def residual_identify(cache: GeometryCache, metadata: dict | None = None) -> Rep
     d_unit = np.einsum("il...,lc...->ic...", cache.R, drho)
     lhs = np.einsum("jac...,ic...->ija...", tangent_basis_field(cache.e, cache.nu), d_unit)  # (i, j, alpha, *sizes)
     lhs -= rhs
-    primary = np.max(np.abs(lhs, out=lhs), axis=(0, 1, 2))
-    return Report(
-        name="identify",
-        field=primary,
-        norms=_weighted_norms(primary, cache),
-        grid_sizes=grid.sizes,
-        metadata=metadata or {},
-    )
+    return np.max(np.abs(lhs, out=lhs), axis=(0, 1, 2))
+
+
+def residual_identify(cache: GeometryCache, metadata: dict | None = None) -> Report:
+    """Differential of the plane field against the second fundamental form, slab by slab.
+
+    Both sides are expressed on unit-speed frame directions: coefficients of
+    the projected directional derivatives of the plane field versus the
+    frame-contracted second fundamental form.
+    """
+    return _slab_report("identify", cache, _identify_field, metadata)
 
 
 # ---------------------------------------------------------------------------

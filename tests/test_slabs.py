@@ -1,0 +1,243 @@
+"""The residuals of ``verify.PROBLEMS`` evaluated slab by slab (``verify._by_slabs``).
+
+Every per-node residual is computed on slab-sized geometries of a few rows of
+the first grid axis and assembled.  These tests pin down that the result is
+the whole grid's bit for bit, that the rank check names what the whole grid's
+check names, that every slab is a valid grid at its parent's spacings, and
+that the residuals' memory no longer grows with the grid.
+"""
+
+import json
+
+import numpy as np
+import pytest
+
+from skewflow import (
+    DegenerateImmersionError,
+    FlowState,
+    GeometryCache,
+    Immersion,
+    PeriodicGrid,
+    Trajectory,
+    dt_rho_analytic,
+    dt_rho_numeric,
+    fundamental_forms,
+    geometry,
+    make_perturbed_circle,
+    make_perturbed_torus,
+    make_product_torus,
+    residual_codazzi,
+    residual_identify,
+    residual_theorem1,
+    run,
+    save_immersion_csv,
+    stable_dt,
+    tension,
+    verify,
+)
+from skewflow.cli import main
+from skewflow.flow import FlowConfig
+from skewflow.grassmann import jtilde_coeffs
+
+from conftest import traced_peak
+
+ONE_SLAB = 10**6  # a slab height above every grid here: the one-slab evaluation
+GEOMETRIES = {
+    "torus": make_perturbed_torus(1.0, 0.6, 0.05, 7, 64),
+    "product": make_product_torus(1.0, 0.6, 64),
+    "torus-96x64": make_perturbed_torus(1.0, 0.7, 0.3, 3, 96, 64),
+    "circle-256": make_perturbed_circle(1.0, 0.2, 3, 256),
+}
+# 16 and 32 divide every first axis here; 24 and 40 leave a remainder on some
+HEIGHTS = (16, 24, 32, 40)
+
+
+def _bits(name, imm, monkeypatch, slab_rows, halo=verify.HALO):
+    """The field bytes and the hex norms of the PROBLEMS row ``name`` at a slab height and halo."""
+    monkeypatch.setattr(verify, "SLAB_ROWS", slab_rows)
+    monkeypatch.setattr(verify, "HALO", halo)
+    report = verify.PROBLEMS[name][1](imm)
+    return report.field.tobytes(), {key: float(value).hex() for key, value in report.norms.items()}
+
+
+@pytest.mark.parametrize("name", sorted(verify.PROBLEMS))
+@pytest.mark.parametrize("kind", sorted(GEOMETRIES))
+def test_every_slab_height_gives_the_one_slab_bits(monkeypatch, kind, name):
+    imm = GEOMETRIES[kind]
+    whole = _bits(name, imm, monkeypatch, ONE_SLAB)
+    for height in HEIGHTS:
+        assert _bits(name, imm, monkeypatch, height) == whole, height
+    # the negative control: a halo one row thinner reads past a slab's ghost rows
+    assert _bits(name, imm, monkeypatch, 16, verify.HALO - 1)[0] != whole[0]
+
+
+@pytest.mark.parametrize("name", sorted(verify.PROBLEMS))
+def test_a_128_grid_at_slab_height_40_gives_the_one_slab_bits(monkeypatch, name):
+    imm = make_perturbed_torus(1.0, 0.6, 0.05, 7, 128)
+    assert _bits(name, imm, monkeypatch, 40) == _bits(name, imm, monkeypatch, ONE_SLAB)
+
+
+def test_slabbed_residuals_are_the_whole_grid_stages_bit_for_bit():
+    """Against the stages on whole-grid geometries, as the residuals ran them before slabs."""
+    imm = GEOMETRIES["torus-96x64"]
+    assert imm.grid.sizes[0] > verify.SLAB_ROWS
+    cache = fundamental_forms(imm)
+    frobenius = lambda c: np.sqrt(np.sum(c**2, axis=(0, 1)))
+    codazzi = frobenius(tension(cache) - dt_rho_analytic(cache, apply_rotation=False))
+    assert residual_codazzi(cache).field.tobytes() == codazzi.tobytes()
+    dt = stable_dt(imm)
+    traj = run(imm, FlowConfig(dt=dt, t_end=2 * dt, output_every=1))
+    mid = fundamental_forms(traj[1].immersion)
+    theorem1 = frobenius(dt_rho_numeric(traj, 1) - jtilde_coeffs(tension(mid)))
+    report = residual_theorem1(traj, 1)
+    assert report.field.tobytes() == theorem1.tobytes()
+    l2 = float(np.sqrt(np.sum(theorem1**2 * mid.sqrt_det_g) * imm.grid.cell_measure()))
+    assert report.norms["l2"] == l2
+
+
+# ---------------------------------------------------------------------------
+# slab grids
+
+
+def test_a_slab_grid_carries_its_grids_spacings_bit_for_bit():
+    imm = make_product_torus(1.0, 0.6, 256)
+    h = 2.0 * np.pi / 256
+    assert 2.0 * np.pi * 22 / 256 / 22 != h  # a slab's own period over its rows rounds to another spacing
+    for rows in (8, 22, 38, 250):
+        slab = GeometryCache(imm, rows=range(-3, rows - 3)).grid
+        assert slab.sizes == (rows, 256) and slab.spacings == imm.grid.spacings
+        assert slab.cell_measure() == imm.grid.cell_measure()
+
+
+@pytest.mark.parametrize("slab_rows", [12, 16, 24, 32, 40, 64])
+def test_every_slab_is_a_grid_of_at_most_slab_rows(monkeypatch, slab_rows):
+    monkeypatch.setattr(verify, "SLAB_ROWS", slab_rows)
+    for rows in range(8, 402, 2):
+        bounds = verify._slab_bounds(rows)
+        assert [start for start, _ in bounds] == [0] + [stop for _, stop in bounds[:-1]]
+        assert bounds[-1][1] == rows
+        halo = verify.HALO if rows > slab_rows else 0
+        for start, stop in bounds:
+            assert stop - start <= slab_rows
+            PeriodicGrid((stop - start + 2 * halo, 8))  # raises on an odd or short slab
+
+
+# ---------------------------------------------------------------------------
+# the rank check
+
+
+def _pinched(imm, row, col=5, value=None):
+    """imm with the first-axis tangent at node (row, col) made zero, or with a position set to value."""
+    F = imm.F.copy()
+    if value is None:
+        F[(row + 1) % len(F), col] = F[row - 1, col]
+    else:
+        F[row, col] = value
+    return Immersion(imm.grid, F)
+
+
+BASE = make_perturbed_torus(1.0, 0.6, 0.05, 7, 64)
+# (earlier, middle, later) states; slabs of 16 rows start at 0, 16, 32 and 48
+PINCHES = {
+    "halo-row": (BASE, _pinched(BASE, 16), BASE),
+    "slab-boundary": (BASE, _pinched(BASE, 15), BASE),
+    "wrapped-halo": (BASE, _pinched(BASE, 63), BASE),
+    "middle-before-later": (BASE, _pinched(BASE, 40), _pinched(BASE, 16)),
+    "later-before-earlier": (_pinched(BASE, 0), BASE, _pinched(BASE, 50)),
+    "non-finite-first": (BASE, _pinched(_pinched(BASE, 10), 50, value=np.nan), BASE),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINCHES))
+def test_a_degenerate_state_is_named_as_the_whole_grids_check_names_it(monkeypatch, case):
+    earlier, middle, later = PINCHES[case]
+    with pytest.raises(DegenerateImmersionError) as expected:
+        for imm in (middle, later, earlier):  # the whole grid's checks, in the order the residual takes them
+            fundamental_forms(imm)
+    monkeypatch.setattr(verify, "SLAB_ROWS", 16)
+    traj = Trajectory([FlowState(t, imm) for t, imm in zip((0.0, 1e-3, 2e-3), (earlier, middle, later))])
+    with pytest.raises(DegenerateImmersionError) as got:
+        residual_theorem1(traj, 1)
+    assert (got.value.node, got.value.time, str(got.value)) == (expected.value.node, expected.value.time, str(expected.value))
+
+
+def test_a_doubly_wound_torus_file_passes_verify_codazzi(tmp_path, monkeypatch, capsys):
+    # rows k and k + 16 coincide: a slab of rows -1..16 that wrapped onto itself
+    # would take a zero chord between rows 0 and 16 for the tangent at row -1
+    monkeypatch.setattr(verify, "SLAB_ROWS", 16)
+    grid = PeriodicGrid((32, 16))
+    u, v = grid.meshgrid()
+    F = np.stack([np.cos(2 * u), np.sin(2 * u), 0.6 * np.cos(v), 0.6 * np.sin(v)], axis=-1)
+    assert verify._slab_bounds(32) == [(0, 16), (16, 32)] and np.allclose(F[0], F[16], atol=1e-15)
+    save_immersion_csv(Immersion(grid, F), tmp_path / "nodes.csv")
+    config = tmp_path / "wound.json"
+    config.write_text(json.dumps({
+        "geometry": {"kind": "file", "path": str(tmp_path / "nodes.csv")},
+        "grid": {"sizes": [32, 16]},
+        "verify_name": "codazzi",
+        "output_dir": str(tmp_path / "out"),
+    }))
+    assert main(["verify", "--config", str(config)]) == 0, capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# the CLI
+
+
+CLI_RUNS = {
+    "verify-codazzi": ("verify", {"verify_name": "codazzi", "grid": {"sizes": [48, 16]}}),
+    "verify-identify": ("verify", {"verify_name": "identify", "grid": {"sizes": [48, 16]}}),
+    "verify-theorem1": ("verify", {"verify_name": "theorem1", "grid": {"sizes": [48, 16]}}),
+    "converge-theorem1": ("converge", {"verify_name": "theorem1", "resolutions": [16, 32, 48]}),
+}
+
+
+def _outputs(out):
+    """Every file that a run wrote, its JSON without ``generated_at``."""
+    files = {}
+    for path in sorted(out.iterdir()):
+        text = path.read_bytes()
+        if path.suffix == ".json":
+            doc = json.loads(text)
+            doc.pop("generated_at")
+            text = json.dumps(doc, sort_keys=True)
+        files[path.name] = text
+    return files
+
+
+@pytest.mark.parametrize("run_id", sorted(CLI_RUNS))
+def test_the_cli_writes_the_one_slab_bytes(tmp_path, monkeypatch, run_id):
+    task, payload = CLI_RUNS[run_id]
+    geometry_keys = {"kind": "perturbed_torus", "a": 1.0, "b": 0.6, "eps": 0.05, "seed": 7}
+    written = []
+    for slab_rows in (16, ONE_SLAB):
+        monkeypatch.setattr(verify, "SLAB_ROWS", slab_rows)
+        out = tmp_path / str(slab_rows)
+        config = tmp_path / f"{slab_rows}.json"
+        config.write_text(json.dumps({"geometry": geometry_keys, "output_dir": str(out), **payload}))
+        assert main([task, "--config", str(config)]) == 0
+        written.append(_outputs(out))
+    assert written[0] == written[1] and written[0]
+
+
+# ---------------------------------------------------------------------------
+# memory
+
+
+# 256^2 peaks in grid fields, with tracemalloc: theorem1 on a prebuilt trajectory
+# 89.1, the codazzi row 85.1 and the identify row 120.1 on whole-grid geometries;
+# 16.5, 30.6 and 35.3 slab by slab (most of the rows' is the whole-grid
+# GeometryCache that they take).  Each bound lies between the two
+@pytest.mark.parametrize("name, bound", [("theorem1", 40), ("codazzi", 50), ("identify", 60)])
+def test_residual_memory_does_not_grow_with_the_grid(name, bound):
+    size = 256
+    family, residual = verify.PROBLEMS[name]
+    builder, keys, axes = geometry.FAMILIES[family]
+    imm = builder(*[verify.FAMILY_DEFAULTS[key] for key in keys], *[size] * axes)
+    if name == "theorem1":
+        dt = stable_dt(imm)
+        traj = run(imm, FlowConfig(dt=dt, t_end=2 * dt, output_every=1))
+        residual = lambda imm: residual_theorem1(traj, 1)
+    residual(imm)  # the wedge tables are cached on first use
+    fields = traced_peak(lambda: residual(imm)) / (8 * size * size)
+    assert fields < bound, (name, fields)

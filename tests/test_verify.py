@@ -348,7 +348,9 @@ def test_field_residual_stages_are_the_copying_layout_bit_for_bit(imm):
 # 64^2 peaks of a PROBLEMS row in grid fields, with tracemalloc: theorem1 125.7,
 # codazzi 113.6 and identify 146.5 while the residuals copied the legs of the
 # tangent basis, mirrored the second derivatives and rolled into fresh arrays;
-# 99.8, 87.6 and 120.5 without those copies.  Each bound lies between the two
+# 99.8, 87.6 and 120.5 without those copies.  Each bound lies between the two.
+# Evaluated in slabs of 32 rows (``verify.SLAB_ROWS``) the rows read 64.1, 67.5
+# and 84.4; tests/test_slabs.py bounds the slabbed peaks at 256^2
 @pytest.mark.parametrize("name, bound", [("theorem1", 112), ("codazzi", 100), ("identify", 133)])
 def test_residual_rows_make_no_grid_sized_copy(name, bound):
     family, residual = PROBLEMS[name]

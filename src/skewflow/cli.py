@@ -88,14 +88,17 @@ def _is_integer(value) -> bool:
 
 
 def _number(section: dict, key: str, where: str, default=None) -> float:
-    """section[key] (or default) as a float, or a ConfigError naming the field."""
+    """section[key] (or default) as a finite float, or a ConfigError naming the field."""
     value = section.get(key, default)
     if not _is_number(value):
         raise ConfigError(f"{where}.{key} must be a number, got {value!r}")
     try:
-        return float(value)
+        number = float(value)
     except OverflowError:
         raise ConfigError(f"{where}.{key} is too large for a float") from None
+    if not np.isfinite(number):  # json.load reads NaN and Infinity
+        raise ConfigError(f"{where}.{key} must be finite, got {value!r}")
+    return number
 
 
 def _integer(section: dict, key: str, where: str, default=None) -> int:

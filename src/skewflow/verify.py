@@ -76,23 +76,32 @@ def _slab_bounds(rows: int) -> list[tuple[int, int]]:
     return list(zip(bounds, bounds[1:]))
 
 
-def _by_slabs(grid: PeriodicGrid, evaluate) -> list[np.ndarray]:
-    """The per-node fields that ``evaluate(rows)`` computes on ``GeometryCache(imm, rows=rows)``,
-    assembled slab by slab into fields of the whole grid.
+def _by_slabs(imm: Immersion, evaluate, *neighbours: Immersion) -> list[np.ndarray]:
+    """The per-node fields that ``evaluate(cache)`` computes on each slab's ``GeometryCache(imm,
+    rows=...)``, then its sqrt(det g), assembled slab by slab into fields of the whole grid.
 
     A slab's range holds its own rows and HALO more on each side, whose values
     are dropped: with the true neighbours beyond as ghost rows, it reads the two
     rows of positions that a difference of a second difference needs, so the
     fields are the whole grid's bit for bit.  One slab wraps onto itself: no halo.
+    When a slab fails the rank check, the whole grid's checks of ``imm``, then of each of
+    ``neighbours`` (immersions that ``evaluate`` reads), name the node.
     """
-    rows, *_ = grid.sizes
+    rows, *_ = imm.grid.sizes
     halo = HALO if rows > SLAB_ROWS else 0
     fields = None
-    for start, stop in _slab_bounds(rows):
-        parts = evaluate(range(start - halo, stop + halo))
-        fields = fields or [np.empty(grid.sizes) for _ in parts]
-        for field, part in zip(fields, parts):
-            field[start:stop] = part[halo : halo + stop - start]
+    try:
+        for start, stop in _slab_bounds(rows):
+            cache = GeometryCache(imm, rows=range(start - halo, stop + halo))
+            parts = (*evaluate(cache), cache.sqrt_det_g)
+            del cache  # not kept alive while the next slab's geometry is built
+            fields = fields or [np.empty(imm.grid.sizes) for _ in parts]
+            for field, part in zip(fields, parts):
+                field[start:stop] = part[halo : halo + stop - start]
+    except DegenerateImmersionError:
+        for state in (imm, *neighbours):
+            fundamental_forms(state)
+        raise
     return fields
 
 
@@ -164,13 +173,18 @@ def dt_rho_analytic(cache: GeometryCache, apply_rotation: bool = True) -> np.nda
     return out
 
 
+def _neighbours(traj: Trajectory, index: int):
+    """The states at ``index - 1``, ``index`` and ``index + 1``; ValueError unless both neighbours exist."""
+    if index <= 0 or index >= len(traj) - 1:
+        raise ValueError(f"index {index} needs both neighbors in a trajectory of length {len(traj)}")
+    return traj[index - 1], traj[index], traj[index + 1]
+
+
 def dt_rho_numeric(traj: Trajectory, index: int, cache: GeometryCache | None = None) -> np.ndarray:
     """Centered time difference of the plane field, projected at the middle time, on the
     rows of ``cache``; the chord is formed in place in the later neighbour's plane field,
     whose geometry is dropped."""
-    if index <= 0 or index >= len(traj) - 1:
-        raise ValueError(f"index {index} needs both neighbors in a trajectory of length {len(traj)}")
-    prev_state, mid_state, next_state = traj[index - 1], traj[index], traj[index + 1]
+    prev_state, mid_state, next_state = _neighbours(traj, index)
     if cache is None:
         cache = fundamental_forms(mid_state.immersion)
     chord = GeometryCache(next_state.immersion, rows=cache.rows).rho
@@ -190,38 +204,27 @@ def residual_theorem1(traj: Trajectory, index: int, use_jtilde: bool = True, met
     closed-form time derivative is evaluated as well, both against the right
     side and against the numeric left side, so the intermediate identity the
     proof chains through is monitored at the same order.  When a slab fails
-    the rank check, the whole grid's checks name the node.
+    the rank check, the whole grid's checks of the middle, later and earlier
+    states name the node.
     """
-    mid = traj[index]
+    prev_state, mid, next_state = _neighbours(traj, index)
 
-    def evaluate(rows):
-        cache = GeometryCache(mid.immersion, rows=rows)
+    def evaluate(cache):
         lhs_num = dt_rho_numeric(traj, index, cache)
         rhs = tension(cache)
         if use_jtilde:
             rhs = jtilde_coeffs(rhs)
         lhs_ana = dt_rho_analytic(cache, apply_rotation=use_jtilde)
-        return _frobenius(lhs_num - rhs), _frobenius(lhs_ana - rhs), _frobenius(lhs_num - lhs_ana), cache.sqrt_det_g
+        return _frobenius(lhs_num - rhs), _frobenius(lhs_ana - rhs), _frobenius(lhs_num - lhs_ana)
 
-    try:
-        primary, analytic, agreement, sqrt_det_g = _by_slabs(traj.grid, evaluate)
-    except DegenerateImmersionError:
-        for state in (mid, traj[index + 1], traj[index - 1]):
-            fundamental_forms(state.immersion)
-        raise
+    primary, analytic, agreement, sqrt_det_g = _by_slabs(mid.immersion, evaluate, next_state.immersion, prev_state.immersion)
     norms = _weighted_norms(primary, sqrt_det_g, traj.grid)
     norms["max_analytic"] = float(np.max(analytic))
     norms["max_lhs_agreement"] = float(np.max(agreement))
     meta = {"flow_kind": "SMCF" if use_jtilde else "MCF", "t": mid.t}
     meta.update(metadata or {})
-    return Report(
-        name="theorem1" if use_jtilde else "theorem1_mcf",
-        field=primary,
-        norms=norms,
-        grid_sizes=traj.grid.sizes,
-        dt=traj[index + 1].t - traj[index].t,
-        metadata=meta,
-    )
+    name = "theorem1" if use_jtilde else "theorem1_mcf"
+    return Report(name, primary, norms, traj.grid.sizes, dt=next_state.t - mid.t, metadata=meta)
 
 
 # the flow of each Gauss-map law: Theorem 1's skew flow, and MCF for its twin d(rho)/dt = tau(rho)
@@ -246,26 +249,19 @@ def theorem1_residual(imm, config: FlowConfig | None = None, metadata: dict | No
     return residual_theorem1(traj, mid, use_jtilde=(name == "theorem1"), metadata=metadata)
 
 
-def _slab_report(name: str, cache: GeometryCache, field, metadata: dict | None) -> Report:
-    """The report of the per-node residual ``field(geometry)`` on cache's positions, by slabs."""
-    imm = Immersion(cache.grid, np.moveaxis(cache.f, 0, -1))
-    (primary,) = _by_slabs(cache.grid, lambda rows: (field(GeometryCache(imm, rows=rows)),))
-    return Report(
-        name=name,
-        field=primary,
-        norms=_weighted_norms(primary, cache.sqrt_det_g, cache.grid),
-        grid_sizes=cache.grid.sizes,
-        metadata=metadata or {},
-    )
+def _slab_report(name: str, imm: Immersion, field, metadata: dict | None) -> Report:
+    """The report of the per-node residual ``field(geometry)`` on imm, by slabs."""
+    primary, sqrt_det_g = _by_slabs(imm, lambda cache: (field(cache),))
+    return Report(name, primary, _weighted_norms(primary, sqrt_det_g, imm.grid), imm.grid.sizes, metadata=metadata or {})
 
 
 def _codazzi_field(cache: GeometryCache) -> np.ndarray:
     return _frobenius(tension(cache) - dt_rho_analytic(cache, apply_rotation=False))
 
 
-def residual_codazzi(cache: GeometryCache, metadata: dict | None = None) -> Report:
-    """Tension of the plane field against the normal gradient of H, slab by slab."""
-    return _slab_report("codazzi", cache, _codazzi_field, metadata)
+def residual_codazzi(imm: Immersion, flow=None, metadata: dict | None = None) -> Report:
+    """Tension of the plane field against the normal gradient of H, slab by slab; reads no ``flow``."""
+    return _slab_report("codazzi", imm, _codazzi_field, metadata)
 
 
 def _identify_field(cache: GeometryCache) -> np.ndarray:
@@ -280,14 +276,14 @@ def _identify_field(cache: GeometryCache) -> np.ndarray:
     return np.max(np.abs(lhs, out=lhs), axis=(0, 1, 2))
 
 
-def residual_identify(cache: GeometryCache, metadata: dict | None = None) -> Report:
-    """Differential of the plane field against the second fundamental form, slab by slab.
+def residual_identify(imm: Immersion, flow=None, metadata: dict | None = None) -> Report:
+    """Differential of the plane field against the second fundamental form, slab by slab; reads no ``flow``.
 
     Both sides are expressed on unit-speed frame directions: coefficients of
     the projected directional derivatives of the plane field versus the
     frame-contracted second fundamental form.
     """
-    return _slab_report("identify", cache, _identify_field, metadata)
+    return _slab_report("identify", imm, _identify_field, metadata)
 
 
 # ---------------------------------------------------------------------------
@@ -418,12 +414,13 @@ def fit_order(hs, norms):
 
 # name -> (geometry family, residual(imm, flow=None, metadata=None) of the immersion that
 # geometry.FAMILIES builds): the one table that verify and converge run a name through;
-# flow is the FlowConfig of a theorem1 name, and codazzi and identify read none
+# flow is the FlowConfig of a theorem1 name, and codazzi and identify read none.  Every
+# residual builds its geometry slab by slab in _by_slabs, none on the whole grid
 PROBLEMS = {
     "theorem1": ("perturbed_torus", theorem1_residual),
     "theorem1_mcf": ("perturbed_torus", functools.partial(theorem1_residual, name="theorem1_mcf")),
-    "codazzi": ("perturbed_torus", lambda imm, flow=None, metadata=None: residual_codazzi(fundamental_forms(imm), metadata)),
-    "identify": ("product_torus", lambda imm, flow=None, metadata=None: residual_identify(fundamental_forms(imm), metadata)),
+    "codazzi": ("perturbed_torus", residual_codazzi),
+    "identify": ("product_torus", residual_identify),
 }
 FAMILY_DEFAULTS = {"a": 1.0, "b": 0.6, "eps": 0.05, "seed": 7}  # the values of the family keys left unset
 

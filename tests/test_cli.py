@@ -391,7 +391,8 @@ def test_converge_checks_every_resolution_before_the_first_residual(tmp_path, ca
     # this used to compute the 16^2 and 32^2 residuals before the 7 stopped it
     out = tmp_path / "out"
     cfg = write_config(tmp_path / "c.json", {"verify_name": "codazzi", "resolutions": [16, 32, 7], "output_dir": str(out)})
-    with mock.patch.object(verify, "residual_codazzi") as residual:
+    residual = mock.MagicMock()
+    with mock.patch.dict(verify.PROBLEMS, codazzi=(verify.PROBLEMS["codazzi"][0], residual)):
         assert main(["converge", "--config", cfg]) == 1
     residual.assert_not_called()
     err = capsys.readouterr().err
@@ -556,10 +557,12 @@ def test_unknown_task_or_geometry_exit_one(tmp_path, capsys):
         ("simulate", {**torus, "geometry": 5}, "geometry"),
         ("simulate", {**torus, "flow": [1, 2]}, "flow"),
         ("simulate", {**circle, "geometry": {"kind": "circle", "r": None}}, "geometry.r"),
+        ("simulate", {**circle, "geometry": {"kind": "circle", "r": float("nan")}}, "geometry.r"),  # json reads NaN
         ("simulate", {**circle, "flow": {**circle["flow"], "dt": True}}, "flow.dt"),
         ("simulate", {**circle, "flow": {**circle["flow"], "output_every": 2.7}}, "flow.output_every"),
         ("converge", {**converge, "geometry": {**torus["geometry"], "seed": "7"}}, "geometry.seed"),
         ("converge", {**converge, "geometry": {**torus["geometry"], "a": "1"}}, "geometry.a"),
+        ("converge", {**converge, "geometry": {**torus["geometry"], "a": float("inf")}}, "geometry.a"),  # and Infinity
         ("converge", {**converge, "geometry": [1]}, "geometry"),
         ("simulate", {**circle, "flow": {**circle["flow"], "scheme": "Euler"}}, "flow.scheme"),
         ("simulate", {**from_file, "grid": {"sizes": [16], "periods": [10**400]}}, "grid.periods"),

@@ -186,6 +186,21 @@ def test_verify_imports_no_pointwise_name():
     assert sorted(_imported("verify.py") & POINTWISE_NAMES) == []
 
 
+def test_verify_builds_geometry_only_in_the_slab_driver_and_the_time_difference():
+    # a residual row that builds a whole-grid GeometryCache holds every field of it at once
+    builders, allowed = {"GeometryCache", "fundamental_forms"}, {"_by_slabs", "dt_rho_numeric"}
+    outside = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and getattr(child.func, "id", None) in builders and scope not in allowed:
+                outside.append((scope, child.func.id, child.lineno))
+            visit(child, child.name if isinstance(child, ast.FunctionDef) and scope is None else scope)
+
+    visit(ast.parse((SRC / "verify.py").read_text()), None)
+    assert outside == []
+
+
 def test_cli_runs_named_residuals_through_the_problems_table():
     assert sorted(_imported("cli.py") & {"theorem1_residual", "residual_codazzi", "residual_identify"}) == []
     # every verify name but the two without a geometry family is a row of the table
@@ -201,7 +216,7 @@ DIMENSION_TEST_ALLOWED = {
     ("geometry.py", "rotate_normal_field"): "input domain: codimension two, n = m + 2, for any m",
     ("geometry.py", "load_immersion_csv"): "input domain: counts the values of each CSV row",
     ("flow.py", "Trajectory.__post_init__"): "counts the grids of a trajectory, not their axes",
-    ("verify.py", "dt_rho_numeric"): "input domain: the index needs both neighbors in the trajectory",
+    ("verify.py", "_neighbours"): "input domain: the index needs both neighbors in the trajectory",
     ("verify.py", "kahler_residual"): "input domain: one (m, k) coefficient matrix",
     ("verify.py", "theorem2_suite"): "input domain: counts the steps of h_list",
     ("verify.py", "convergence_study"): "input domain: counts the resolutions",

@@ -123,6 +123,14 @@ def test_dt_rho_numeric_boundary_index_rejected():
         dt_rho_numeric(traj, len(traj) - 1)
 
 
+def test_residual_theorem1_rejects_every_index_without_both_neighbours():
+    # len(traj) used to index the trajectory first and raise a bare IndexError
+    traj = short_trajectory(make_product_torus(1.0, 0.6, 16))
+    for index in (0, -1, len(traj) - 1, len(traj)):
+        with pytest.raises(ValueError, match=f"index {index} needs both neighbors"):
+            residual_theorem1(traj, index)
+
+
 def test_dt_rho_numeric_translating_circle_small():
     traj = short_trajectory(make_circle(1.0, 64))
     h = 2 * np.pi / 64
@@ -237,15 +245,14 @@ def test_residual_codazzi_zero_families():
         (make_product_torus(1.0, 0.6, 32), (2 * np.pi / 32) ** 2),
         (make_circle(1.0, 64), (2 * np.pi / 64) ** 2),
     ]:
-        report = residual_codazzi(fundamental_forms(imm))
+        report = residual_codazzi(imm)
         assert report.norms["max"] < tol
 
 
 def test_residual_codazzi_perturbed_convergence_pair():
     norms = {}
     for size in (16, 32):
-        cache = fundamental_forms(make_perturbed_torus(1.0, 0.6, 0.05, 7, size))
-        norms[size] = residual_codazzi(cache).norms["max"]
+        norms[size] = residual_codazzi(make_perturbed_torus(1.0, 0.6, 0.05, 7, size)).norms["max"]
     assert np.log2(norms[16] / norms[32]) >= 1.7
 
 
@@ -253,7 +260,7 @@ def test_residual_identify_flat_patch_zero():
     grid = PeriodicGrid((16, 16))
     x, y = grid.meshgrid()
     F = np.stack([x, y, 0 * x, 0 * x], axis=-1)
-    report = residual_identify(fundamental_forms(Immersion(grid=grid, F=F)))
+    report = residual_identify(Immersion(grid=grid, F=F))
     assert np.max(report.field[3:-3, 3:-3]) < 1e-12
 
 
@@ -270,13 +277,13 @@ def test_residual_identify_circle_matches_curvature():
     mag = np.linalg.norm(coeffs, axis=(0, 1))
     h = imm.grid.spacings[0]
     assert np.max(np.abs(mag - 1.0 / r)) < h * h
-    report = residual_identify(cache)
+    report = residual_identify(imm)
     assert report.norms["max"] < h * h
 
 
 def test_residual_identify_product_torus_analytic_A():
     imm = make_product_torus(1.0, 0.6, 32)
-    report = residual_identify(fundamental_forms(imm))
+    report = residual_identify(imm)
     h = imm.grid.spacings[0]
     # mismatch is exactly the stencil factor (kappa - 1)/b ~ h^2/(4b)
     kappa = 2.0 / (1.0 + np.cos(h))
@@ -338,7 +345,7 @@ def test_field_residual_stages_are_the_copying_layout_bit_for_bit(imm):
         assert _same_bits(laplace_beltrami(values, cache), _rolled_laplace_beltrami(values, cache))
     for rotate in (True, False):
         assert _same_bits(dt_rho_analytic(cache, rotate), _stacked_dt_rho_analytic(cache, rotate))
-    assert _same_bits(residual_identify(cache).field, _stacked_identify_field(cache))
+    assert _same_bits(residual_identify(imm).field, _stacked_identify_field(cache))
     traj = short_trajectory(imm)
     mid = fundamental_forms(traj[1].immersion)
     chord = (fundamental_forms(traj[2].immersion).rho - fundamental_forms(traj[0].immersion).rho) / (traj[2].t - traj[0].t)

@@ -26,23 +26,33 @@ component-first, (n, *sizes), and gives the stepper one workspace of
 preallocated buffers, so a step allocates no grid-sized array; recorded
 states are copied out in the layout of ``Immersion.F``.  ``step`` and
 ``velocity`` allocate a workspace per call.
+
+The velocity, the RK4 step bound and RK4's stages run the operator slab by
+slab along the first grid axis (``_by_slabs``), on slab-sized workspaces;
+only RK4's stage vectors are whole-grid.  A slab of at most SLAB_NODES nodes
+reads the rows just beyond its ends as ghost cells, so every node's
+arithmetic and every output is the one-slab one bit for bit; a grid within
+the budget is one slab, padded periodically.  IMEX keeps a whole-grid
+operator, whose preconditioner takes the coefficients' grid means.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import comb
+from math import comb, prod
 
 import numpy as np
 
+from .errors import DegenerateImmersionError
 from .exterior import wedge_field
-from .geometry import Immersion, _metric_block, _second_difference, _Stencils, quarter_turn
+from .geometry import Immersion, _metric_block, _second_difference, _slab_bounds, _slab_grid, _Stencils, quarter_turn
 
 FLOW_KINDS = ("SMCF", "MCF")
 SCHEMES = ("RK4", "IMEX")
 # RK4's stability interval reaches 2.828 on the imaginary axis and 2.785 on the
 # negative real one (Hairer and Wanner, Solving ODEs II, IV.2): below both
 RK4_LIMIT = 2.78
+SLAB_NODES = 8192  # the most grid nodes of one slab of the explicit flow operator, at 16 rows or more
 
 
 @dataclass(frozen=True)
@@ -101,8 +111,8 @@ def stable_dt(imm: Immersion, factor: float = 0.1) -> float:
 
 
 class _Operator(_Stencils):
-    """The metric block's buffers plus those of the flow operator, allocated
-    once per run.
+    """The metric block's buffers plus those of the flow operator, on a grid
+    or on a slab of one (see ``_Slabs``), allocated once per run.
 
     ``_coefficients`` overwrites the metric block's buffers.  ``terms`` lists
     the (i, j, c_ij) of c_ij D_ij over the pairs i <= j, in the order
@@ -114,8 +124,8 @@ class _Operator(_Stencils):
     ``w``, the sum c_ij D_ij x.  ``prod`` and ``tmp`` are scratch.
     """
 
-    def __init__(self, grid, kind):
-        super().__init__(grid)
+    def __init__(self, grid, kind, ghost_rows=None):
+        super().__init__(grid, ghost_rows)
         m, sizes = grid.m, grid.sizes
         self.grid, self.kind = grid, kind
         slots = dict(zip(sorted(self.pairs), self.g.reshape((-1,) + sizes)))
@@ -172,6 +182,52 @@ def _apply(ws: _Operator, out: np.ndarray) -> np.ndarray:
     return _normal_part(w, out, d, ws)
 
 
+class _Slabs:
+    """The explicit flow operator's workspace, allocated once per run: the
+    ``_Operator`` of each distinct slab height of the grid's first axis.
+
+    The slabs are ``_slab_bounds``'s, of at most SLAB_NODES nodes and at
+    least 16 rows (so at least 8 when cut), listed as (rows, operator) in
+    ``slabs``.  A grid of one slab pads periodically; on more, every operator
+    takes its first axis's ghost cells from ``ghost``, (2, n, *sizes[1:]),
+    which ``_by_slabs`` fills with the rows just before and after the slab.
+    """
+
+    def __init__(self, grid, kind):
+        rows, *row = grid.sizes
+        bounds = _slab_bounds(rows, 2 * max(SLAB_NODES // (2 * prod(row)), 8))
+        self.grid, self.ghost = grid, None if bounds == [(0, rows)] else np.empty((2, grid.m + 2, *row))
+        heights = {stop - start for start, stop in bounds}
+        operators = {height: _Operator(_slab_grid(grid, height), kind, self.ghost) for height in heights}
+        self.slabs = [(slice(start, stop), operators[stop - start]) for start, stop in bounds]
+
+
+def _by_slabs(f: np.ndarray, time: float | None, ops: _Slabs):
+    """Freeze each slab's operator at its rows of positions f (n, *sizes); yields (rows, operator).
+
+    Each node's arithmetic is the whole grid's: a slab reads the positions one
+    row beyond its ends, its ghost cells, and computes nothing twice.  When a
+    slab fails the rank check, the whole grid's check of f names the node.
+    """
+    try:
+        for rows, ws in ops.slabs:
+            if ops.ghost is not None:
+                np.copyto(ops.ghost[0], f[:, rows.start - 1])
+                np.copyto(ops.ghost[1], f[:, rows.stop % f.shape[1]])
+            _coefficients(f[:, rows], time, ws)
+            yield rows, ws
+    except DegenerateImmersionError:
+        _metric_block(f, ops.grid, time, _Stencils(ops.grid))
+        raise
+
+
+def _velocity(f: np.ndarray, time: float | None, ops: _Slabs, out: np.ndarray) -> np.ndarray:
+    """out = the flow velocity at positions f, both (n, *sizes), slab by slab."""
+    for rows, ws in _by_slabs(f, time, ops):
+        _apply(ws, out[:, rows])
+    return out
+
+
 def explicit_step_bound(imm: Immersion) -> float:
     """RK4_LIMIT / lambda_max, the largest stable RK4 step of either flow at imm.
 
@@ -179,12 +235,13 @@ def explicit_step_bound(imm: Immersion) -> float:
     nodewise maximum of the sum of 4 c_ii/h_i^2 and |c_ij|/(h_i h_j), the
     largest modulus of the frozen symbol of c_ij D_ij.  J and P_N do not
     enlarge it.  Raises DegenerateImmersionError where the metric block does.
+    The maximum is taken slab by slab.
     """
-    ws = _Operator(imm.grid, "SMCF")
-    _coefficients(np.moveaxis(imm.F, -1, 0), None, ws)
-    h = imm.grid.spacings
-    lam = sum(4.0 * c / (h[i] * h[i]) if i == j else np.abs(c) / (h[i] * h[j]) for i, j, c in ws.terms)
-    return RK4_LIMIT / float(np.max(lam))
+    h, lam_max = imm.grid.spacings, 0.0
+    for _, ws in _by_slabs(np.moveaxis(imm.F, -1, 0), None, _Slabs(imm.grid, "SMCF")):
+        lam = sum(4.0 * c / (h[i] * h[i]) if i == j else np.abs(c) / (h[i] * h[j]) for i, j, c in ws.terms)
+        lam_max = max(lam_max, float(np.max(lam)))
+    return RK4_LIMIT / lam_max
 
 
 def velocity(imm: Immersion, kind: str = "SMCF") -> np.ndarray:
@@ -193,27 +250,23 @@ def velocity(imm: Immersion, kind: str = "SMCF") -> np.ndarray:
     """
     if kind not in FLOW_KINDS:
         raise ValueError(f"unknown flow kind {kind!r}")
-    ws = _Operator(imm.grid, kind)
-    _coefficients(np.moveaxis(imm.F, -1, 0), None, ws)
-    return np.moveaxis(_apply(ws, np.empty((imm.n,) + imm.grid.sizes)), 0, -1)
+    out = np.empty((imm.n,) + imm.grid.sizes)
+    return np.moveaxis(_velocity(np.moveaxis(imm.F, -1, 0), None, _Slabs(imm.grid, kind), out), 0, -1)
 
 
-def _advance(f: np.ndarray, t: float, dt: float, ws: _Operator, k, stage, acc) -> None:
+def _advance(f: np.ndarray, t: float, dt: float, ops: _Slabs, k, stage, acc) -> None:
     """One classical RK4 step of the flow at positions f, in place.
 
     Each stage freezes the operator at its positions and applies it once,
-    into ``k``.  The arithmetic is that of F + (dt/6)(k1 + 2 k2 + 2 k3 + k4)
+    slab by slab, into ``k``.  The arithmetic is that of F + (dt/6)(k1 + 2 k2 + 2 k3 + k4)
     with the stages F + 0.5 dt k1, F + 0.5 dt k2 and F + dt k3, with the
     buffers ``k``, ``stage`` and the running sum ``acc``.
     """
-    _coefficients(f, t, ws)
-    _apply(ws, k)
-    np.copyto(acc, k)
+    np.copyto(acc, _velocity(f, t, ops, k))
     for c, weight in ((0.5 * dt, 2.0), (0.5 * dt, 2.0), (dt, 1.0)):
         np.multiply(k, c, out=stage)
         stage += f
-        _coefficients(stage, t + c, ws)
-        _apply(ws, k)
+        _velocity(stage, t + c, ops, k)
         if weight == 1.0:
             acc += k
         else:
@@ -236,8 +289,8 @@ def _stepper(grid, config: FlowConfig):
         ws = _Imex(grid, config.flow_kind)
         return lambda f, t, dt: _imex_step(f, t, dt, ws)
     k, stage, acc = (np.empty((grid.m + 2,) + grid.sizes) for _ in range(3))
-    ws = _Operator(grid, config.flow_kind)
-    return lambda f, t, dt: _advance(f, t, dt, ws, k, stage, acc)
+    ops = _Slabs(grid, config.flow_kind)
+    return lambda f, t, dt: _advance(f, t, dt, ops, k, stage, acc)
 
 
 def step(state: FlowState, config: FlowConfig, dt: float | None = None) -> FlowState:

@@ -225,6 +225,21 @@ class _Stencils:
         self.prod = np.empty((m + 2,) + sizes)
 
 
+def _slab_bounds(rows: int, most: int) -> list[tuple[int, int]]:
+    """(start, stop) of the slabs of ``rows`` rows: even, at most ``most`` (even) rows, as equal as can be."""
+    count = -(-rows // most)
+    bounds = [2 * (k * rows // (2 * count)) for k in range(count + 1)]
+    return list(zip(bounds, bounds[1:]))
+
+
+def _slab_grid(grid: PeriodicGrid, rows: int) -> PeriodicGrid:
+    """The grid of ``rows`` rows of the first axis of ``grid``, at the whole grid's spacings."""
+    _, *sizes = grid.sizes
+    slab = replace(grid, sizes=(rows, *sizes))
+    vars(slab)["spacings"] = grid.spacings  # the whole grid's, as are its periods
+    return slab
+
+
 def _fill_pad(f: np.ndarray, ws: _Stencils) -> None:
     """Positions f (n, *sizes) into the padded buffer, ghost cells included."""
     np.copyto(ws.center, f)
@@ -327,10 +342,7 @@ class GeometryCache:
         ghost_rows = None
         if rows is not None:
             F = np.take(imm.F, range(rows.start - 1, rows.stop + 1), axis=0, mode="wrap")
-            _, *sizes = imm.grid.sizes
-            grid = replace(imm.grid, sizes=(len(rows), *sizes))
-            vars(grid)["spacings"] = imm.grid.spacings  # the whole grid's, as are its periods
-            imm, ghost_rows = Immersion(grid, F[1:-1]), np.moveaxis(F[[0, -1]], -1, 1)
+            imm, ghost_rows = Immersion(_slab_grid(imm.grid, len(rows)), F[1:-1]), np.moveaxis(F[[0, -1]], -1, 1)
         self.grid, self.rows = imm.grid, rows
         ws = _Stencils(imm.grid, ghost_rows)
         _metric_block(np.moveaxis(imm.F, -1, 0), imm.grid, time, ws)

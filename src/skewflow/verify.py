@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import DegenerateImmersionError
 from .flow import FlowConfig, Trajectory, run, stable_dt
-from .geometry import FAMILIES, GeometryCache, Immersion, PeriodicGrid, diff1, fundamental_forms, periodic_difference, quarter_turn
+from .geometry import FAMILIES, GeometryCache, Immersion, PeriodicGrid, _slab_bounds, diff1, fundamental_forms, periodic_difference, quarter_turn
 from .grassmann import (
     check_frames,
     frame_curve,
@@ -69,13 +69,6 @@ def _weighted_norms(residual: np.ndarray, sqrt_det_g: np.ndarray, grid: Periodic
     return {"max": float(np.max(residual)), "l2": l2}
 
 
-def _slab_bounds(rows: int) -> list[tuple[int, int]]:
-    """(start, stop) of the slabs of ``rows`` rows: even, at most SLAB_ROWS, as equal as can be."""
-    count = -(-rows // SLAB_ROWS)
-    bounds = [2 * (k * rows // (2 * count)) for k in range(count + 1)]
-    return list(zip(bounds, bounds[1:]))
-
-
 def _by_slabs(imm: Immersion, evaluate, *neighbours: Immersion) -> list[np.ndarray]:
     """The per-node fields that ``evaluate(cache)`` computes on each slab's ``GeometryCache(imm,
     rows=...)``, then its sqrt(det g), assembled slab by slab into fields of the whole grid.
@@ -91,7 +84,7 @@ def _by_slabs(imm: Immersion, evaluate, *neighbours: Immersion) -> list[np.ndarr
     halo = HALO if rows > SLAB_ROWS else 0
     fields = None
     try:
-        for start, stop in _slab_bounds(rows):
+        for start, stop in _slab_bounds(rows, SLAB_ROWS):
             cache = GeometryCache(imm, rows=range(start - halo, stop + halo))
             parts = (*evaluate(cache), cache.sqrt_det_g)
             del cache  # not kept alive while the next slab's geometry is built

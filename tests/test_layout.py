@@ -98,12 +98,15 @@ def test_velocity_explicit_and_imex_steps_share_one_operator(monkeypatch):
     for module in (flow, imex):
         monkeypatch.setattr(module, "_coefficients", recording_coefficients)
         monkeypatch.setattr(module, "_apply", recording_apply)
-    for imm in GEOMETRIES:
-        state = FlowState(0.0, imm)
+    # the explicit operator runs slab by slab: 16 rows a slab cut the last torus into 4
+    monkeypatch.setattr(flow, "SLAB_NODES", 16 * 64)
+    for imm in GEOMETRIES + (make_perturbed_torus(1.0, 0.7, 0.05, 3, 64),):
+        state, slabs = FlowState(0.0, imm), len(flow._Slabs(imm.grid, "SMCF").slabs)
+        assert slabs == (4 if imm.grid.sizes == (64, 64) else 1)
         cases = [
-            (lambda: velocity(imm, "MCF"), 1, 1),
-            (lambda: flow.explicit_step_bound(imm), 1, 0),
-            (lambda: step(state, FlowConfig(dt=1e-6)), 4, 4),
+            (lambda: velocity(imm, "MCF"), slabs, slabs),
+            (lambda: flow.explicit_step_bound(imm), slabs, 0),
+            (lambda: step(state, FlowConfig(dt=1e-6)), 4 * slabs, 4 * slabs),
         ]
         for call, frozen, applied in cases:
             calls.clear()
@@ -117,6 +120,25 @@ def test_velocity_explicit_and_imex_steps_share_one_operator(monkeypatch):
         calls.clear()
         run(imm, FlowConfig(dt=1e-3, t_end=4.5e-3, scheme="IMEX"))
         assert calls.count("coefficients") == 5 + 1
+
+
+def test_the_flow_operator_is_built_only_by_its_slabs_and_imex():
+    # a whole-grid operator workspace outside IMEX is what slab-by-slab evaluation removed
+    built, subclasses = [], []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call) and "_Operator" in (getattr(child.func, "id", None), getattr(child.func, "attr", None)):
+                built.append((path.name, scope))
+            if isinstance(child, ast.ClassDef):
+                subclasses.extend(child.name for base in child.bases if getattr(base, "id", None) == "_Operator")
+            named = isinstance(child, (ast.FunctionDef, ast.ClassDef))
+            visit(child, f"{scope}.{child.name}".lstrip(".") if named else scope)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text()), "")
+    assert built == [("flow.py", "_Slabs.__init__")]
+    assert subclasses == ["_Imex"]
 
 
 def test_field_forms_on_one_frame_are_the_node_slice_of_the_field_call():

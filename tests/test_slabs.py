@@ -1,10 +1,12 @@
-"""The residuals of ``verify.PROBLEMS`` evaluated slab by slab (``verify._by_slabs``).
+"""The residuals of ``verify.PROBLEMS`` and the explicit flow operator, evaluated
+slab by slab (``verify._by_slabs`` and ``flow._by_slabs``).
 
 Every per-node residual is computed on slab-sized geometries of a few rows of
-the first grid axis and assembled.  These tests pin down that the result is
-the whole grid's bit for bit, that the rank check names what the whole grid's
-check names, that every slab is a valid grid at its parent's spacings, and
-that the residuals' memory no longer grows with the grid.
+the first grid axis and assembled, and so is every stage velocity of RK4.
+These tests pin down that the result is the whole grid's bit for bit, that the
+rank check names what the whole grid's check names, that every slab is a valid
+grid at its parent's spacings, and that the memory of the residuals and of an
+RK4 run no longer grows with a whole-grid workspace.
 """
 
 import json
@@ -21,6 +23,7 @@ from skewflow import (
     Trajectory,
     dt_rho_analytic,
     dt_rho_numeric,
+    flow,
     fundamental_forms,
     geometry,
     make_perturbed_circle,
@@ -33,10 +36,11 @@ from skewflow import (
     save_immersion_csv,
     stable_dt,
     tension,
+    velocity,
     verify,
 )
 from skewflow.cli import main
-from skewflow.flow import FlowConfig
+from skewflow.flow import FlowConfig, explicit_step_bound
 from skewflow.grassmann import jtilde_coeffs
 
 from conftest import traced_peak
@@ -110,10 +114,9 @@ def test_a_slab_grid_carries_its_grids_spacings_bit_for_bit():
 
 
 @pytest.mark.parametrize("slab_rows", [12, 16, 24, 32, 40, 64])
-def test_every_slab_is_a_grid_of_at_most_slab_rows(monkeypatch, slab_rows):
-    monkeypatch.setattr(verify, "SLAB_ROWS", slab_rows)
+def test_every_slab_is_a_grid_of_at_most_slab_rows(slab_rows):
     for rows in range(8, 402, 2):
-        bounds = verify._slab_bounds(rows)
+        bounds = geometry._slab_bounds(rows, slab_rows)
         assert [start for start, _ in bounds] == [0] + [stop for _, stop in bounds[:-1]]
         assert bounds[-1][1] == rows
         halo = verify.HALO if rows > slab_rows else 0
@@ -180,7 +183,7 @@ def test_a_doubly_wound_torus_file_passes_verify_codazzi(tmp_path, monkeypatch, 
     grid = PeriodicGrid((32, 16))
     u, v = grid.meshgrid()
     F = np.stack([np.cos(2 * u), np.sin(2 * u), 0.6 * np.cos(v), 0.6 * np.sin(v)], axis=-1)
-    assert verify._slab_bounds(32) == [(0, 16), (16, 32)] and np.allclose(F[0], F[16], atol=1e-15)
+    assert geometry._slab_bounds(32, verify.SLAB_ROWS) == [(0, 16), (16, 32)] and np.allclose(F[0], F[16], atol=1e-15)
     save_immersion_csv(Immersion(grid, F), tmp_path / "nodes.csv")
     config = tmp_path / "wound.json"
     config.write_text(json.dumps({
@@ -233,6 +236,76 @@ def test_the_cli_writes_the_one_slab_bytes(tmp_path, monkeypatch, run_id):
 
 
 # ---------------------------------------------------------------------------
+# the explicit flow operator
+
+
+# geometry -> node budgets (flow.SLAB_NODES) that cut it into slabs: 4, 3 of two
+# heights and 2 slabs of the 64^2 torus; 6, 4 and 3 of 96 x 256; 14 and 3 of
+# 330 x 64; 6 and 2 of the curve, whose default budget splits it in two
+FLOW_SLABS = {
+    "torus-64": (make_perturbed_torus(1.0, 0.6, 0.05, 7, 64), (1, 1536, 2048)),
+    "product-96x256": (make_product_torus(1.0, 0.6, 96, 256), (1536, 6144, 8192)),
+    "product-330x64": (make_product_torus(1.0, 0.6, 330, 64), (1536, 8192)),
+    "curve-16384": (make_perturbed_circle(1.0, 0.2, 3, 16384), (3000, 8192)),
+}
+
+
+def _flow_bits(imm, monkeypatch, slab_nodes):
+    """The bytes of two-step RK4 runs and of the velocity of either flow, and the
+    hex RK4 step bound, at a node budget; with the number of slabs it cuts."""
+    monkeypatch.setattr(flow, "SLAB_NODES", slab_nodes)
+    bits = [explicit_step_bound(imm).hex()]
+    for kind in flow.FLOW_KINDS:
+        dt = stable_dt(imm)
+        traj = run(imm, FlowConfig(flow_kind=kind, dt=dt, t_end=2 * dt, output_every=1))
+        bits += [state.immersion.F.tobytes() for state in traj.states] + [velocity(imm, kind).tobytes()]
+    return bits, len(flow._Slabs(imm.grid, "SMCF").slabs)
+
+
+@pytest.mark.parametrize("kind", sorted(FLOW_SLABS))
+def test_every_node_budget_gives_the_one_slab_flow_bits(monkeypatch, kind):
+    imm, budgets = FLOW_SLABS[kind]
+    whole, count = _flow_bits(imm, monkeypatch, ONE_SLAB)
+    assert count == 1
+    for budget in budgets:
+        bits, count = _flow_bits(imm, monkeypatch, budget)
+        assert count > 1 and bits == whole, budget
+
+
+def _raised(call):
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DegenerateImmersionError) as err:
+            call()
+    return err.value.node, err.value.time, str(err.value)
+
+
+# the middle states of PINCHES whose degenerate node sits at a slab's edge or in
+# its ghost rows when slabs are 16 rows tall, and their base torus, which RK4
+# at 20 times its step bound makes degenerate at a middle stage some steps in
+FLOW_PINCHES = {case: PINCHES[case][1] for case in ("halo-row", "slab-boundary", "wrapped-halo", "non-finite-first")}
+FLOW_PINCHES["unstable"] = BASE
+
+
+@pytest.mark.parametrize("case", sorted(FLOW_PINCHES))
+def test_a_degenerate_stage_is_named_as_the_whole_grids_check_names_it(monkeypatch, case):
+    imm = FLOW_PINCHES[case]
+    dt = 20 * explicit_step_bound(imm) if case == "unstable" else 1e-4
+    calls = [
+        lambda: run(imm, FlowConfig(dt=dt, t_end=1000 * dt)),
+        lambda: run(imm, FlowConfig(flow_kind="MCF", dt=dt, t_end=1000 * dt)),
+        lambda: velocity(imm),
+        lambda: explicit_step_bound(imm),
+    ]
+    monkeypatch.setattr(flow, "SLAB_NODES", ONE_SLAB)
+    expected = [_raised(call) for call in calls[: 2 if case == "unstable" else 4]]
+    monkeypatch.setattr(flow, "SLAB_NODES", 16 * 64)
+    assert len(flow._Slabs(imm.grid, "SMCF").slabs) == 4
+    assert [_raised(call) for call in calls[: len(expected)]] == expected
+    if case == "unstable":  # at t = 6.5 dt (SMCF) and 4.5 dt (MCF)
+        assert [round(time / dt % 1, 6) for _, time, _ in expected] == [0.5, 0.5]
+
+
+# ---------------------------------------------------------------------------
 # memory
 
 
@@ -254,3 +327,16 @@ def test_residual_memory_does_not_grow_with_the_grid(name, bound):
     residual(imm)  # the wedge tables are cached on first use
     fields = traced_peak(lambda: residual(imm)) / (8 * size * size)
     assert fields < bound, (name, fields)
+
+
+def test_rk4_run_memory_holds_no_whole_grid_operator_workspace():
+    # 256^2 peaks in grid fields over the input, with tracemalloc: 54.1 with one
+    # whole-grid operator workspace (about 30 fields) beside f, k, stage, acc and
+    # the recorded states, 27.8 with the operator slab by slab (8 slabs)
+    size = 256
+    imm = make_perturbed_torus(*[verify.FAMILY_DEFAULTS[key] for key in ("a", "b", "eps", "seed")], size)
+    dt = stable_dt(imm)
+    config = FlowConfig(dt=dt, t_end=2 * dt, output_every=1)
+    run(imm, config)  # the wedge tables are cached on first use
+    fields = traced_peak(lambda: run(imm, config)) / (8 * size * size)
+    assert fields < 40, fields

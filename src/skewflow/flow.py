@@ -27,19 +27,18 @@ preallocated buffers, so a step allocates no grid-sized array; recorded
 states are copied out in the layout of ``Immersion.F``.  ``step`` and
 ``velocity`` allocate a workspace per call.
 
-The velocity, the RK4 step bound and RK4's stages run the operator slab by
-slab along the first grid axis (``_by_slabs``), on slab-sized workspaces;
-only RK4's stage vectors are whole-grid.  A slab of at most SLAB_NODES nodes
-reads the rows just beyond its ends as ghost cells, so every node's
-arithmetic and every output is the one-slab one bit for bit; a grid within
-the budget is one slab, padded periodically.  IMEX keeps a whole-grid
+The velocity, the RK4 step bound and RK4's stages run the operator on
+slab-sized workspaces, slab by slab along the first grid axis (``_by_slabs``),
+on the residuals' cut of ``geometry.SLAB_NODES`` nodes a slab; only RK4's stage
+vectors are whole-grid.  A slab reads the rows beyond its ends as ghost cells,
+so every output is the one-slab one bit for bit.  IMEX keeps a whole-grid
 operator, whose preconditioner takes the coefficients' grid means.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import comb, prod
+from math import comb
 
 import numpy as np
 
@@ -52,7 +51,6 @@ SCHEMES = ("RK4", "IMEX")
 # RK4's stability interval reaches 2.828 on the imaginary axis and 2.785 on the
 # negative real one (Hairer and Wanner, Solving ODEs II, IV.2): below both
 RK4_LIMIT = 2.78
-SLAB_NODES = 8192  # the most grid nodes of one slab of the explicit flow operator, at 16 rows or more
 
 
 @dataclass(frozen=True)
@@ -186,17 +184,16 @@ class _Slabs:
     """The explicit flow operator's workspace, allocated once per run: the
     ``_Operator`` of each distinct slab height of the grid's first axis.
 
-    The slabs are ``_slab_bounds``'s, of at most SLAB_NODES nodes and at
-    least 16 rows (so at least 8 when cut), listed as (rows, operator) in
-    ``slabs``.  A grid of one slab pads periodically; on more, every operator
-    takes its first axis's ghost cells from ``ghost``, (2, n, *sizes[1:]),
-    which ``_by_slabs`` fills with the rows just before and after the slab.
+    The slabs are ``geometry._slab_bounds``'s, the residuals' cut too, listed
+    as (rows, operator) in ``slabs``.  A grid of one slab pads periodically;
+    on more, every operator takes its first axis's ghost cells from
+    ``ghost``, (2, n, *sizes[1:]), which ``_by_slabs`` fills with the rows
+    just before and after the slab.
     """
 
     def __init__(self, grid, kind):
-        rows, *row = grid.sizes
-        bounds = _slab_bounds(rows, 2 * max(SLAB_NODES // (2 * prod(row)), 8))
-        self.grid, self.ghost = grid, None if bounds == [(0, rows)] else np.empty((2, grid.m + 2, *row))
+        bounds = _slab_bounds(grid)
+        self.grid, self.ghost = grid, np.empty((2, grid.m + 2) + grid.sizes[1:]) if bounds[1:] else None
         heights = {stop - start for start, stop in bounds}
         operators = {height: _Operator(_slab_grid(grid, height), kind, self.ghost) for height in heights}
         self.slabs = [(slice(start, stop), operators[stop - start]) for start, stop in bounds]

@@ -31,6 +31,7 @@ from .grassmann import project_field, rho_field, tangent_basis_field
 TWO_PI = 2.0 * np.pi
 RANK_TOL = 1e-6  # smallest admissible singular value of the tangent map
 MAX_MODE = 1  # highest mode of the perturbed tori: their coarsest grids are already asymptotic
+SLAB_NODES = 8192  # the most grid nodes of one slab of the flow operator or of a residual, at 16 rows or more
 
 
 @dataclass(frozen=True)
@@ -225,9 +226,11 @@ class _Stencils:
         self.prod = np.empty((m + 2,) + sizes)
 
 
-def _slab_bounds(rows: int, most: int) -> list[tuple[int, int]]:
-    """(start, stop) of the slabs of ``rows`` rows: even, at most ``most`` (even) rows, as equal as can be."""
-    count = -(-rows // most)
+def _slab_bounds(grid: PeriodicGrid) -> list[tuple[int, int]]:
+    """(start, stop) of the slabs of ``grid``'s first axis, the flow operator's and the residuals':
+    even, as equal as can be, of at most SLAB_NODES nodes or 16 rows, whichever is more."""
+    rows, *row = grid.sizes
+    count = -(-rows // (2 * max(SLAB_NODES // (2 * math.prod(row)), 8)))
     bounds = [2 * (k * rows // (2 * count)) for k in range(count + 1)]
     return list(zip(bounds, bounds[1:]))
 

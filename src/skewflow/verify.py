@@ -9,7 +9,8 @@ theory alone.
 
 Finite differences of Grassmann-valued data are projected to the tangent
 space at the center point before any comparison, which removes the normal
-chord component coherently from both sides of each identity.
+chord component coherently from both sides of each identity.  Every residual
+builds its geometry slab by slab, on the flow operator's cut (``geometry.SLAB_NODES``).
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from .grassmann import (
 )
 
 RESIDUAL_FLOOR = 1e-13
-SLAB_ROWS = 32  # the most rows of the first grid axis that one slab of a residual evaluation holds
 HALO = 1  # rows on each side of a slab whose geometry it computes and drops
 
 
@@ -73,18 +73,18 @@ def _by_slabs(imm: Immersion, evaluate, *neighbours: Immersion) -> list[np.ndarr
     """The per-node fields that ``evaluate(cache)`` computes on each slab's ``GeometryCache(imm,
     rows=...)``, then its sqrt(det g), assembled slab by slab into fields of the whole grid.
 
-    A slab's range holds its own rows and HALO more on each side, whose values
-    are dropped: with the true neighbours beyond as ghost rows, it reads the two
-    rows of positions that a difference of a second difference needs, so the
-    fields are the whole grid's bit for bit.  One slab wraps onto itself: no halo.
-    When a slab fails the rank check, the whole grid's checks of ``imm``, then of each of
-    ``neighbours`` (immersions that ``evaluate`` reads), name the node.
+    The slabs are the flow operator's (``geometry._slab_bounds``).  On a cut grid a slab's range
+    holds its own rows and HALO more on each side, whose values are dropped: with the true
+    neighbours beyond as ghost rows, it reads the two rows of positions that a difference of a
+    second difference needs, so the fields are the whole grid's bit for bit; one slab wraps onto
+    itself, with no halo.  When a slab fails the rank check, the whole grid's checks of ``imm``,
+    then of each of ``neighbours`` (immersions that ``evaluate`` reads), name the node.
     """
-    rows, *_ = imm.grid.sizes
-    halo = HALO if rows > SLAB_ROWS else 0
+    bounds = _slab_bounds(imm.grid)
+    halo = HALO if bounds[1:] else 0  # on a grid cut in more than one slab
     fields = None
     try:
-        for start, stop in _slab_bounds(rows, SLAB_ROWS):
+        for start, stop in bounds:
             cache = GeometryCache(imm, rows=range(start - halo, stop + halo))
             parts = (*evaluate(cache), cache.sqrt_det_g)
             del cache  # not kept alive while the next slab's geometry is built
@@ -407,8 +407,7 @@ def fit_order(hs, norms):
 
 # name -> (geometry family, residual(imm, flow=None, metadata=None) of the immersion that
 # geometry.FAMILIES builds): the one table that verify and converge run a name through;
-# flow is the FlowConfig of a theorem1 name, and codazzi and identify read none.  Every
-# residual builds its geometry slab by slab in _by_slabs, none on the whole grid
+# flow is the FlowConfig of a theorem1 name, and codazzi and identify read none
 PROBLEMS = {
     "theorem1": ("perturbed_torus", theorem1_residual),
     "theorem1_mcf": ("perturbed_torus", functools.partial(theorem1_residual, name="theorem1_mcf")),

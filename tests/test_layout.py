@@ -99,7 +99,7 @@ def test_velocity_explicit_and_imex_steps_share_one_operator(monkeypatch):
         monkeypatch.setattr(module, "_coefficients", recording_coefficients)
         monkeypatch.setattr(module, "_apply", recording_apply)
     # the explicit operator runs slab by slab: 16 rows a slab cut the last torus into 4
-    monkeypatch.setattr(flow, "SLAB_NODES", 16 * 64)
+    monkeypatch.setattr(geometry, "SLAB_NODES", 16 * 64)
     for imm in GEOMETRIES + (make_perturbed_torus(1.0, 0.7, 0.05, 3, 64),):
         state, slabs = FlowState(0.0, imm), len(flow._Slabs(imm.grid, "SMCF").slabs)
         assert slabs == (4 if imm.grid.sizes == (64, 64) else 1)
@@ -313,3 +313,18 @@ def test_readme_geometry_blocks_list_the_families_and_the_file_kind():
     listed = {block.pop("kind"): tuple(block) for block in blocks}
     families = {kind: keys for kind, (_, keys, _) in geometry.FAMILIES.items()}
     assert listed == {**families, "file": ("path",)}
+
+
+def test_only_geometry_binds_a_slab_constant():
+    # the flow operator and the residuals take one cut, from one node budget: a SLAB_*
+    # name bound in a second module would be a second budget that a test could miss
+    bound = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [alias.asname or alias.name for alias in node.names]
+            else:
+                targets = getattr(node, "targets", None) or [getattr(node, "target", None)]
+                names = [leaf.id for target in targets if target for leaf in ast.walk(target) if isinstance(leaf, ast.Name)]
+            bound += [(path.name, name) for name in names if name.startswith("SLAB_")]
+    assert bound == [("geometry.py", "SLAB_NODES")]

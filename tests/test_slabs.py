@@ -2,14 +2,17 @@
 slab by slab (``verify._by_slabs`` and ``flow._by_slabs``).
 
 Every per-node residual is computed on slab-sized geometries of a few rows of
-the first grid axis and assembled, and so is every stage velocity of RK4.
-These tests pin down that the result is the whole grid's bit for bit, that the
-rank check names what the whole grid's check names, that every slab is a valid
-grid at its parent's spacings, and that the memory of the residuals and of an
-RK4 run no longer grows with a whole-grid workspace.
+the first grid axis and assembled, and so is every stage velocity of RK4; both
+take the one cut of ``geometry._slab_bounds``, set by the node budget
+``geometry.SLAB_NODES``.  These tests pin down that the two cut every grid the
+same way, that the result is the whole grid's bit for bit, that the rank check
+names what the whole grid's check names, that every slab is a valid grid at its
+parent's spacings, and that the memory of the residuals and of an RK4 run no
+longer grows with a whole-grid workspace.
 """
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -45,7 +48,7 @@ from skewflow.grassmann import jtilde_coeffs
 
 from conftest import traced_peak
 
-ONE_SLAB = 10**6  # a slab height above every grid here: the one-slab evaluation
+ONE_SLAB = 10**6  # a slab height, and a node budget, above every grid here: the one-slab evaluation
 GEOMETRIES = {
     "torus": make_perturbed_torus(1.0, 0.6, 0.05, 7, 64),
     "product": make_product_torus(1.0, 0.6, 64),
@@ -56,9 +59,15 @@ GEOMETRIES = {
 HEIGHTS = (16, 24, 32, 40)
 
 
+def _cut(monkeypatch, grid, slab_rows):
+    """Set the node budget to ``slab_rows`` rows of ``grid``, which cuts a grid of its width
+    into slabs of at most that many rows."""
+    monkeypatch.setattr(geometry, "SLAB_NODES", slab_rows * math.prod(grid.sizes[1:]))
+
+
 def _bits(name, imm, monkeypatch, slab_rows, halo=verify.HALO):
     """The field bytes and the hex norms of the PROBLEMS row ``name`` at a slab height and halo."""
-    monkeypatch.setattr(verify, "SLAB_ROWS", slab_rows)
+    _cut(monkeypatch, imm.grid, slab_rows)
     monkeypatch.setattr(verify, "HALO", halo)
     report = verify.PROBLEMS[name][1](imm)
     return report.field.tobytes(), {key: float(value).hex() for key, value in report.norms.items()}
@@ -81,10 +90,11 @@ def test_a_128_grid_at_slab_height_40_gives_the_one_slab_bits(monkeypatch, name)
     assert _bits(name, imm, monkeypatch, 40) == _bits(name, imm, monkeypatch, ONE_SLAB)
 
 
-def test_slabbed_residuals_are_the_whole_grid_stages_bit_for_bit():
+def test_slabbed_residuals_are_the_whole_grid_stages_bit_for_bit(monkeypatch):
     """Against the stages on whole-grid geometries, as the residuals ran them before slabs."""
     imm = GEOMETRIES["torus-96x64"]
-    assert imm.grid.sizes[0] > verify.SLAB_ROWS
+    _cut(monkeypatch, imm.grid, 32)
+    assert len(geometry._slab_bounds(imm.grid)) == 3
     cache = fundamental_forms(imm)
     frobenius = lambda c: np.sqrt(np.sum(c**2, axis=(0, 1)))
     codazzi = frobenius(tension(cache) - dt_rho_analytic(cache, apply_rotation=False))
@@ -114,14 +124,18 @@ def test_a_slab_grid_carries_its_grids_spacings_bit_for_bit():
 
 
 @pytest.mark.parametrize("slab_rows", [12, 16, 24, 32, 40, 64])
-def test_every_slab_is_a_grid_of_at_most_slab_rows(slab_rows):
+def test_every_slab_is_a_grid_of_at_most_slab_rows(monkeypatch, slab_rows):
+    most = max(slab_rows, 16)  # a budget below 16 rows cuts at the 16-row floor
     for rows in range(8, 402, 2):
-        bounds = geometry._slab_bounds(rows, slab_rows)
+        grid = PeriodicGrid((rows, 8))
+        _cut(monkeypatch, grid, slab_rows)
+        bounds = geometry._slab_bounds(grid)
         assert [start for start, _ in bounds] == [0] + [stop for _, stop in bounds[:-1]]
         assert bounds[-1][1] == rows
-        halo = verify.HALO if rows > slab_rows else 0
+        halo = verify.HALO if rows > most else 0
+        assert bool(halo) == (len(bounds) > 1)
         for start, stop in bounds:
-            assert stop - start <= slab_rows
+            assert stop - start <= most
             PeriodicGrid((stop - start + 2 * halo, 8))  # raises on an odd or short slab
 
 
@@ -166,7 +180,7 @@ def test_a_degenerate_state_is_named_as_the_whole_grids_check_names_it(monkeypat
     with pytest.raises(DegenerateImmersionError) as expected:
         for imm in (middle, later, earlier):  # the whole grid's checks, in the order the residual takes them
             fundamental_forms(imm)
-    monkeypatch.setattr(verify, "SLAB_ROWS", 16)
+    _cut(monkeypatch, middle.grid, 16)
     traj = Trajectory([FlowState(t, imm) for t, imm in zip((0.0, 1e-3, 2e-3), (earlier, middle, later))])
     with pytest.raises(DegenerateImmersionError) as got:
         if name == "theorem1":
@@ -179,11 +193,11 @@ def test_a_degenerate_state_is_named_as_the_whole_grids_check_names_it(monkeypat
 def test_a_doubly_wound_torus_file_passes_verify_codazzi(tmp_path, monkeypatch, capsys):
     # rows k and k + 16 coincide: a slab of rows -1..16 that wrapped onto itself
     # would take a zero chord between rows 0 and 16 for the tangent at row -1
-    monkeypatch.setattr(verify, "SLAB_ROWS", 16)
     grid = PeriodicGrid((32, 16))
+    _cut(monkeypatch, grid, 16)
     u, v = grid.meshgrid()
     F = np.stack([np.cos(2 * u), np.sin(2 * u), 0.6 * np.cos(v), 0.6 * np.sin(v)], axis=-1)
-    assert geometry._slab_bounds(32, verify.SLAB_ROWS) == [(0, 16), (16, 32)] and np.allclose(F[0], F[16], atol=1e-15)
+    assert geometry._slab_bounds(grid) == [(0, 16), (16, 32)] and np.allclose(F[0], F[16], atol=1e-15)
     save_immersion_csv(Immersion(grid, F), tmp_path / "nodes.csv")
     config = tmp_path / "wound.json"
     config.write_text(json.dumps({
@@ -225,8 +239,8 @@ def test_the_cli_writes_the_one_slab_bytes(tmp_path, monkeypatch, run_id):
     task, payload = CLI_RUNS[run_id]
     geometry_keys = {"kind": "perturbed_torus", "a": 1.0, "b": 0.6, "eps": 0.05, "seed": 7}
     written = []
-    for slab_rows in (16, ONE_SLAB):
-        monkeypatch.setattr(verify, "SLAB_ROWS", slab_rows)
+    for slab_rows in (16, ONE_SLAB):  # 16 rows of the narrowest grid here, the floor of the others
+        _cut(monkeypatch, PeriodicGrid((16, 16)), slab_rows)
         out = tmp_path / str(slab_rows)
         config = tmp_path / f"{slab_rows}.json"
         config.write_text(json.dumps({"geometry": geometry_keys, "output_dir": str(out), **payload}))
@@ -239,7 +253,7 @@ def test_the_cli_writes_the_one_slab_bytes(tmp_path, monkeypatch, run_id):
 # the explicit flow operator
 
 
-# geometry -> node budgets (flow.SLAB_NODES) that cut it into slabs: 4, 3 of two
+# geometry -> node budgets (geometry.SLAB_NODES) that cut it into slabs: 4, 3 of two
 # heights and 2 slabs of the 64^2 torus; 6, 4 and 3 of 96 x 256; 14 and 3 of
 # 330 x 64; 6 and 2 of the curve, whose default budget splits it in two
 FLOW_SLABS = {
@@ -253,7 +267,7 @@ FLOW_SLABS = {
 def _flow_bits(imm, monkeypatch, slab_nodes):
     """The bytes of two-step RK4 runs and of the velocity of either flow, and the
     hex RK4 step bound, at a node budget; with the number of slabs it cuts."""
-    monkeypatch.setattr(flow, "SLAB_NODES", slab_nodes)
+    monkeypatch.setattr(geometry, "SLAB_NODES", slab_nodes)
     bits = [explicit_step_bound(imm).hex()]
     for kind in flow.FLOW_KINDS:
         dt = stable_dt(imm)
@@ -296,13 +310,40 @@ def test_a_degenerate_stage_is_named_as_the_whole_grids_check_names_it(monkeypat
         lambda: velocity(imm),
         lambda: explicit_step_bound(imm),
     ]
-    monkeypatch.setattr(flow, "SLAB_NODES", ONE_SLAB)
+    monkeypatch.setattr(geometry, "SLAB_NODES", ONE_SLAB)
     expected = [_raised(call) for call in calls[: 2 if case == "unstable" else 4]]
-    monkeypatch.setattr(flow, "SLAB_NODES", 16 * 64)
+    monkeypatch.setattr(geometry, "SLAB_NODES", 16 * 64)
     assert len(flow._Slabs(imm.grid, "SMCF").slabs) == 4
     assert [_raised(call) for call in calls[: len(expected)]] == expected
     if case == "unstable":  # at t = 6.5 dt (SMCF) and 4.5 dt (MCF)
         assert [round(time / dt % 1, 6) for _, time, _ in expected] == [0.5, 0.5]
+
+
+# ---------------------------------------------------------------------------
+# one cut
+
+
+# geometry -> the number of slabs that the default node budget cuts it into
+SAME_CUT = {
+    "torus-64": (make_product_torus(1.0, 0.6, 64), 1),
+    "torus-128": (make_product_torus(1.0, 0.6, 128), 2),
+    "torus-256": (make_product_torus(1.0, 0.6, 256), 8),
+    "torus-96x256": (make_product_torus(1.0, 0.6, 96, 256), 3),
+    "torus-330x64": (make_product_torus(1.0, 0.6, 330, 64), 3),
+    "curve-512": (make_perturbed_circle(1.0, 0.2, 3, 512), 1),
+    "curve-16384": (make_perturbed_circle(1.0, 0.2, 3, 16384), 2),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(SAME_CUT))
+def test_the_flow_operator_and_the_residuals_cut_a_grid_the_same_way(kind):
+    imm, count = SAME_CUT[kind]
+    flow_rows = [(rows.start, rows.stop) for rows, _ in flow._Slabs(imm.grid, "SMCF").slabs]
+    seen = []  # the rows of each slab geometry that the residuals build, halo included
+    verify._by_slabs(imm, lambda cache: seen.append(cache.rows) or ())
+    halo = verify.HALO if len(seen) > 1 else 0
+    assert [(rows.start + halo, rows.stop - halo) for rows in seen] == flow_rows
+    assert len(flow_rows) == count
 
 
 # ---------------------------------------------------------------------------

@@ -356,8 +356,10 @@ def test_field_residual_stages_are_the_copying_layout_bit_for_bit(imm):
 # codazzi 113.6 and identify 146.5 while the residuals copied the legs of the
 # tangent basis, mirrored the second derivatives and rolled into fresh arrays;
 # 99.8, 87.6 and 120.5 without those copies.  Each bound lies between the two.
-# Evaluated in slabs of 32 rows (``verify.SLAB_ROWS``) the rows read 64.1, 67.5
-# and 84.4; tests/test_slabs.py bounds the slabbed peaks at 256^2
+# The node budget (``geometry.SLAB_NODES``) keeps 64^2 in one slab, so these
+# guard the one-slab rows, which read 100.0, 87.8 and 120.7 (64.1, 50.7 and 67.5
+# when a row budget cut 64^2 in two slabs of 32); tests/test_slabs.py bounds the
+# slabbed peaks at 256^2
 @pytest.mark.parametrize("name, bound", [("theorem1", 112), ("codazzi", 100), ("identify", 133)])
 def test_residual_rows_make_no_grid_sized_copy(name, bound):
     family, residual = PROBLEMS[name]

@@ -23,9 +23,10 @@ freeze at each stage's positions and apply once; IMEX freezes once per step
 (twice in a run's first step, which has no earlier state to extrapolate
 from) and applies once per Krylov vector.  ``run`` keeps the positions
 component-first, (n, *sizes), and gives the stepper one workspace of
-preallocated buffers, so a step allocates no grid-sized array; recorded
-states are copied out in the layout of ``Immersion.F``.  ``step`` and
-``velocity`` allocate a workspace per call.
+preallocated buffers.  A step writes out of place, into the buffer that
+the step before read unless a recorded state holds it, so only a recorded
+step allocates a grid-sized array; its ``Immersion.F`` is a node-last view
+of that buffer.  ``step`` and ``velocity`` allocate a workspace per call.
 
 The velocity, the RK4 step bound and RK4's stages run the operator on
 slab-sized workspaces, slab by slab along the first grid axis (``_by_slabs``),
@@ -251,43 +252,43 @@ def velocity(imm: Immersion, kind: str = "SMCF") -> np.ndarray:
     return np.moveaxis(_velocity(np.moveaxis(imm.F, -1, 0), None, _Slabs(imm.grid, kind), out), 0, -1)
 
 
-def _advance(f: np.ndarray, t: float, dt: float, ops: _Slabs, k, stage, acc) -> None:
-    """One classical RK4 step of the flow at positions f, in place.
+def _advance(f: np.ndarray, t: float, dt: float, ops: _Slabs, k, stage, out) -> None:
+    """One classical RK4 step of the flow from positions f into ``out``, which is not f.
 
     Each stage freezes the operator at its positions and applies it once,
     slab by slab, into ``k``.  The arithmetic is that of F + (dt/6)(k1 + 2 k2 + 2 k3 + k4)
     with the stages F + 0.5 dt k1, F + 0.5 dt k2 and F + dt k3, with the
-    buffers ``k``, ``stage`` and the running sum ``acc``.
+    buffers ``k``, ``stage`` and the running sum ``out``, f added last.
     """
-    np.copyto(acc, _velocity(f, t, ops, k))
+    np.copyto(out, _velocity(f, t, ops, k))
     for c, weight in ((0.5 * dt, 2.0), (0.5 * dt, 2.0), (dt, 1.0)):
         np.multiply(k, c, out=stage)
         stage += f
         _velocity(stage, t + c, ops, k)
         if weight == 1.0:
-            acc += k
+            out += k
         else:
-            acc += np.multiply(k, weight, out=stage)
-    acc *= dt / 6.0
-    f += acc
+            out += np.multiply(k, weight, out=stage)
+    out *= dt / 6.0
+    out += f
 
 
 def _stepper(grid, config: FlowConfig):
-    """``advance(f, t, dt)``: one step of component-first positions f, in place,
-    by ``_advance`` (RK4) or ``imex._imex_step``.
+    """``advance(f, t, dt, out)``: one step of component-first positions f into
+    ``out``, which is not f, by ``_advance`` (RK4) or ``imex._imex_step``.
 
     Each scheme keeps one workspace over all the steps of the returned
-    function.
+    function; f is only read.
     """
     if config.scheme == "IMEX":
         # imported here: runs that take no IMEX step do not load the solver
         from .imex import _Imex, _imex_step
 
         ws = _Imex(grid, config.flow_kind)
-        return lambda f, t, dt: _imex_step(f, t, dt, ws)
-    k, stage, acc = (np.empty((grid.m + 2,) + grid.sizes) for _ in range(3))
+        return lambda f, t, dt, out: _imex_step(f, t, dt, ws, out)
+    k, stage = (np.empty((grid.m + 2,) + grid.sizes) for _ in range(2))
     ops = _Slabs(grid, config.flow_kind)
-    return lambda f, t, dt: _advance(f, t, dt, ops, k, stage, acc)
+    return lambda f, t, dt, out: _advance(f, t, dt, ops, k, stage, out)
 
 
 def step(state: FlowState, config: FlowConfig, dt: float | None = None) -> FlowState:
@@ -298,30 +299,30 @@ def step(state: FlowState, config: FlowConfig, dt: float | None = None) -> FlowS
     """
     dt = config.dt if dt is None else dt
     imm = state.immersion
-    f = np.moveaxis(imm.F, -1, 0).copy()
-    _stepper(imm.grid, config)(f, state.t, dt)
-    return FlowState(t=state.t + dt, immersion=Immersion(grid=imm.grid, F=np.moveaxis(f, 0, -1).copy()))
+    out = np.empty((imm.n,) + imm.grid.sizes)
+    _stepper(imm.grid, config)(np.moveaxis(imm.F, -1, 0).copy(), state.t, dt, out)
+    return FlowState(t=state.t + dt, immersion=Immersion(grid=imm.grid, F=np.moveaxis(out, 0, -1)))
 
 
 def run(imm: Immersion, config: FlowConfig) -> Trajectory:
     """Integrate to t_end, recording every ``output_every``-th state (and the last).
 
     The final step is shortened when t_end is not a step multiple, so the
-    last state lands exactly on t_end.  The positions stay in
-    component-first layout (n, *sizes) between steps and are copied out for
-    the recorded states only.
+    last state lands exactly on t_end.  The input is copied once, component-first;
+    each step writes into the buffer that the step before read unless a state
+    holds it, and a state's ``Immersion.F`` is a node-last view of its buffer.
     """
     advance = _stepper(imm.grid, config)
-    f = np.moveaxis(imm.F, -1, 0).copy()
-    states = [FlowState(t=0.0, immersion=imm)]
-    t, steps_done = 0.0, 0
+    f, spare, held = np.moveaxis(imm.F, -1, 0).copy(), None, False
+    states, t, steps_done = [FlowState(t=0.0, immersion=imm)], 0.0, 0
     while t < config.t_end - 1e-12:
         dt = min(config.dt, config.t_end - t)
-        advance(f, t, dt)
-        t += dt
-        steps_done += 1
-        if steps_done % config.output_every == 0 or t >= config.t_end - 1e-12:
-            states.append(FlowState(t=t, immersion=Immersion(grid=imm.grid, F=np.moveaxis(f, 0, -1).copy())))
+        out = np.empty(f.shape) if spare is None else spare
+        advance(f, t, dt, out)
+        f, spare = out, None if held else f
+        t, steps_done = t + dt, steps_done + 1
+        if held := steps_done % config.output_every == 0 or t >= config.t_end - 1e-12:
+            states.append(FlowState(t=t, immersion=Immersion(grid=imm.grid, F=np.moveaxis(f, 0, -1))))
     return Trajectory(states=states)
 
 

@@ -31,7 +31,7 @@ from .grassmann import project_field, rho_field, tangent_basis_field
 TWO_PI = 2.0 * np.pi
 RANK_TOL = 1e-6  # smallest admissible singular value of the tangent map
 MAX_MODE = 1  # highest mode of the perturbed tori: their coarsest grids are already asymptotic
-SLAB_NODES = 8192  # the most grid nodes of one slab of the flow operator or of a residual, at 16 rows or more
+SLAB_NODES = 4096  # the most grid nodes of one slab of the flow operator or of a residual, at 16 rows or more
 
 
 @dataclass(frozen=True)
@@ -344,7 +344,7 @@ class GeometryCache:
     def __init__(self, imm: Immersion, time: float | None = None, rows: range | None = None):
         ghost_rows = None
         if rows is not None:
-            F = np.take(imm.F, range(rows.start - 1, rows.stop + 1), axis=0, mode="wrap")
+            F = imm.F[np.arange(rows.start - 1, rows.stop + 1) % len(imm.F)]  # those rows alone, whatever F's strides
             imm, ghost_rows = Immersion(_slab_grid(imm.grid, len(rows)), F[1:-1]), np.moveaxis(F[[0, -1]], -1, 1)
         self.grid, self.rows = imm.grid, rows
         ws = _Stencils(imm.grid, ghost_rows)

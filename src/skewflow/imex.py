@@ -201,8 +201,8 @@ def _solve(f: np.ndarray, s: float, time: float, ws: _Imex) -> int:
             return iterations
 
 
-def _imex_step(f: np.ndarray, t: float, dt: float, ws: _Imex) -> None:
-    """One linearly implicit Crank-Nicolson step of f, in place.
+def _imex_step(f: np.ndarray, t: float, dt: float, ws: _Imex, out: np.ndarray) -> None:
+    """One linearly implicit Crank-Nicolson step from f into ``out``, which is not f.
 
     Solves (I - s L) Y = (I + s L) f with s = dt/2 and L frozen near the
     midpoint.  With r = dt / dt_prev and p the positions before the last
@@ -227,5 +227,5 @@ def _imex_step(f: np.ndarray, t: float, dt: float, ws: _Imex) -> None:
     _freeze(mid, t + s, s, ws)
     _solve(f, s, t + s, ws)
     np.copyto(ws.prev, f)
-    np.copyto(f, x)
+    np.copyto(out, x)
     ws.dt_prev = dt

@@ -69,33 +69,33 @@ def _weighted_norms(residual: np.ndarray, sqrt_det_g: np.ndarray, grid: Periodic
     return {"max": float(np.max(residual)), "l2": l2}
 
 
-def _by_slabs(imm: Immersion, evaluate, *neighbours: Immersion) -> list[np.ndarray]:
-    """The per-node fields that ``evaluate(cache)`` computes on each slab's ``GeometryCache(imm,
-    rows=...)``, then its sqrt(det g), assembled slab by slab into fields of the whole grid.
+def _by_slabs(imm: Immersion, evaluate, *neighbours: Immersion) -> tuple[np.ndarray, np.ndarray, list[float]]:
+    """The first field that ``evaluate(cache)`` returns on each slab's ``GeometryCache(imm, rows=...)``
+    and its sqrt(det g), assembled into fields of the whole grid, and the max of each further field.
 
     The slabs are the flow operator's (``geometry._slab_bounds``).  On a cut grid a slab's range
     holds its own rows and HALO more on each side, whose values are dropped: with the true
     neighbours beyond as ghost rows, it reads the two rows of positions that a difference of a
-    second difference needs, so the fields are the whole grid's bit for bit; one slab wraps onto
-    itself, with no halo.  When a slab fails the rank check, the whole grid's checks of ``imm``,
-    then of each of ``neighbours`` (immersions that ``evaluate`` reads), name the node.
+    second difference needs, so the fields and maxima are the whole grid's bit for bit; one slab
+    wraps onto itself, with no halo.  When a slab fails the rank check, the whole grid's checks
+    of ``imm``, then of each of ``neighbours`` (immersions that ``evaluate`` reads), name the node.
     """
     bounds = _slab_bounds(imm.grid)
     halo = HALO if bounds[1:] else 0  # on a grid cut in more than one slab
-    fields = None
+    primary, sqrt_det_g, maxima = np.empty(imm.grid.sizes), np.empty(imm.grid.sizes), -np.inf
     try:
         for start, stop in bounds:
+            own = slice(halo, halo + stop - start)
             cache = GeometryCache(imm, rows=range(start - halo, stop + halo))
-            parts = (*evaluate(cache), cache.sqrt_det_g)
+            first, *rest = evaluate(cache)
+            primary[start:stop], sqrt_det_g[start:stop] = first[own], cache.sqrt_det_g[own]
             del cache  # not kept alive while the next slab's geometry is built
-            fields = fields or [np.empty(imm.grid.sizes) for _ in parts]
-            for field, part in zip(fields, parts):
-                field[start:stop] = part[halo : halo + stop - start]
+            maxima = np.maximum(maxima, [np.max(part[own]) for part in rest])  # keeps a NaN, as np.max does
     except DegenerateImmersionError:
         for state in (imm, *neighbours):
             fundamental_forms(state)
         raise
-    return fields
+    return primary, sqrt_det_g, [float(value) for value in maxima]
 
 
 def _frobenius(coeffs: np.ndarray) -> np.ndarray:
@@ -210,10 +210,9 @@ def residual_theorem1(traj: Trajectory, index: int, use_jtilde: bool = True, met
         lhs_ana = dt_rho_analytic(cache, apply_rotation=use_jtilde)
         return _frobenius(lhs_num - rhs), _frobenius(lhs_ana - rhs), _frobenius(lhs_num - lhs_ana)
 
-    primary, analytic, agreement, sqrt_det_g = _by_slabs(mid.immersion, evaluate, next_state.immersion, prev_state.immersion)
+    primary, sqrt_det_g, maxima = _by_slabs(mid.immersion, evaluate, next_state.immersion, prev_state.immersion)
     norms = _weighted_norms(primary, sqrt_det_g, traj.grid)
-    norms["max_analytic"] = float(np.max(analytic))
-    norms["max_lhs_agreement"] = float(np.max(agreement))
+    norms["max_analytic"], norms["max_lhs_agreement"] = maxima
     meta = {"flow_kind": "SMCF" if use_jtilde else "MCF", "t": mid.t}
     meta.update(metadata or {})
     name = "theorem1" if use_jtilde else "theorem1_mcf"
@@ -244,7 +243,7 @@ def theorem1_residual(imm, config: FlowConfig | None = None, metadata: dict | No
 
 def _slab_report(name: str, imm: Immersion, field, metadata: dict | None) -> Report:
     """The report of the per-node residual ``field(geometry)`` on imm, by slabs."""
-    primary, sqrt_det_g = _by_slabs(imm, lambda cache: (field(cache),))
+    primary, sqrt_det_g, _ = _by_slabs(imm, lambda cache: (field(cache),))
     return Report(name, primary, _weighted_norms(primary, sqrt_det_g, imm.grid), imm.grid.sizes, metadata=metadata or {})
 
 

@@ -31,8 +31,9 @@ of that buffer.  ``step`` and ``velocity`` allocate a workspace per call.
 The velocity, the RK4 step bound and RK4's stages run the operator on
 slab-sized workspaces, slab by slab along the first grid axis (``_by_slabs``),
 on the residuals' cut of ``geometry.SLAB_NODES`` nodes a slab; only RK4's stage
-vectors are whole-grid.  A slab reads the rows beyond its ends as ghost cells,
-so every output is the one-slab one bit for bit.  IMEX keeps a whole-grid
+vectors are whole-grid.  A slab loads its rows and the ghost rows beyond its
+ends straight from the whole grid's positions (``geometry._fill_pad``), so
+every output is the one-slab one bit for bit.  IMEX keeps a whole-grid
 operator, whose preconditioner takes the coefficients' grid means.
 """
 
@@ -123,8 +124,8 @@ class _Operator(_Stencils):
     ``w``, the sum c_ij D_ij x.  ``prod`` and ``tmp`` are scratch.
     """
 
-    def __init__(self, grid, kind, ghost_rows=None):
-        super().__init__(grid, ghost_rows)
+    def __init__(self, grid, kind):
+        super().__init__(grid)
         m, sizes = grid.m, grid.sizes
         self.grid, self.kind = grid, kind
         slots = dict(zip(sorted(self.pairs), self.g.reshape((-1,) + sizes)))
@@ -135,14 +136,14 @@ class _Operator(_Stencils):
         self.xi, self.w = np.empty((comb(m + 2, m),) + sizes), self.t[-1]
 
 
-def _coefficients(f: np.ndarray, time: float | None, ws: _Operator) -> None:
-    """Freeze the flow operator at positions f (n, *sizes).
+def _coefficients(f: np.ndarray, time: float | None, ws: _Operator, start: int = 0) -> None:
+    """Freeze the flow operator at its grid's rows from ``start`` on of positions f (n, N, ...).
 
-    Runs the metric block, which fills the padded buffer with f, then keeps
+    Runs the metric block, which fills the padded buffer with those rows, then keeps
     the unit xi = t_0 ^ ... ^ t_{m-1} / sqrt(det g) and c_ij = g^{ij},
     doubled off the diagonal, from the cofactors of g (``_closed_forms``).
     """
-    _metric_block(f, ws.grid, time, ws)
+    _metric_block(f, ws.grid, time, ws, start)
     xi = ws.head
     for p, leg in ws.legs:
         xi = wedge_field(xi, leg, p, 1, len(f), out=ws.xi, scratch=ws.tmp)
@@ -186,18 +187,14 @@ class _Slabs:
     ``_Operator`` of each distinct slab height of the grid's first axis.
 
     The slabs are ``geometry._slab_bounds``'s, the residuals' cut too, listed
-    as (rows, operator) in ``slabs``.  A grid of one slab pads periodically;
-    on more, every operator takes its first axis's ghost cells from
-    ``ghost``, (2, n, *sizes[1:]), which ``_by_slabs`` fills with the rows
-    just before and after the slab.
+    as (rows, operator) in ``slabs``.  ``_by_slabs`` loads each operator with its
+    rows and the rows just beyond them, wrapping, from the whole grid's positions.
     """
 
     def __init__(self, grid, kind):
         bounds = _slab_bounds(grid)
-        self.grid, self.ghost = grid, np.empty((2, grid.m + 2) + grid.sizes[1:]) if bounds[1:] else None
-        heights = {stop - start for start, stop in bounds}
-        operators = {height: _Operator(_slab_grid(grid, height), kind, self.ghost) for height in heights}
-        self.slabs = [(slice(start, stop), operators[stop - start]) for start, stop in bounds]
+        operators = {height: _Operator(_slab_grid(grid, height), kind) for height in {b - a for a, b in bounds}}
+        self.grid, self.slabs = grid, [(slice(start, stop), operators[stop - start]) for start, stop in bounds]
 
 
 def _by_slabs(f: np.ndarray, time: float | None, ops: _Slabs):
@@ -209,10 +206,7 @@ def _by_slabs(f: np.ndarray, time: float | None, ops: _Slabs):
     """
     try:
         for rows, ws in ops.slabs:
-            if ops.ghost is not None:
-                np.copyto(ops.ghost[0], f[:, rows.start - 1])
-                np.copyto(ops.ghost[1], f[:, rows.stop % f.shape[1]])
-            _coefficients(f[:, rows], time, ws)
+            _coefficients(f, time, ws, rows.start)
             yield rows, ws
     except DegenerateImmersionError:
         _metric_block(f, ops.grid, time, _Stencils(ops.grid))
@@ -278,7 +272,8 @@ def _stepper(grid, config: FlowConfig):
     ``out``, which is not f, by ``_advance`` (RK4) or ``imex._imex_step``.
 
     Each scheme keeps one workspace over all the steps of the returned
-    function; f is only read.
+    function; f is only read.  IMEX holds f as the next step's history, which that
+    step reads before it writes its ``out``: ``out`` may be the f of the step before.
     """
     if config.scheme == "IMEX":
         # imported here: runs that take no IMEX step do not load the solver
@@ -300,8 +295,13 @@ def step(state: FlowState, config: FlowConfig, dt: float | None = None) -> FlowS
     dt = config.dt if dt is None else dt
     imm = state.immersion
     out = np.empty((imm.n,) + imm.grid.sizes)
-    _stepper(imm.grid, config)(np.moveaxis(imm.F, -1, 0).copy(), state.t, dt, out)
+    _stepper(imm.grid, config)(np.moveaxis(imm.F, -1, 0), state.t, dt, out)
     return FlowState(t=state.t + dt, immersion=Immersion(grid=imm.grid, F=np.moveaxis(out, 0, -1)))
+
+
+def _end_tolerance(dt: float, t_end: float) -> float:
+    """How far short of t_end a run stops stepping: 1e-12, or half of dt or t_end when less."""
+    return min(1e-12, 0.5 * dt, 0.5 * t_end)
 
 
 def run(imm: Immersion, config: FlowConfig) -> Trajectory:
@@ -312,16 +312,16 @@ def run(imm: Immersion, config: FlowConfig) -> Trajectory:
     each step writes into the buffer that the step before read unless a state
     holds it, and a state's ``Immersion.F`` is a node-last view of its buffer.
     """
-    advance = _stepper(imm.grid, config)
+    advance, end = _stepper(imm.grid, config), config.t_end - _end_tolerance(config.dt, config.t_end)
     f, spare, held = np.moveaxis(imm.F, -1, 0).copy(), None, False
     states, t, steps_done = [FlowState(t=0.0, immersion=imm)], 0.0, 0
-    while t < config.t_end - 1e-12:
+    while t < end:
         dt = min(config.dt, config.t_end - t)
         out = np.empty(f.shape) if spare is None else spare
         advance(f, t, dt, out)
         f, spare = out, None if held else f
         t, steps_done = t + dt, steps_done + 1
-        if held := steps_done % config.output_every == 0 or t >= config.t_end - 1e-12:
+        if held := steps_done % config.output_every == 0 or t >= end:
             states.append(FlowState(t=t, immersion=Immersion(grid=imm.grid, F=np.moveaxis(f, 0, -1))))
     return Trajectory(states=states)
 
@@ -348,6 +348,6 @@ def product_torus_ode_oracle(
     """
     if a0 <= 0 or b0 <= 0:
         raise ValueError("radii must be positive")
-    t = np.append(np.arange(0.0, t_end - 1e-12, dt * output_every), t_end)
+    t = np.append(np.arange(0.0, t_end - _end_tolerance(dt, t_end), dt * output_every), t_end)
     rate = s * t / (a0 * b0)
     return t, a0 * np.exp(-rate), b0 * np.exp(rate)

@@ -189,16 +189,18 @@ class _Stencils:
     """The grid-sized buffers of the metric block, component-first.
 
     ``pad`` holds positions (n, *sizes) with one ghost cell on each side of
-    every grid axis, periodic unless given as ``ghost_rows`` (2, n, *sizes[1:])
-    for the first axis; ``center``, ``plus[i]`` and ``minus[i]`` view it
-    shifted along axis i, and ``corners[i, j]`` shifted along both axes of a
-    pair i < j (++, +-, -+, --).  ``pairs`` lists the pairs i <= j, the
-    diagonal ones first.  The tangents ``t`` (m, n, *sizes), the metric ``g``
-    (m, m, *sizes), ``det_g`` and ``min_sv`` receive the block, whose closed
-    forms also give ``cofactors``; ``prod``, ``gap`` and ``tmp`` are scratch.
+    every grid axis, which ``_fill_pad`` alone writes: ``core`` is its first
+    axis whole, inside the other axes' ghost cells, and ``ghosts`` pairs
+    those cells with their periodic sources, axis by axis so that the
+    corners come out right.  ``center``, ``plus[i]`` and ``minus[i]`` view it
+    shifted along axis i, ``corners[i, j]`` along both axes of a pair i < j
+    (++, +-, -+, --).  ``pairs`` lists the pairs i <= j, the diagonal ones
+    first.  The tangents ``t`` (m, n, *sizes), the metric ``g`` (m, m, *sizes),
+    ``det_g`` and ``min_sv`` receive the block, whose closed forms also give
+    ``cofactors``; ``prod``, ``gap`` and ``tmp`` are scratch.
     """
 
-    def __init__(self, grid, ghost_rows=None):
+    def __init__(self, grid):
         m, sizes = grid.m, grid.sizes
         pad = self.pad = np.empty((m + 2,) + tuple(s + 2 for s in sizes))
         unit = np.eye(m, dtype=int)
@@ -206,20 +208,16 @@ class _Stencils:
         def shifted(by):  # by[i] is the shift along axis i
             return pad[(slice(None),) + tuple(slice(1 + b, s + 1 + b) for s, b in zip(sizes, by))]
 
-        self.center = shifted([0] * m)
+        self.center, self.core = shifted([0] * m), pad[(slice(None),) * 2 + (slice(1, -1),) * (m - 1)]
         self.plus, self.minus = [shifted(u) for u in unit], [shifted(-u) for u in unit]
         self.pairs = [(i, i) for i in range(m)] + list(combinations(range(m), 2))
         self.corners = {(i, j): tuple(shifted(a * unit[i] + b * unit[j]) for a in (1, -1) for b in (1, -1))
                         for i, j in combinations(range(m), 2)}
-        # (ghost, source) pairs, axis by axis so that the corners come out right
         self.ghosts = []
-        for axis in range(1, m + 1):
+        for axis in range(2, m + 1):
             lead, rest = (slice(None),) * axis, (slice(1, -1),) * (m - axis)
             self.ghosts += [(pad[lead + (0,) + rest], pad[lead + (-2,) + rest])]
             self.ghosts += [(pad[lead + (-1,) + rest], pad[lead + (1,) + rest])]
-        if ghost_rows is not None:  # the first axis's two ghost cells come first
-            (low, _), (high, _) = self.ghosts[:2]
-            self.ghosts[:2] = zip((low, high), ghost_rows)
         self.t, self.g = np.empty((m, m + 2) + sizes), np.empty((m, m) + sizes)
         self.det_g, self.cofactors, self.det_and_sv2 = _closed_forms(self.g, sizes)
         self.min_sv, self.gap, self.tmp = (np.empty(sizes) for _ in range(3))
@@ -243,9 +241,16 @@ def _slab_grid(grid: PeriodicGrid, rows: int) -> PeriodicGrid:
     return slab
 
 
-def _fill_pad(f: np.ndarray, ws: _Stencils) -> None:
-    """Positions f (n, *sizes) into the padded buffer, ghost cells included."""
-    np.copyto(ws.center, f)
+def _fill_pad(f: np.ndarray, ws: _Stencils, start: int = 0) -> None:
+    """Rows start - 1 to start + height of the whole grid's positions f (n, N, ...), wrapping, into
+    the first axis of the pad of a grid ``height`` rows tall, ghost rows included: at most three
+    runs of whole rows.  Then the other axes' ghost cells, periodically.  The whole grid is start 0."""
+    rows, size, done = ws.core, f.shape[1], 0
+    first, total = (start - 1) % size, rows.shape[1]
+    while done < total:  # each run after the first starts at row 0
+        count = min(total - done, size - first)
+        np.copyto(rows[:, done : done + count], f[:, first : first + count])
+        done, first = done + count, 0
     for ghost, source in ws.ghosts:
         np.copyto(ghost, source)
 
@@ -267,15 +272,15 @@ def _second_difference(ws: _Stencils, h: tuple[float, ...], i: int, j: int, out:
     return out
 
 
-def _metric_block(f: np.ndarray, grid: PeriodicGrid, time: float | None, ws: _Stencils) -> None:
-    """Tangents, metric, det g and min_sv of positions f (n, *sizes) into ``ws``.
+def _metric_block(f: np.ndarray, grid: PeriodicGrid, time: float | None, ws: _Stencils, start: int = 0) -> None:
+    """Tangents, metric, det g and min_sv into ``ws`` of ``grid``'s rows from ``start`` on of positions f (n, N, ...).
 
     The flow operator and GeometryCache both start here.  Raises
     DegenerateImmersionError, naming the node and ``time``, unless every
     tangent singular value is finite and >= RANK_TOL.
     """
     h, t, g = grid.spacings, ws.t, ws.g
-    _fill_pad(f, ws)
+    _fill_pad(f, ws, start)
     for i, (p, q, ti) in enumerate(zip(ws.plus, ws.minus, t)):
         np.subtract(p, q, out=ti)
         ti /= 2.0 * h[i]
@@ -336,19 +341,15 @@ class GeometryCache:
 
     Given ``rows``, a range of the first axis (wrapping), it is the geometry
     of those rows alone, on a grid of their sizes at the whole grid's
-    spacings, with the true rows beyond as ghost cells: each field is the
-    whole grid's bit for bit, but for ``grad_H_perp``, a difference of H, in
-    its first and last rows.
+    spacings, with the true rows beyond as ghost cells, all loaded straight
+    from ``imm.F``: each field is the whole grid's bit for bit, but for
+    ``grad_H_perp``, a difference of H, in its first and last rows.
     """
 
     def __init__(self, imm: Immersion, time: float | None = None, rows: range | None = None):
-        ghost_rows = None
-        if rows is not None:
-            F = imm.F[np.arange(rows.start - 1, rows.stop + 1) % len(imm.F)]  # those rows alone, whatever F's strides
-            imm, ghost_rows = Immersion(_slab_grid(imm.grid, len(rows)), F[1:-1]), np.moveaxis(F[[0, -1]], -1, 1)
-        self.grid, self.rows = imm.grid, rows
-        ws = _Stencils(imm.grid, ghost_rows)
-        _metric_block(np.moveaxis(imm.F, -1, 0), imm.grid, time, ws)
+        self.grid, self.rows = imm.grid if rows is None else _slab_grid(imm.grid, len(rows)), rows
+        ws = _Stencils(self.grid)
+        _metric_block(np.moveaxis(imm.F, -1, 0), self.grid, time, ws, 0 if rows is None else rows.start)
         del ws.prod, ws.gap, ws.tmp  # the block's scratch, not kept alive with the cache
         self._stencils, self.f = ws, ws.center  # the positions, (n, *sizes)
         self.t, self.g, self.det_g, self.min_sv = ws.t, ws.g, ws.det_g, ws.min_sv

@@ -36,17 +36,16 @@ class _Imex(_Operator):
     operator's buffers, then ``gain``, the preconditioner's 1/d(k) per
     Fourier mode, the iterate ``x``, ``z`` and the Krylov ``basis`` of the
     solver and the FFT's ``spectrum``.  The operator's ``w`` doubles as the
-    preconditioner's filtered field.  ``prev`` holds the positions before
-    the last step and ``dt_prev`` that step's size, None before a run's
-    first step.
+    preconditioner's filtered field.  ``prev`` is the positions before the
+    last step, the array that step read, held by reference, and ``dt_prev``
+    that step's size; both are None before a run's first step.
     """
 
     def __init__(self, grid, kind):
         super().__init__(grid, kind)
         m, sizes = grid.m, grid.sizes
         vec = (m + 2,) + sizes
-        self.x, self.z, self.prev = (np.empty(vec) for _ in range(3))
-        self.dt_prev = None
+        self.x, self.z, self.prev, self.dt_prev = np.empty(vec), np.empty(vec), None, None
         self.basis = np.empty((KRYLOV_DIM + 1,) + vec)
         half = sizes[:-1] + (sizes[-1] // 2 + 1,)
         self.spectrum = np.empty(half, dtype=complex)
@@ -208,7 +207,8 @@ def _imex_step(f: np.ndarray, t: float, dt: float, ws: _Imex, out: np.ndarray) -
     midpoint.  With r = dt / dt_prev and p the positions before the last
     step, L is frozen once at f + (r/2)(f - p), from the guess f + r(f - p).
     A run's first step has no p: it solves with L frozen at f (predictor f*,
-    from the guess f), then at (f + f*)/2 (from the guess f*).
+    from the guess f), then at (f + f*)/2 (from the guess f*).  f is the next
+    step's p, not copied: that step reads p before it writes its ``out``, which may be f.
     """
     s, x, mid = 0.5 * dt, ws.x, ws.basis[0]
     if ws.dt_prev is None:
@@ -226,6 +226,5 @@ def _imex_step(f: np.ndarray, t: float, dt: float, ws: _Imex, out: np.ndarray) -
         x += f
     _freeze(mid, t + s, s, ws)
     _solve(f, s, t + s, ws)
-    np.copyto(ws.prev, f)
     np.copyto(out, x)
-    ws.dt_prev = dt
+    ws.prev, ws.dt_prev = f, dt

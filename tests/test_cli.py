@@ -659,6 +659,25 @@ def _rows(path):
         return [[float(v) for v in row] for row in list(csv.reader(fh))[1:]]
 
 
+# a run stops up to 1e-12 short of t_end: at steps of 1e-13, simulate exited 0 having
+# taken none, and verify theorem1 failed with an IndexError that named no cause
+def test_simulate_takes_steps_below_the_end_tolerance(tmp_path):
+    out = tmp_path / "out"
+    assert main(["simulate", "--config", circle_config(tmp_path, out, dt=1e-13, t_end=5e-13)]) == 0
+    times = [row[0] for row in _rows(out / "diagnostics.csv")]
+    assert times == pytest.approx([0.0, 2e-13, 4e-13, 5e-13], rel=1e-9, abs=0)
+
+
+def test_verify_theorem1_takes_steps_below_the_end_tolerance(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path / "tiny.json", {
+        "geometry": {"kind": "circle", "r": 1.0}, "grid": {"sizes": [64]},
+        "flow": {"dt": 1e-13, "t_end": 5e-13}, "output_dir": str(out),
+    })
+    assert main(["verify", "--config", cfg, "--verify-name", "theorem1"]) == 0, capsys.readouterr().err
+    assert np.isfinite(read_json(out / "report.json")["norms"]["max"])
+
+
 def test_small_circle_at_the_default_step_stays_bounded(tmp_path, capsys):
     # at 0.1 h^2, a step that ignored the metric, this circle reached length 1.4e62 and exited 0
     out = tmp_path / "out"

@@ -32,8 +32,8 @@ GEOMETRIES = (make_perturbed_circle(1.0, 0.2, 3, 32), make_perturbed_torus(1.0, 
 def test_geometry_cache_metric_block_is_the_flow_kernels(monkeypatch):
     seen = {}
 
-    def recording(f, grid, time, ws):
-        _metric_block(f, grid, time, ws)
+    def recording(f, grid, time, ws, start=0):
+        _metric_block(f, grid, time, ws, start)
         seen.update(t=ws.t.copy(), g=ws.g.copy(), det_g=ws.det_g.copy(), min_sv=ws.min_sv.copy())
 
     monkeypatch.setattr(flow, "_metric_block", recording)
@@ -87,9 +87,9 @@ def test_velocity_explicit_and_imex_steps_share_one_operator(monkeypatch):
     assert (imex._coefficients, imex._apply) == (flow._coefficients, flow._apply)
     coefficients, apply, calls = flow._coefficients, flow._apply, []
 
-    def recording_coefficients(f, time, ws):
+    def recording_coefficients(f, time, ws, start=0):
         calls.append("coefficients")
-        coefficients(f, time, ws)
+        coefficients(f, time, ws, start)
 
     def recording_apply(ws, out):
         calls.append("apply")
@@ -313,6 +313,24 @@ def test_readme_geometry_blocks_list_the_families_and_the_file_kind():
     listed = {block.pop("kind"): tuple(block) for block in blocks}
     families = {kind: keys for kind, (_, keys, _) in geometry.FAMILIES.items()}
     assert listed == {**families, "file": ("path",)}
+
+
+# the attributes of a stencil pad's cells: geometry fills a pad, from the whole grid's
+# positions, and takes its differences; a second module that wrote them would load slabs another way
+PAD_ATTRIBUTES = {"pad", "core", "ghosts", "center", "plus", "minus", "corners"}
+
+
+def test_only_geometry_touches_a_pads_cells():
+    touched = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "geometry.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            attribute = getattr(node, "attr", None)
+            name = attribute or getattr(node, "id", None) or getattr(node, "arg", None) or ""
+            if attribute in PAD_ATTRIBUTES or name.startswith("ghost"):
+                touched.append(f"{path.name}:{node.lineno} {name}")
+    assert touched == []
 
 
 def test_only_geometry_binds_a_slab_constant():

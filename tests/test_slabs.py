@@ -123,6 +123,19 @@ def test_a_slab_grid_carries_its_grids_spacings_bit_for_bit():
         assert slab.cell_measure() == imm.grid.cell_measure()
 
 
+@pytest.mark.parametrize("kind", ["circle-256", "torus-96x64"])
+def test_a_pad_holds_the_whole_grids_rows_and_its_periodic_ghost_cells(kind):
+    imm = GEOMETRIES[kind]
+    f, (size, *_) = np.moveaxis(imm.F, -1, 0), imm.grid.sizes
+    padded = np.pad(f, [(0, 0), (size, size)] + [(1, 1)] * (imm.grid.m - 1), mode="wrap")
+    # starts that wrap below 0, sit inside the grid, wrap past N, end at N, and the whole grid
+    for start, height in ((-3, 16), (0, 16), (40, 16), (size - 10, 16), (size - 16, 16), (0, size)):
+        ws = geometry._Stencils(geometry._slab_grid(imm.grid, height))
+        ws.pad.fill(np.nan)  # a cell left unwritten fails the comparison
+        geometry._fill_pad(f, ws, start)
+        assert np.array_equal(ws.pad, padded[:, size + start - 1 : size + start + height + 1]), start
+
+
 @pytest.mark.parametrize("slab_rows", [12, 16, 24, 32, 40, 64])
 def test_every_slab_is_a_grid_of_at_most_slab_rows(monkeypatch, slab_rows):
     most = max(slab_rows, 16)  # a budget below 16 rows cuts at the 16-row floor

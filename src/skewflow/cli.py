@@ -280,12 +280,13 @@ def task_simulate(config: dict, out_dir: Path) -> int:
         header = ["t", "volume", "min_sv"] + (["a_fit", "b_fit"] if torus else [])
         writer.writerow(header)
         for state in traj.states:
-            geom = fundamental_forms(state.immersion)
+            geom = fundamental_forms(state.immersion, state.t)
             row = [
                 repr(state.t),
                 repr(float(np.sum(geom.sqrt_det_g) * state.immersion.grid.cell_measure())),
                 repr(float(np.min(geom.min_sv))),
             ]
+            del geom  # one geometry at a time: the next state's is built without this one
             if torus:
                 a_fit, b_fit, _ = fitted_torus_radii(state.immersion)
                 row += [repr(a_fit), repr(b_fit)]
@@ -300,7 +301,7 @@ def task_simulate(config: dict, out_dir: Path) -> int:
 def _conservation_report(config: dict, imm: Immersion) -> Report:
     flow_config = build_flow_config(config, imm)
     traj = run(imm, flow_config)
-    volumes = np.array([volume(s.immersion) for s in traj.states])
+    volumes = np.array([volume(s.immersion, s.t) for s in traj.states])
     drift = np.abs(volumes - volumes[0]) / volumes[0]
     return Report(
         name="conservation",

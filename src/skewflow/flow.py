@@ -28,13 +28,13 @@ the step before read unless a recorded state holds it, so only a recorded
 step allocates a grid-sized array; its ``Immersion.F`` is a node-last view
 of that buffer.  ``step`` and ``velocity`` allocate a workspace per call.
 
-The velocity, the RK4 step bound and RK4's stages run the operator on
-slab-sized workspaces, slab by slab along the first grid axis (``_by_slabs``),
-on the residuals' cut of ``geometry.SLAB_NODES`` nodes a slab; only RK4's stage
-vectors are whole-grid.  A slab loads its rows and the ghost rows beyond its
-ends straight from the whole grid's positions (``geometry._fill_pad``), so
-every output is the one-slab one bit for bit.  IMEX keeps a whole-grid
-operator, whose preconditioner takes the coefficients' grid means.
+Every scheme runs the operator on slab-sized workspaces, slab by slab along
+the first grid axis (``_by_slabs``), on the residuals' cut of
+``geometry.SLAB_NODES`` nodes a slab.  A slab loads its rows and the ghost rows
+beyond its ends straight from the whole grid's positions (``geometry._fill_pad``),
+so every output is the one-slab one bit for bit.  Only RK4's stage vectors are
+whole-grid, and of IMEX's frozen operator the c_ij and xi, which it keeps
+across applies and whose grid means its preconditioner takes.
 """
 
 from __future__ import annotations
@@ -116,24 +116,28 @@ class _Operator(_Stencils):
 
     ``_coefficients`` overwrites the metric block's buffers.  ``terms`` lists
     the (i, j, c_ij) of c_ij D_ij over the pairs i <= j, in the order
-    ``_apply`` sums them.  The c_ij take g's first slots, in the pairs'
-    lexicographic order; ``coefficients`` holds (c_ij, minor, factor) in the
-    cofactors' order, last slot first, so no entry of g is overwritten
-    before its last read.  ``xi``, the unit tangent m-vector, has a buffer of
-    its own; the tangents are dead after it, so the last leg's storage holds
-    ``w``, the sum c_ij D_ij x.  ``prod`` and ``tmp`` are scratch.
+    ``_apply`` sums them.  ``_keep_in`` puts the c_ij, in the pairs' lexicographic
+    order, and ``xi``, the unit tangent m-vector, in g's first slots and a buffer
+    of its own, or where IMEX gives.  ``coefficients`` holds (c_ij, minor, factor)
+    in the cofactors' order, last slot first, so no entry of g is overwritten
+    before its last read.  The tangents are dead after xi, so the last leg's
+    storage holds ``w``, the sum c_ij D_ij x; ``prod`` and ``tmp`` are scratch.
     """
 
     def __init__(self, grid, kind):
         super().__init__(grid)
         m, sizes = grid.m, grid.sizes
         self.grid, self.kind = grid, kind
-        slots = dict(zip(sorted(self.pairs), self.g.reshape((-1,) + sizes)))
+        # xi = t_0 ^ ... ^ t_{m-1}, folded from the first leg: one wedge on tori, none on curves
+        self.head, self.legs, self.w = self.t[0], list(enumerate(self.t[1:], 1)), self.t[-1]
+        self._keep_in(self.g.reshape((-1,) + sizes), np.empty((comb(m + 2, m),) + sizes))
+
+    def _keep_in(self, slots, xi) -> _Operator:
+        slots = dict(zip(sorted(self.pairs), slots))
         self.terms = [(i, j, slots[i, j]) for i, j in self.pairs]
         self.coefficients = [(slots[i, j], minor, sign if i == j else 2.0 * sign) for i, j, minor, sign in self.cofactors]
-        # xi = t_0 ^ ... ^ t_{m-1}, folded from the first leg: one wedge on tori, none on curves
-        self.head, self.legs = self.t[0], list(enumerate(self.t[1:], 1))
-        self.xi, self.w = np.empty((comb(m + 2, m),) + sizes), self.t[-1]
+        self.xi = xi
+        return self
 
 
 def _coefficients(f: np.ndarray, time: float | None, ws: _Operator, start: int = 0) -> None:
@@ -183,8 +187,8 @@ def _apply(ws: _Operator, out: np.ndarray) -> np.ndarray:
 
 
 class _Slabs:
-    """The explicit flow operator's workspace, allocated once per run: the
-    ``_Operator`` of each distinct slab height of the grid's first axis.
+    """The flow operator's workspace, allocated once per run: the ``_Operator``
+    of each distinct slab height of the grid's first axis.
 
     The slabs are ``geometry._slab_bounds``'s, the residuals' cut too, listed
     as (rows, operator) in ``slabs``.  ``_by_slabs`` loads each operator with its

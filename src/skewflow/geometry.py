@@ -136,18 +136,18 @@ def _locate(flat_index: int, sizes: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _check_rank(min_sv: np.ndarray, sizes: tuple[int, ...], time: float | None) -> None:
-    """Raise, naming the node, unless every tangent singular value is finite and >= RANK_TOL."""
+    """Raise, naming the node and any time, unless every tangent singular value is finite and >= RANK_TOL."""
     if min_sv.min() >= RANK_TOL and min_sv.max() < np.inf:  # False on NaN and on +inf
         return
-    finite = np.isfinite(min_sv)
+    finite, when = np.isfinite(min_sv), "" if time is None else f" at t = {time:.6g}"
     if not np.all(finite):
         bad = _locate(int(np.argmax(~finite)), sizes)
         raise DegenerateImmersionError(
-            f"tangent data is non-finite at node {bad}", node=bad, time=time
+            f"tangent data is non-finite at node {bad}{when}", node=bad, time=time
         )
     bad = _locate(int(np.argmin(min_sv)), sizes)
     raise DegenerateImmersionError(
-        f"tangent map is degenerate at node {bad} "
+        f"tangent map is degenerate at node {bad}{when} "
         f"(min singular value {np.min(min_sv):.3e})",
         node=bad,
         time=time,
@@ -428,9 +428,9 @@ def fundamental_forms(imm: Immersion, time: float | None = None) -> GeometryCach
     return GeometryCache(imm, time)
 
 
-def volume(imm: Immersion) -> float:
-    """Total length (m = 1) or area (m = 2) of the discrete immersion."""
-    return float(np.sum(fundamental_forms(imm).sqrt_det_g) * imm.grid.cell_measure())
+def volume(imm: Immersion, time: float | None = None) -> float:
+    """Total length (m = 1) or area (m = 2) of the discrete immersion; its rank check names ``time``."""
+    return float(np.sum(fundamental_forms(imm, time).sqrt_det_g) * imm.grid.cell_measure())
 
 
 # ---------------------------------------------------------------------------

@@ -12,18 +12,19 @@ linearly implicit two-step Crank-Nicolson scheme of Akrivis, Crouzeix and
 Makridakis, Numer. Math. 82, 1999).
 Each solve is a matrix-free GMRES on normal fields, preconditioned in
 Fourier space with the mean-metric Laplacian: J^2 = -1 turns
-(I - sL)(I + sL) into I + s^2 Delta^2 there.  One workspace per run holds
-every grid-sized buffer, so a step allocates none.
+(I - sL)(I + sL) into I + s^2 Delta^2 there.  L runs slab by slab, as in RK4,
+on buffers allocated once per run: a step allocates no grid-sized array.
 """
 
 from __future__ import annotations
 
 import math
+from copy import copy
 
 import numpy as np
 
 from .errors import KrylovBreakdownError
-from .flow import _apply, _coefficients, _normal_part, _Operator
+from .flow import _apply, _by_slabs, _normal_part, _Slabs
 from .geometry import _fill_pad
 
 KRYLOV_DIM = 3  # Krylov basis vectors per GMRES cycle (the restart length)
@@ -31,19 +32,22 @@ KRYLOV_MAX_ITER = 40  # GMRES iterations per solve before the step counts as a b
 KRYLOV_RTOL = 1e-12  # residual target, relative to the positions' norm
 
 
-class _Imex(_Operator):
-    """Workspace of the IMEX step, allocated once per run: the flow
-    operator's buffers, then ``gain``, the preconditioner's 1/d(k) per
-    Fourier mode, the iterate ``x``, ``z`` and the Krylov ``basis`` of the
-    solver and the FFT's ``spectrum``.  The operator's ``w`` doubles as the
-    preconditioner's filtered field.  ``prev`` is the positions before the
-    last step, the array that step read, held by reference, and ``dt_prev``
-    that step's size; both are None before a run's first step.
+class _Imex:
+    """Workspace of the IMEX step, allocated once per run: the frozen operator's
+    whole-grid ``c``, one contiguous field per c_ij (``terms``), and ``xi``, whose
+    rows each slab of ``ops`` (``flow._Slabs``) keeps; ``gain``, the preconditioner's
+    1/d(k) per Fourier mode, the iterate ``x``, ``z`` and the Krylov ``basis`` of the
+    solver and the FFT's ``spectrum``.  ``prev`` is the positions before the last step,
+    held by reference, and ``dt_prev`` that step's size; None before a run's first step.
     """
 
     def __init__(self, grid, kind):
-        super().__init__(grid, kind)
         m, sizes = grid.m, grid.sizes
+        self.grid, self.kind, pairs = grid, kind, [(i, j) for i in range(m) for j in range(i, m)]
+        self.c, self.xi = np.empty((len(pairs),) + sizes), np.empty((math.comb(m + 2, m),) + sizes)
+        self.terms, self.ops = [(i, j, c) for (i, j), c in zip(pairs, self.c)], _Slabs(grid, kind)
+        # each slab's operator shares its height's buffers but keeps its c_ij and xi in its rows of those
+        self.ops.slabs = [(rows, copy(op)._keep_in(self.c[:, rows], self.xi[:, rows])) for rows, op in self.ops.slabs]
         vec = (m + 2,) + sizes
         self.x, self.z, self.prev, self.dt_prev = np.empty(vec), np.empty(vec), None, None
         self.basis = np.empty((KRYLOV_DIM + 1,) + vec)
@@ -62,10 +66,11 @@ class _Imex(_Operator):
 def _freeze(f: np.ndarray, time: float, s: float, ws: _Imex) -> None:
     """Freeze the operator and the preconditioner at positions f.
 
-    The preconditioner's symbol is that of the Laplacian with the mean
-    coefficients c_ij.
+    The operator is frozen slab by slab; the preconditioner's symbol is that
+    of the Laplacian with the whole grid's mean coefficients c_ij.
     """
-    _coefficients(f, time, ws)
+    for _ in _by_slabs(f, time, ws.ops):
+        pass
     lam, symbols = ws.gain, []
     for i, j, c in sorted(ws.terms, key=lambda t: t[0] == t[1]):  # off-diagonal first: the order moves the solves
         mean = float(np.mean(c))
@@ -84,16 +89,25 @@ def _freeze(f: np.ndarray, time: float, s: float, ws: _Imex) -> None:
 
 
 def _frozen(x: np.ndarray, out: np.ndarray, ws: _Imex) -> np.ndarray:
-    """out = L x, the flow operator frozen by ``_freeze`` applied to x."""
-    _fill_pad(x, ws)
-    return _apply(ws, out)
+    """out = L x, the flow operator frozen by ``_freeze`` applied to x, slab by slab."""
+    for rows, op in ws.ops.slabs:
+        _fill_pad(x, op, rows.start)
+        _apply(op, out[:, rows])
+    return out
+
+
+def _project(v: np.ndarray, ws: _Imex) -> np.ndarray:
+    """v = P_N v = -J(J v) in place, slab by slab."""
+    for rows, op in ws.ops.slabs:
+        _normal_part(v[:, rows], v[:, rows], op.prod, op)
+    return v
 
 
 def _precondition(v: np.ndarray, out: np.ndarray, ws: _Imex) -> np.ndarray:
     """out = Q v = P_N F^-1 [F(v) / d(k)]: v divided by the symbol d mode by
     mode, then projected on the normal planes with P_N = -J^2."""
-    m, spectrum, filtered = ws.grid.m, ws.spectrum, ws.w
-    for comp, into in zip(v, filtered):
+    m, spectrum = ws.grid.m, ws.spectrum
+    for comp, into in zip(v, out):
         np.fft.rfft(comp, out=spectrum)
         for axis in range(m - 1):
             np.fft.fft(spectrum, axis=axis, out=spectrum)
@@ -101,7 +115,7 @@ def _precondition(v: np.ndarray, out: np.ndarray, ws: _Imex) -> np.ndarray:
         for axis in range(m - 1):
             np.fft.ifft(spectrum, axis=axis, out=spectrum)
         np.fft.irfft(spectrum, n=ws.grid.sizes[-1], out=into)
-    return _normal_part(filtered, out, ws.prod, ws)
+    return _project(out, ws)
 
 
 def _inverse(v: np.ndarray, out: np.ndarray, scratch: np.ndarray, s: float, ws: _Imex) -> np.ndarray:
@@ -137,7 +151,7 @@ def _solve(f: np.ndarray, s: float, time: float, ws: _Imex) -> int:
     x, z, V = ws.x, ws.z, ws.basis
     # x = f + P_N (x - f)
     np.subtract(x, f, out=z)
-    np.add(f, _normal_part(z, ws.prod, ws.w, ws), out=x)
+    np.add(f, _project(z, ws), out=x)
     tol = KRYLOV_RTOL * _norm(f)
     iterations = 0
     while True:

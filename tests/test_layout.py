@@ -83,8 +83,8 @@ def test_frozen_xi_is_unit_and_the_gauss_field_on_curves():
 def test_velocity_explicit_and_imex_steps_share_one_operator(monkeypatch):
     from skewflow import imex
 
-    # the IMEX solver holds the flow module's own functions, not copies
-    assert (imex._coefficients, imex._apply) == (flow._coefficients, flow._apply)
+    # the IMEX solver holds the flow module's own driver and operator, not copies
+    assert (imex._by_slabs, imex._Slabs, imex._apply) == (flow._by_slabs, flow._Slabs, flow._apply)
     coefficients, apply, calls = flow._coefficients, flow._apply, []
 
     def recording_coefficients(f, time, ws, start=0):
@@ -95,10 +95,10 @@ def test_velocity_explicit_and_imex_steps_share_one_operator(monkeypatch):
         calls.append("apply")
         return apply(ws, out)
 
+    monkeypatch.setattr(flow, "_coefficients", recording_coefficients)
     for module in (flow, imex):
-        monkeypatch.setattr(module, "_coefficients", recording_coefficients)
         monkeypatch.setattr(module, "_apply", recording_apply)
-    # the explicit operator runs slab by slab: 16 rows a slab cut the last torus into 4
+    # both schemes run the operator slab by slab: 16 rows a slab cut the last torus into 4
     monkeypatch.setattr(geometry, "SLAB_NODES", 16 * 64)
     for imm in GEOMETRIES + (make_perturbed_torus(1.0, 0.7, 0.05, 3, 64),):
         state, slabs = FlowState(0.0, imm), len(flow._Slabs(imm.grid, "SMCF").slabs)
@@ -112,18 +112,20 @@ def test_velocity_explicit_and_imex_steps_share_one_operator(monkeypatch):
             calls.clear()
             call()
             assert (calls.count("coefficients"), calls.count("apply")) == (frozen, applied)
-        # IMEX: one freeze per solve, at least one apply per Krylov vector.  step and
-        # a run's first step solve twice (predictor, corrector), each later step once
+        # IMEX: one freeze per solve, at least one apply per Krylov vector, each on
+        # every slab.  step and a run's first step solve twice (predictor,
+        # corrector), each later step once
         calls.clear()
         step(state, FlowConfig(dt=1e-3, scheme="IMEX"))
-        assert calls.count("coefficients") == 2 and calls.count("apply") >= 4
+        assert calls.count("coefficients") == 2 * slabs and calls.count("apply") >= 4 * slabs
+        assert calls.count("apply") % slabs == 0
         calls.clear()
         run(imm, FlowConfig(dt=1e-3, t_end=4.5e-3, scheme="IMEX"))
-        assert calls.count("coefficients") == 5 + 1
+        assert calls.count("coefficients") == (5 + 1) * slabs
 
 
-def test_the_flow_operator_is_built_only_by_its_slabs_and_imex():
-    # a whole-grid operator workspace outside IMEX is what slab-by-slab evaluation removed
+def test_the_flow_operator_is_built_only_by_its_slabs():
+    # a whole-grid operator workspace, in either scheme, is what slab-by-slab evaluation removed
     built, subclasses = [], []
 
     def visit(node, scope):
@@ -138,7 +140,7 @@ def test_the_flow_operator_is_built_only_by_its_slabs_and_imex():
     for path in sorted(SRC.glob("*.py")):
         visit(ast.parse(path.read_text()), "")
     assert built == [("flow.py", "_Slabs.__init__")]
-    assert subclasses == ["_Imex"]
+    assert subclasses == []
 
 
 def test_field_forms_on_one_frame_are_the_node_slice_of_the_field_call():

@@ -1,14 +1,15 @@
-"""The residuals of ``verify.PROBLEMS`` and the explicit flow operator, evaluated
-slab by slab (``verify._by_slabs`` and ``flow._by_slabs``).
+"""The residuals of ``verify.PROBLEMS`` and the flow operator, evaluated slab by
+slab (``verify._by_slabs`` and ``flow._by_slabs``).
 
 Every per-node residual is computed on slab-sized geometries of a few rows of
-the first grid axis and assembled, and so is every stage velocity of RK4; both
-take the one cut of ``geometry._slab_bounds``, set by the node budget
-``geometry.SLAB_NODES``.  These tests pin down that the two cut every grid the
-same way, that the result is the whole grid's bit for bit, that the rank check
-names what the whole grid's check names, that every slab is a valid grid at its
-parent's spacings, and that the memory of the residuals and of an RK4 run no
-longer grows with a whole-grid workspace.
+the first grid axis and assembled, and so is every stage velocity of RK4 and
+every freeze and apply of the IMEX operator; both take the one cut of
+``geometry._slab_bounds``, set by the node budget ``geometry.SLAB_NODES``.
+These tests pin down that the two cut every grid the same way, that the result
+is the whole grid's bit for bit, that the rank check names what the whole
+grid's check names, that every slab is a valid grid at its parent's spacings,
+and that the memory of the residuals and of an RK4 run no longer grows with a
+whole-grid workspace.
 """
 
 import json
@@ -263,7 +264,7 @@ def test_the_cli_writes_the_one_slab_bytes(tmp_path, monkeypatch, run_id):
 
 
 # ---------------------------------------------------------------------------
-# the explicit flow operator
+# the flow operator
 
 
 # geometry -> node budgets (geometry.SLAB_NODES) that cut it into slabs: 4, 3 of two
@@ -278,14 +279,17 @@ FLOW_SLABS = {
 
 
 def _flow_bits(imm, monkeypatch, slab_nodes):
-    """The bytes of two-step RK4 runs and of the velocity of either flow, and the
-    hex RK4 step bound, at a node budget; with the number of slabs it cuts."""
+    """The bytes of two-step RK4 runs, of three-step IMEX runs (a predictor step and two
+    extrapolated ones) and of the velocity of either flow, and the hex RK4 step bound, at a
+    node budget; with the number of slabs it cuts."""
     monkeypatch.setattr(geometry, "SLAB_NODES", slab_nodes)
     bits = [explicit_step_bound(imm).hex()]
     for kind in flow.FLOW_KINDS:
         dt = stable_dt(imm)
-        traj = run(imm, FlowConfig(flow_kind=kind, dt=dt, t_end=2 * dt, output_every=1))
-        bits += [state.immersion.F.tobytes() for state in traj.states] + [velocity(imm, kind).tobytes()]
+        for scheme, steps in (("RK4", 2), ("IMEX", 3)):
+            traj = run(imm, FlowConfig(flow_kind=kind, dt=dt, t_end=steps * dt, scheme=scheme, output_every=1))
+            bits += [state.immersion.F.tobytes() for state in traj.states]
+        bits += [velocity(imm, kind).tobytes()]
     return bits, len(flow._Slabs(imm.grid, "SMCF").slabs)
 
 
@@ -320,16 +324,21 @@ def test_a_degenerate_stage_is_named_as_the_whole_grids_check_names_it(monkeypat
     calls = [
         lambda: run(imm, FlowConfig(dt=dt, t_end=1000 * dt)),
         lambda: run(imm, FlowConfig(flow_kind="MCF", dt=dt, t_end=1000 * dt)),
+        # a pinched torus fails IMEX's first freeze, at t = 0
+        lambda: run(imm, FlowConfig(dt=dt, t_end=1000 * dt, scheme="IMEX")),
+        lambda: run(imm, FlowConfig(flow_kind="MCF", dt=dt, t_end=1000 * dt, scheme="IMEX")),
         lambda: velocity(imm),
         lambda: explicit_step_bound(imm),
     ]
     monkeypatch.setattr(geometry, "SLAB_NODES", ONE_SLAB)
-    expected = [_raised(call) for call in calls[: 2 if case == "unstable" else 4]]
+    expected = [_raised(call) for call in calls[: 2 if case == "unstable" else 6]]
     monkeypatch.setattr(geometry, "SLAB_NODES", 16 * 64)
     assert len(flow._Slabs(imm.grid, "SMCF").slabs) == 4
     assert [_raised(call) for call in calls[: len(expected)]] == expected
     if case == "unstable":  # at t = 6.5 dt (SMCF) and 4.5 dt (MCF)
         assert [round(time / dt % 1, 6) for _, time, _ in expected] == [0.5, 0.5]
+    else:
+        assert [time for _, time, _ in expected[2:4]] == [0.0, 0.0]
 
 
 # ---------------------------------------------------------------------------

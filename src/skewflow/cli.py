@@ -281,11 +281,7 @@ def task_simulate(config: dict, out_dir: Path) -> int:
         writer.writerow(header)
         for state in traj.states:
             geom = fundamental_forms(state.immersion, state.t)
-            row = [
-                repr(state.t),
-                repr(float(np.sum(geom.sqrt_det_g) * state.immersion.grid.cell_measure())),
-                repr(float(np.min(geom.min_sv))),
-            ]
+            row = [repr(state.t), repr(geom.volume), repr(float(np.min(geom.min_sv)))]
             del geom  # one geometry at a time: the next state's is built without this one
             if torus:
                 a_fit, b_fit, _ = fitted_torus_radii(state.immersion)

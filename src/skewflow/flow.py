@@ -46,7 +46,7 @@ import numpy as np
 
 from .errors import DegenerateImmersionError
 from .exterior import wedge_field
-from .geometry import Immersion, _metric_block, _second_difference, _slab_bounds, _slab_grid, _Stencils, quarter_turn
+from .geometry import GeometryCache, Immersion, _metric_block, _second_difference, _slab_bounds, _slab_grid, _Stencils, quarter_turn
 
 FLOW_KINDS = ("SMCF", "MCF")
 SCHEMES = ("RK4", "IMEX")
@@ -312,7 +312,8 @@ def run(imm: Immersion, config: FlowConfig) -> Trajectory:
     """Integrate to t_end, recording every ``output_every``-th state (and the last).
 
     The final step is shortened when t_end is not a step multiple, so the
-    last state lands exactly on t_end.  The input is copied once, component-first;
+    last state lands exactly on t_end, and its tangent map is rank-checked
+    as every stage's is.  The input is copied once, component-first;
     each step writes into the buffer that the step before read unless a state
     holds it, and a state's ``Immersion.F`` is a node-last view of its buffer.
     """
@@ -327,6 +328,13 @@ def run(imm: Immersion, config: FlowConfig) -> Trajectory:
         t, steps_done = t + dt, steps_done + 1
         if held := steps_done % config.output_every == 0 or t >= end:
             states.append(FlowState(t=t, immersion=Immersion(grid=imm.grid, F=np.moveaxis(f, 0, -1))))
+    del advance  # the stepper's workspace, freed before the check allocates
+    try:  # no stage freezes the operator at the last state: its rank check, slab by slab
+        for start, stop in _slab_bounds(imm.grid):
+            GeometryCache(states[-1].immersion, t, rows=range(start, stop))
+    except DegenerateImmersionError:
+        GeometryCache(states[-1].immersion, t)  # the whole grid's check names the node
+        raise
     return Trajectory(states=states)
 
 

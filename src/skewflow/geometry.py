@@ -333,11 +333,11 @@ class GeometryCache:
     drops below RANK_TOL anywhere.  The rest are cached properties: ``g_inv``
     (m, m) from the cofactors of g, the orthonormal frames ``e`` (m, n) and
     ``nu`` (k, n), ``R`` (m, m) with e_i = sum_l R[i, l] d_l F, the plane
-    field ``rho`` (C(n, m)), the second fundamental form ``A`` (k, m, m)
-    against nu, the mean curvature vector ``H`` (n), both from the flow
-    operator's second differences of the padded positions, and
-    ``grad_H_perp`` (m, n), the normal part of its coordinate derivatives.
-    Immutable by convention.
+    field ``rho`` (C(n, m)), the second fundamental form ``A`` (k, m, m) =
+    <D_ij F, nu_a>, unprojected as nu is normal, the mean curvature vector
+    ``H`` (n) = (g^{ij} D_ij F)^perp, projected once, both from the flow
+    operator's second differences D_ij F, ``grad_H_perp`` (m, n), the normal
+    part of dH, and ``volume``, sum sqrt(det g) dA.  Immutable by convention.
 
     Given ``rows``, a range of the first axis (wrapping), it is the geometry
     of those rows alone, on a grid of their sizes at the whole grid's
@@ -357,6 +357,10 @@ class GeometryCache:
     @cached_property
     def sqrt_det_g(self) -> np.ndarray:
         return np.sqrt(self.det_g)
+
+    @property
+    def volume(self) -> float:
+        return float(np.sum(self.sqrt_det_g) * self.grid.cell_measure())
 
     @cached_property
     def g_inv(self) -> np.ndarray:
@@ -381,36 +385,22 @@ class GeometryCache:
     def rho(self) -> np.ndarray:
         return rho_field(self.e)
 
-    def _d2_perp(self) -> dict:
-        """Normal part of the second coordinate derivatives D_ij F, one (n, *sizes)
-        array per pair i <= j.
-
-        Not cached: few callers read both A and H, and keeping the pairs would
-        hold another 6 MiB per geometry of a whole 256^2 grid; the residuals'
-        slab geometries hold a slab's share of both.
-        """
-        h, e = self.grid.spacings, self.e
-        d2 = {}
-        for i, j in self._stencils.pairs:
-            d = d2[i, j] = _second_difference(self._stencils, h, i, j, np.empty(self.f.shape))
-            d -= np.einsum("l...,ln...->n...", np.einsum("n...,ln...->l...", d, e), e)
-        return d2
-
     @cached_property
     def A(self) -> np.ndarray:
-        A = np.empty((len(self.nu),) + self.g.shape)
-        for (i, j), d in self._d2_perp().items():
+        A, d = np.empty((len(self.nu),) + self.g.shape), np.empty(self.f.shape)
+        for i, j in self._stencils.pairs:
+            _second_difference(self._stencils, self.grid.spacings, i, j, d)
             A[:, j, i] = np.einsum("n...,an...->a...", d, self.nu, out=A[:, i, j])
         return A
 
     @cached_property
     def H(self) -> np.ndarray:
-        """Summed from ``_d2_perp``'s pairs, held until it returns: with H, 8 MiB on a
-        whole 256^2 torus, and a slab's share of that in a residual."""
-        m, d2 = self.grid.m, self._d2_perp()
-        H = np.zeros(self.f.shape)
-        for i, j in np.ndindex(m, m):  # every (i, j), row by row: the bits of H depend on the order
-            H += self.g_inv[i, j] * d2[min(i, j), max(i, j)]
+        H, d, e = np.zeros(self.f.shape), np.empty(self.f.shape), self.e
+        for i, j in np.ndindex(self.grid.m, self.grid.m):  # row by row: the bits of H depend on the order
+            if i <= j:  # (1, 0) takes the D_01 of (0, 1), just before it
+                _second_difference(self._stencils, self.grid.spacings, i, j, d)
+            H += self.g_inv[i, j] * d
+        H -= np.einsum("l...,ln...->n...", np.einsum("n...,ln...->l...", H, e), e)
         return H
 
     @cached_property
@@ -430,7 +420,7 @@ def fundamental_forms(imm: Immersion, time: float | None = None) -> GeometryCach
 
 def volume(imm: Immersion, time: float | None = None) -> float:
     """Total length (m = 1) or area (m = 2) of the discrete immersion; its rank check names ``time``."""
-    return float(np.sum(fundamental_forms(imm, time).sqrt_det_g) * imm.grid.cell_measure())
+    return fundamental_forms(imm, time).volume
 
 
 # ---------------------------------------------------------------------------

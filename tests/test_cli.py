@@ -644,7 +644,7 @@ def test_runtime_degeneracy_exit_two(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [["simulate"], ["verify", "--verify-name", "conservation"]], ids=["simulate", "conservation"])
 def test_runtime_degeneracy_names_the_node_and_the_time(tmp_path, capsys, argv):
     # RK4 at 24 times its step bound: the state at t = 0.05 is degenerate, and the
-    # rank check that the diagnostics or the volumes take of it names its node and time
+    # rank check that run takes of the state it ends on names its node and time
     out = tmp_path / "out"
     cfg = write_config(tmp_path / "unstable.json", {
         "geometry": {"kind": "perturbed_torus", "a": 1.0, "b": 0.6, "eps": 0.05, "seed": 7},

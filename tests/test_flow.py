@@ -176,6 +176,18 @@ def test_unstable_torus_step_aborts_with_location():
     assert err.value.node is not None and len(err.value.node) == 2
 
 
+def test_run_rank_checks_the_state_it_ends_on():
+    # RK4 at 24 times its step bound: every stage is sound, but the last step writes a
+    # degenerate state, which no stage freezes at; run used to return it
+    imm = make_perturbed_torus(1.0, 0.6, 0.05, 7, 128)
+    cfg = FlowConfig(dt=0.01, t_end=0.05, scheme="RK4")
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DegenerateImmersionError) as err:
+            run(imm, cfg)
+    assert "tangent map is degenerate at node (34, 14) at t = 0.05 " in str(err.value), str(err.value)
+    assert err.value.node == (34, 14) and err.value.time == pytest.approx(0.05)
+
+
 def test_explicit_step_bound_closed_forms():
     # curves: lambda_max = 4 / (h^2 g_00), g_00 = (r sin(h) / h)^2 by the centered difference
     r, size = 0.3, 64

@@ -149,7 +149,6 @@ def test_fundamental_forms_product_torus_sympy_oracle():
     x, y = sympy.symbols("x y", real=True)
     F = sympy.Matrix([a_val * sympy.cos(x), a_val * sympy.sin(x), b_val * sympy.cos(y), b_val * sympy.sin(y)])
     tx, ty = F.diff(x), F.diff(y)
-    g = sympy.Matrix([[tx.dot(tx), tx.dot(ty)], [ty.dot(ty ) * 0 + tx.dot(ty), ty.dot(ty)]])
     g = sympy.Matrix([[tx.dot(tx), tx.dot(ty)], [tx.dot(ty), ty.dot(ty)]])
     ginv = g.inv()
     d2 = {(0, 0): F.diff(x, 2), (0, 1): F.diff(x).diff(y), (1, 1): F.diff(y, 2)}
@@ -262,26 +261,26 @@ def _rolled_diff1(values, grid, direction):
     return (np.roll(values, -1, axis=axis) - np.roll(values, 1, axis=axis)) / (2.0 * h)
 
 
-def _mirrored_d2_perp(cache):
-    """Normal part of D_ij F as one (m, m, n, *sizes) array with the pair i < j
-    mirrored: the layout before the per-pair arrays."""
+def _mirrored_d2(cache):
+    """D_ij F as one (m, m, n, *sizes) array with the pair i < j mirrored: the layout
+    before the per-pair arrays."""
     from skewflow.geometry import _second_difference
 
     h, m = cache.grid.spacings, cache.grid.m
     d2 = np.empty((m, m) + cache.f.shape)
     for i, j in cache._stencils.pairs:
         d2[j, i] = _second_difference(cache._stencils, h, i, j, d2[i, j])
-    tang = np.einsum("ijn...,ln...->ijl...", d2, cache.e)
-    d2 -= np.einsum("ijl...,ln...->ijn...", tang, cache.e)
     return d2
 
 
 @pytest.mark.parametrize("imm", REFERENCE_GEOMETRIES, ids=REFERENCE_IDS)
 def test_second_derivatives_are_the_mirrored_layout_bit_for_bit(imm):
+    # A = <D_ij F, nu> with no projection, since nu is normal; H = (g^{ij} D_ij F)^perp, one projection
     cache = fundamental_forms(imm)
-    d2 = _mirrored_d2_perp(cache)
+    d2 = _mirrored_d2(cache)
     A = np.einsum("ijn...,an...->aij...", d2, cache.nu)
     H = np.einsum("ij...,ijn...->n...", cache.g_inv, d2)
+    H -= np.einsum("l...,ln...->n...", np.einsum("n...,ln...->l...", H, cache.e), cache.e)
     dH = np.stack([_rolled_diff1(H, imm.grid, i) for i in range(imm.grid.m)])
     grad = dH - np.einsum("il...,ln...->in...", np.einsum("in...,ln...->il...", dH, cache.e), cache.e)
     for got, expect in [(cache.A, A), (cache.H, H), (cache.grad_H_perp, grad)]:
@@ -290,6 +289,18 @@ def test_second_derivatives_are_the_mirrored_layout_bit_for_bit(imm):
         for values in (cache.rho, cache.H):
             got, expect = diff1(values, imm.grid, direction), _rolled_diff1(values, imm.grid, direction)
             assert got.tobytes() == expect.tobytes()
+
+
+@pytest.mark.parametrize("imm", REFERENCE_GEOMETRIES, ids=REFERENCE_IDS)
+def test_one_projection_agrees_with_projecting_every_second_difference(imm):
+    # the formula before: each D_ij F projected onto the normal plane, then A and H from those
+    cache = fundamental_forms(imm)
+    d2 = _mirrored_d2(cache)
+    d2 -= np.einsum("ijl...,ln...->ijn...", np.einsum("ijn...,ln...->ijl...", d2, cache.e), cache.e)
+    A = np.einsum("ijn...,an...->aij...", d2, cache.nu)
+    H = np.einsum("ij...,ijn...->n...", cache.g_inv, d2)
+    for got, expect in [(cache.A, A), (cache.H, H)]:
+        assert np.max(np.abs(got - expect)) <= 1e-14 * np.max(np.abs(expect))
 
 
 def test_degenerate_immersion_raises_at_construction_with_time():

@@ -377,7 +377,7 @@ def test_the_flow_operator_and_the_residuals_cut_a_grid_the_same_way(kind):
 # 16.5, 30.6 and 35.2 slab by slab with a whole-grid GeometryCache built for the
 # two rows; 16.5, 13.7 and 18.3 with every geometry built slab by slab (_by_slabs)
 # in 8 slabs; 8.7, 8.1 and 10.6 in 16 slabs, with theorem1's two further maxima
-# taken slab by slab.  Each bound lies between its residual's current peak and
+# taken slab by slab; 8.4, 7.8 and 10.6 with A unprojected and H projected once.  Each bound lies between its residual's current peak and
 # the last one above it; the ids name the residual alone, so a tighter bound keeps them
 @pytest.mark.parametrize("name, bound", [pytest.param(*case, id=case[0]) for case in [("theorem1", 12), ("codazzi", 11), ("identify", 14)]])
 def test_residual_memory_does_not_grow_with_the_grid(name, bound):

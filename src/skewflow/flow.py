@@ -28,13 +28,13 @@ the step before read unless a recorded state holds it, so only a recorded
 step allocates a grid-sized array; its ``Immersion.F`` is a node-last view
 of that buffer.  ``step`` and ``velocity`` allocate a workspace per call.
 
-Every scheme runs the operator on slab-sized workspaces, slab by slab along
-the first grid axis (``_by_slabs``), on the residuals' cut of
-``geometry.SLAB_NODES`` nodes a slab.  A slab loads its rows and the ghost rows
-beyond its ends straight from the whole grid's positions (``geometry._fill_pad``),
-so every output is the one-slab one bit for bit.  Only RK4's stage vectors are
-whole-grid, and of IMEX's frozen operator the c_ij and xi, which it keeps
-across applies and whose grid means its preconditioner takes.
+Every scheme runs the operator on slab-sized workspaces, slab by slab along the
+first grid axis (``_by_slabs``), on the residuals' cut of ``geometry.SLAB_NODES``
+nodes a slab, as do the rank checks of the states that ``run`` and ``step`` return.
+A slab loads its rows and the ghost rows beyond its ends straight from the whole
+grid's positions (``geometry._fill_pad``), so every output is the one-slab one bit
+for bit.  Only RK4's stage vectors are whole-grid, and of IMEX's frozen operator
+the c_ij and xi, kept across applies, whose grid means set its preconditioner.
 """
 
 from __future__ import annotations
@@ -46,7 +46,7 @@ import numpy as np
 
 from .errors import DegenerateImmersionError
 from .exterior import wedge_field
-from .geometry import GeometryCache, Immersion, _metric_block, _second_difference, _slab_bounds, _slab_grid, _Stencils, quarter_turn
+from .geometry import Immersion, _metric_block, _second_difference, _slab_bounds, _slab_grid, _Stencils, _whole, quarter_turn
 
 FLOW_KINDS = ("SMCF", "MCF")
 SCHEMES = ("RK4", "IMEX")
@@ -72,7 +72,7 @@ class FlowConfig:
             raise ValueError(f"dt must be finite and positive, got {self.dt}")
         if not (np.isfinite(self.t_end) and self.t_end >= 0):
             raise ValueError(f"t_end must be finite and nonnegative, got {self.t_end}")
-        if self.output_every < 1:
+        if _whole(self.output_every, "output_every") < 1:
             raise ValueError("output_every must be >= 1")
 
 
@@ -272,8 +272,9 @@ def _advance(f: np.ndarray, t: float, dt: float, ops: _Slabs, k, stage, out) -> 
 
 
 def _stepper(grid, config: FlowConfig):
-    """``advance(f, t, dt, out)``: one step of component-first positions f into
-    ``out``, which is not f, by ``_advance`` (RK4) or ``imex._imex_step``.
+    """``(ops, advance)``: the scheme's operator slabs and ``advance(f, t, dt, out)``,
+    one step of component-first positions f into ``out``, which is not f, by
+    ``_advance`` (RK4) or ``imex._imex_step``; ``_by_slabs`` on ``ops`` rank-checks a state.
 
     Each scheme keeps one workspace over all the steps of the returned
     function; f is only read.  IMEX holds f as the next step's history, which that
@@ -284,10 +285,10 @@ def _stepper(grid, config: FlowConfig):
         from .imex import _Imex, _imex_step
 
         ws = _Imex(grid, config.flow_kind)
-        return lambda f, t, dt, out: _imex_step(f, t, dt, ws, out)
+        return ws.ops, lambda f, t, dt, out: _imex_step(f, t, dt, ws, out)
     k, stage = (np.empty((grid.m + 2,) + grid.sizes) for _ in range(2))
     ops = _Slabs(grid, config.flow_kind)
-    return lambda f, t, dt, out: _advance(f, t, dt, ops, k, stage, out)
+    return ops, lambda f, t, dt, out: _advance(f, t, dt, ops, k, stage, out)
 
 
 def step(state: FlowState, config: FlowConfig, dt: float | None = None) -> FlowState:
@@ -295,11 +296,15 @@ def step(state: FlowState, config: FlowConfig, dt: float | None = None) -> FlowS
 
     A call keeps no history, so its IMEX step is the starting step of a run
     (predictor and corrector); ``run`` takes the one-solve step after it.
+    The state it returns is rank-checked on the stepper's own slabs, as ``run``'s last is.
     """
     dt = config.dt if dt is None else dt
     imm = state.immersion
     out = np.empty((imm.n,) + imm.grid.sizes)
-    _stepper(imm.grid, config)(np.moveaxis(imm.F, -1, 0), state.t, dt, out)
+    ops, advance = _stepper(imm.grid, config)
+    advance(np.moveaxis(imm.F, -1, 0), state.t, dt, out)
+    for _ in _by_slabs(out, state.t + dt, ops):
+        pass
     return FlowState(t=state.t + dt, immersion=Immersion(grid=imm.grid, F=np.moveaxis(out, 0, -1)))
 
 
@@ -312,12 +317,12 @@ def run(imm: Immersion, config: FlowConfig) -> Trajectory:
     """Integrate to t_end, recording every ``output_every``-th state (and the last).
 
     The final step is shortened when t_end is not a step multiple, so the
-    last state lands exactly on t_end, and its tangent map is rank-checked
-    as every stage's is.  The input is copied once, component-first;
+    last state lands exactly on t_end; no stage freezes there, so the stepper's
+    slabs freeze once more to rank-check it.  The input is copied once, component-first;
     each step writes into the buffer that the step before read unless a state
     holds it, and a state's ``Immersion.F`` is a node-last view of its buffer.
     """
-    advance, end = _stepper(imm.grid, config), config.t_end - _end_tolerance(config.dt, config.t_end)
+    (ops, advance), end = _stepper(imm.grid, config), config.t_end - _end_tolerance(config.dt, config.t_end)
     f, spare, held = np.moveaxis(imm.F, -1, 0).copy(), None, False
     states, t, steps_done = [FlowState(t=0.0, immersion=imm)], 0.0, 0
     while t < end:
@@ -328,13 +333,8 @@ def run(imm: Immersion, config: FlowConfig) -> Trajectory:
         t, steps_done = t + dt, steps_done + 1
         if held := steps_done % config.output_every == 0 or t >= end:
             states.append(FlowState(t=t, immersion=Immersion(grid=imm.grid, F=np.moveaxis(f, 0, -1))))
-    del advance  # the stepper's workspace, freed before the check allocates
-    try:  # no stage freezes the operator at the last state: its rank check, slab by slab
-        for start, stop in _slab_bounds(imm.grid):
-            GeometryCache(states[-1].immersion, t, rows=range(start, stop))
-    except DegenerateImmersionError:
-        GeometryCache(states[-1].immersion, t)  # the whole grid's check names the node
-        raise
+    for _ in _by_slabs(f, t, ops):
+        pass
     return Trajectory(states=states)
 
 

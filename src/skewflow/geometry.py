@@ -34,6 +34,12 @@ MAX_MODE = 1  # highest mode of the perturbed tori: their coarsest grids are alr
 SLAB_NODES = 4096  # the most grid nodes of one slab of the flow operator or of a residual, at 16 rows or more
 
 
+def _whole(value, what: str) -> int:  # an integer, numpy's too, or a float with no fractional part
+    if isinstance(value, (int, np.integer)) or (isinstance(value, (float, np.floating)) and value.is_integer()):
+        return int(value)
+    raise ValueError(f"{what} must be a whole number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class PeriodicGrid:
     """Uniform periodic parameter grid in one or two directions."""
@@ -42,7 +48,7 @@ class PeriodicGrid:
     periods: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        sizes = tuple(int(s) for s in self.sizes)
+        sizes = tuple(_whole(s, "a grid size") for s in self.sizes)
         object.__setattr__(self, "sizes", sizes)
         if len(sizes) not in (1, 2):
             raise UnsupportedCaseError(f"grids must be 1- or 2-dimensional, got {len(sizes)} axes")
@@ -480,7 +486,7 @@ def _waves(grid: PeriodicGrid) -> tuple[np.ndarray, ...]:
 
 
 def make_product_torus(a: float, b: float, size1: int, size2: int | None = None) -> Immersion:
-    grid = PeriodicGrid((size1, size2 or size1))
+    grid = PeriodicGrid((size1, size1 if size2 is None else size2))
     cx, sx, cy, sy = _waves(grid)
     F = np.stack(np.broadcast_arrays(a * cx, a * sx, b * cy, b * sy), axis=-1)
     return Immersion(grid=grid, F=F)
@@ -509,7 +515,7 @@ def make_perturbed_torus(
     a: float, b: float, eps: float, seed: int, size1: int, size2: int | None = None
 ) -> Immersion:
     """Product torus displaced by eps times a fixed smooth normal field."""
-    grid = PeriodicGrid((size1, size2 or size1))
+    grid = PeriodicGrid((size1, size1 if size2 is None else size2))
     rng = np.random.default_rng(seed)
     phi1 = _trig_polynomial(rng, grid)
     phi2 = _trig_polynomial(rng, grid)

@@ -132,11 +132,6 @@ def _inverse(v: np.ndarray, out: np.ndarray, scratch: np.ndarray, s: float, ws: 
     return out
 
 
-def _norm(v: np.ndarray) -> float:
-    flat = v.reshape(-1)
-    return math.sqrt(np.dot(flat, flat))
-
-
 def _solve(f: np.ndarray, s: float, time: float, ws: _Imex) -> int:
     """Solve (I - sL) x = (I + sL) f for ws.x, from the guess in ws.x.
 
@@ -152,7 +147,7 @@ def _solve(f: np.ndarray, s: float, time: float, ws: _Imex) -> int:
     # x = f + P_N (x - f)
     np.subtract(x, f, out=z)
     np.add(f, _project(z, ws), out=x)
-    tol = KRYLOV_RTOL * _norm(f)
+    tol = KRYLOV_RTOL * np.linalg.norm(f)
     iterations = 0
     while True:
         # r = (I + sL) f - (I - sL) x = f - x + sL(f + x)
@@ -160,7 +155,7 @@ def _solve(f: np.ndarray, s: float, time: float, ws: _Imex) -> int:
         r *= s
         r += f
         r -= x
-        beta = _norm(r)
+        beta = np.linalg.norm(r)
         if not math.isfinite(beta):
             raise KrylovBreakdownError(f"IMEX solve produced a non-finite residual near t = {time:.6f}", time=time)
         if beta <= tol:
@@ -187,7 +182,7 @@ def _solve(f: np.ndarray, s: float, time: float, ws: _Imex) -> int:
             for vi in V[: k + 1]:
                 col.append(float(np.dot(vi.reshape(-1), nxt.reshape(-1))))
                 nxt -= np.multiply(vi, col[-1], out=z)
-            norm_next = _norm(nxt)
+            norm_next = np.linalg.norm(nxt)
             for i, (cs, sn) in enumerate(rotations):
                 col[i], col[i + 1] = cs * col[i] + sn * col[i + 1], cs * col[i + 1] - sn * col[i]
             rk = math.hypot(col[k], norm_next)

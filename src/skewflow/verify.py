@@ -73,20 +73,18 @@ def _by_slabs(imm: Immersion, evaluate, *neighbours: Immersion) -> tuple[np.ndar
     """The first field that ``evaluate(cache)`` returns on each slab's ``GeometryCache(imm, rows=...)``
     and its sqrt(det g), assembled into fields of the whole grid, and the max of each further field.
 
-    The slabs are the flow operator's (``geometry._slab_bounds``).  On a cut grid a slab's range
+    The slabs are the flow operator's (``geometry._slab_bounds``).  A slab's range
     holds its own rows and HALO more on each side, whose values are dropped: with the true
     neighbours beyond as ghost rows, it reads the two rows of positions that a difference of a
     second difference needs, so the fields and maxima are the whole grid's bit for bit; one slab
-    wraps onto itself, with no halo.  When a slab fails the rank check, the whole grid's checks
+    wraps onto itself, halo and all.  When a slab fails the rank check, the whole grid's checks
     of ``imm``, then of each of ``neighbours`` (immersions that ``evaluate`` reads), name the node.
     """
-    bounds = _slab_bounds(imm.grid)
-    halo = HALO if bounds[1:] else 0  # on a grid cut in more than one slab
     primary, sqrt_det_g, maxima = np.empty(imm.grid.sizes), np.empty(imm.grid.sizes), -np.inf
     try:
-        for start, stop in bounds:
-            own = slice(halo, halo + stop - start)
-            cache = GeometryCache(imm, rows=range(start - halo, stop + halo))
+        for start, stop in _slab_bounds(imm.grid):
+            own = slice(HALO, HALO + stop - start)
+            cache = GeometryCache(imm, rows=range(start - HALO, stop + HALO))
             first, *rest = evaluate(cache)
             primary[start:stop], sqrt_det_g[start:stop] = first[own], cache.sqrt_det_g[own]
             del cache  # not kept alive while the next slab's geometry is built

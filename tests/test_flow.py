@@ -58,6 +58,11 @@ def test_config_validation():
     for bad in ({"dt": math.nan}, {"dt": math.inf}, {"t_end": math.nan}, {"t_end": math.inf}):
         with pytest.raises(ValueError):
             FlowConfig(**bad)
+    # a run recorded the steps whose count modulo 1.5 is 0, steps 3 and 6 of 6
+    for every in (1.5, math.inf, math.nan):
+        with pytest.raises(ValueError, match="whole number"):
+            FlowConfig(dt=0.01, t_end=0.06, output_every=every)
+    assert FlowConfig(output_every=np.int64(2)).output_every == FlowConfig(output_every=2.0).output_every == 2
 
 
 def test_velocity_circle_is_binormal_curvature():
@@ -188,6 +193,19 @@ def test_run_rank_checks_the_state_it_ends_on():
     assert err.value.node == (34, 14) and err.value.time == pytest.approx(0.05)
 
 
+def test_step_rank_checks_the_state_it_returns():
+    # the same repro one step call at a time: the fifth call returned the degenerate state
+    imm = make_perturbed_torus(1.0, 0.6, 0.05, 7, 128)
+    cfg, state = FlowConfig(dt=0.01, scheme="RK4"), FlowState(0.0, imm)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(4):
+            state = step(state, cfg)
+        with pytest.raises(DegenerateImmersionError) as err:
+            step(state, cfg)
+    assert "tangent map is degenerate at node (34, 14) at t = 0.05 " in str(err.value), str(err.value)
+    assert err.value.node == (34, 14) and err.value.time == pytest.approx(0.05)
+
+
 def test_explicit_step_bound_closed_forms():
     # curves: lambda_max = 4 / (h^2 g_00), g_00 = (r sin(h) / h)^2 by the centered difference
     r, size = 0.3, 64
@@ -232,7 +250,7 @@ def _run_by_steps(imm, cfg, advance):
 
 def _one_stepper(imm, cfg):
     """``advance(state, dt)`` by one ``flow._stepper``, kept over all the steps as ``run`` keeps it."""
-    stepper = flow._stepper(imm.grid, cfg)
+    _, stepper = flow._stepper(imm.grid, cfg)
 
     def advance(state, dt):
         out = np.empty((imm.n,) + imm.grid.sizes)
@@ -299,7 +317,7 @@ def test_steps_allocate_no_grid_sized_array(scheme, dt):
     # numpy reports its allocations to tracemalloc; one grid field here is 512 KiB
     for imm in (make_perturbed_circle(1.0, 0.2, 3, 65536), make_perturbed_torus(1.0, 0.7, 0.05, 3, 256)):
         for kind in ("SMCF", "MCF"):
-            advance = _stepper(imm.grid, FlowConfig(flow_kind=kind, dt=dt, scheme=scheme))
+            _, advance = _stepper(imm.grid, FlowConfig(flow_kind=kind, dt=dt, scheme=scheme))
             f = np.moveaxis(imm.F, -1, 0).copy()
             g = np.empty_like(f)
             advance(f, 0.0, dt, g)

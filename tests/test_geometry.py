@@ -47,6 +47,17 @@ def test_grid_validation():
             PeriodicGrid((16,), periods=(period,))
     grid = PeriodicGrid((16, 32))
     assert grid.spacings == (2 * np.pi / 16, 2 * np.pi / 32)
+    # int() truncated sizes: a (64.9,) grid had 64 nodes, and so did a circle of 64.5
+    for build in (lambda: PeriodicGrid((64.9,)), lambda: PeriodicGrid((64, 32.5)), lambda: make_circle(1.0, 64.5)):
+        with pytest.raises(ValueError, match="whole number"):
+            build()
+    # numpy integers and whole floats are sizes, as the CLI reads them
+    assert PeriodicGrid((np.int64(64), 32.0)).sizes == (64, 32)
+    assert make_circle(1.0, np.int32(64)).F.shape == (64, 3)
+    # a second torus size of 0 was taken for "unset" and replaced by the first
+    for build in (make_product_torus, lambda *args: make_perturbed_torus(*args[:2], 0.05, 7, *args[2:])):
+        with pytest.raises(ValueError, match=">= 8"):
+            build(1.0, 0.6, 32, 0)
 
 
 def test_diff1_taylor_bound():

@@ -106,7 +106,9 @@ def test_velocity_explicit_and_imex_steps_share_one_operator(monkeypatch):
         cases = [
             (lambda: velocity(imm, "MCF"), slabs, slabs),
             (lambda: flow.explicit_step_bound(imm), slabs, 0),
-            (lambda: step(state, FlowConfig(dt=1e-6)), 4 * slabs, 4 * slabs),
+            # step and run freeze once more, at the state they return, to rank-check it
+            (lambda: step(state, FlowConfig(dt=1e-6)), (4 + 1) * slabs, 4 * slabs),
+            (lambda: run(imm, FlowConfig(dt=1e-6, t_end=3e-6)), (4 * 3 + 1) * slabs, 4 * 3 * slabs),
         ]
         for call, frozen, applied in cases:
             calls.clear()
@@ -117,11 +119,11 @@ def test_velocity_explicit_and_imex_steps_share_one_operator(monkeypatch):
         # corrector), each later step once
         calls.clear()
         step(state, FlowConfig(dt=1e-3, scheme="IMEX"))
-        assert calls.count("coefficients") == 2 * slabs and calls.count("apply") >= 4 * slabs
+        assert calls.count("coefficients") == (2 + 1) * slabs and calls.count("apply") >= 4 * slabs
         assert calls.count("apply") % slabs == 0
         calls.clear()
         run(imm, FlowConfig(dt=1e-3, t_end=4.5e-3, scheme="IMEX"))
-        assert calls.count("coefficients") == (5 + 1) * slabs
+        assert calls.count("coefficients") == (5 + 1 + 1) * slabs
 
 
 def test_the_flow_operator_is_built_only_by_its_slabs():
@@ -141,6 +143,13 @@ def test_the_flow_operator_is_built_only_by_its_slabs():
         visit(ast.parse(path.read_text()), "")
     assert built == [("flow.py", "_Slabs.__init__")]
     assert subclasses == []
+
+
+def test_the_flow_builds_no_geometry_cache():
+    # the flow rank-checks every state on its stepper's operator slabs (flow._by_slabs)
+    tree = ast.parse((SRC / "flow.py").read_text())
+    called = {getattr(node.func, "id", None) or getattr(node.func, "attr", None) for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    assert called & {"GeometryCache", "fundamental_forms"} == set()
 
 
 def test_field_forms_on_one_frame_are_the_node_slice_of_the_field_call():

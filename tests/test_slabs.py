@@ -363,8 +363,7 @@ def test_the_flow_operator_and_the_residuals_cut_a_grid_the_same_way(kind):
     flow_rows = [(rows.start, rows.stop) for rows, _ in flow._Slabs(imm.grid, "SMCF").slabs]
     seen = []  # the rows of each slab geometry that the residuals build, halo included
     verify._by_slabs(imm, lambda cache: seen.append(cache.rows) or (cache.det_g,))
-    halo = verify.HALO if len(seen) > 1 else 0
-    assert [(rows.start + halo, rows.stop - halo) for rows in seen] == flow_rows
+    assert [(rows.start + verify.HALO, rows.stop - verify.HALO) for rows in seen] == flow_rows
     assert len(flow_rows) == count
 
 

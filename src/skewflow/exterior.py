@@ -145,6 +145,8 @@ def wedge_field(a, b, p: int, q: int, n: int, out=None, scratch=None) -> np.ndar
     The trailing axes broadcast.  Each output coefficient ``out[k]`` is its
     first table term, then the others added or subtracted in table order, so
     a 2-vector coefficient comes out as the single minor u_a v_b - u_b v_a.
+    The first term's sign is +1: it splits R_k into its p smallest and q
+    largest members, which has no inversion.
     ``scratch`` is one field of one coefficient's shape, allocated when not
     given.
     """
@@ -159,10 +161,8 @@ def wedge_field(a, b, p: int, q: int, n: int, out=None, scratch=None) -> np.ndar
     tmp = np.empty(out.shape[1:]) if scratch is None else scratch
     for k, terms in enumerate(table):
         acc = out[k, ...]  # a view, also where out[k] would be a scalar
-        i, j, sign = terms[0]
+        i, j, _ = terms[0]
         np.multiply(a[i], b[j], out=acc)
-        if sign < 0:
-            np.negative(acc, out=acc)
         for i, j, sign in terms[1:]:
             np.multiply(a[i], b[j], out=tmp)
             (np.add if sign > 0 else np.subtract)(acc, tmp, out=acc)

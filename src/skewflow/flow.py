@@ -8,8 +8,22 @@ times and degeneracy is treated as a hard error rather than remeshed.
 Explicit stepping of this dispersive system is stiff.  RK4 is stable up to
 ``explicit_step_bound`` = 2.78 / lambda_max, with lambda_max bounded from the
 operator's frozen coefficients (about 0.7 h^2 min g_00 on curves; on tori
-the two axes add and it is smaller).  The "IMEX" scheme (``imex``) lifts the
-limit on curves and tori alike.
+the two axes add and it is smaller).  The "IMEX" scheme lifts the limit on
+curves and tori alike.
+
+The velocity is linear in the second differences once the geometry is
+frozen: L X = M (g^{ij} D_ij X) is the flow operator, frozen by
+``_coefficients`` and applied by ``_apply``, and L_F F is the velocity at F.
+A Crank-Nicolson step with L frozen at the midpoint is second order in time
+and not bound by h^2 (the small-scale decomposition of Hou, Lowengrub and
+Shelley, JCP 114, 1994).  A run's first step finds that midpoint by a
+predictor solve; every later step extrapolates it from the two last states
+and solves once (the linearly implicit two-step Crank-Nicolson scheme of
+Akrivis, Crouzeix and Makridakis, Numer. Math. 82, 1999).  Each solve is a
+matrix-free GMRES on normal fields, preconditioned in Fourier space with the
+mean-metric Laplacian: J^2 = -1 turns (I - sL)(I + sL) into I + s^2 Delta^2
+there.  L runs slab by slab, as in RK4, on buffers allocated once per run: a
+step allocates no grid-sized array.
 
 One flow operator serves curves and tori and every scheme, in two
 functions that run the same lines in either dimension, over the tangent
@@ -39,20 +53,24 @@ the c_ij and xi, kept across applies, whose grid means set its preconditioner.
 
 from __future__ import annotations
 
+import math
+from copy import copy
 from dataclasses import dataclass, field
-from math import comb
 
 import numpy as np
 
-from .errors import DegenerateImmersionError
+from .errors import DegenerateImmersionError, KrylovBreakdownError
 from .exterior import wedge_field
-from .geometry import Immersion, _metric_block, _second_difference, _slab_bounds, _slab_grid, _Stencils, _whole, quarter_turn
+from .geometry import Immersion, _fill_pad, _metric_block, _second_difference, _slab_bounds, _slab_grid, _Stencils, _whole, quarter_turn
 
 FLOW_KINDS = ("SMCF", "MCF")
 SCHEMES = ("RK4", "IMEX")
 # RK4's stability interval reaches 2.828 on the imaginary axis and 2.785 on the
 # negative real one (Hairer and Wanner, Solving ODEs II, IV.2): below both
 RK4_LIMIT = 2.78
+KRYLOV_DIM = 3  # Krylov basis vectors per GMRES cycle (the restart length)
+KRYLOV_MAX_ITER = 40  # GMRES iterations per solve before the step counts as a breakdown
+KRYLOV_RTOL = 1e-12  # residual target, relative to the positions' norm
 
 
 @dataclass(frozen=True)
@@ -110,15 +128,20 @@ def stable_dt(imm: Immersion, factor: float = 0.1) -> float:
     return factor * min(imm.grid.spacings) ** 2
 
 
+def _pair_slots(pairs, slots) -> dict:
+    """{(i, j): slot} over the axis pairs i <= j: the c_ij take the slots in the pairs' lexicographic order."""
+    return dict(zip(sorted(pairs), slots))
+
+
 class _Operator(_Stencils):
     """The metric block's buffers plus those of the flow operator, on a grid
     or on a slab of one (see ``_Slabs``), allocated once per run.
 
     ``_coefficients`` overwrites the metric block's buffers.  ``terms`` lists
     the (i, j, c_ij) of c_ij D_ij over the pairs i <= j, in the order
-    ``_apply`` sums them.  ``_keep_in`` puts the c_ij, in the pairs' lexicographic
-    order, and ``xi``, the unit tangent m-vector, in g's first slots and a buffer
-    of its own, or where IMEX gives.  ``coefficients`` holds (c_ij, minor, factor)
+    ``_apply`` sums them.  ``_keep_in`` puts the c_ij, by ``_pair_slots``, and
+    ``xi``, the unit tangent m-vector, in g's first slots and a buffer of its
+    own, or where IMEX gives.  ``coefficients`` holds (c_ij, minor, factor)
     in the cofactors' order, last slot first, so no entry of g is overwritten
     before its last read.  The tangents are dead after xi, so the last leg's
     storage holds ``w``, the sum c_ij D_ij x; ``prod`` and ``tmp`` are scratch.
@@ -130,10 +153,10 @@ class _Operator(_Stencils):
         self.grid, self.kind = grid, kind
         # xi = t_0 ^ ... ^ t_{m-1}, folded from the first leg: one wedge on tori, none on curves
         self.head, self.legs, self.w = self.t[0], list(enumerate(self.t[1:], 1)), self.t[-1]
-        self._keep_in(self.g.reshape((-1,) + sizes), np.empty((comb(m + 2, m),) + sizes))
+        self._keep_in(self.g.reshape((-1,) + sizes), np.empty((math.comb(m + 2, m),) + sizes))
 
     def _keep_in(self, slots, xi) -> _Operator:
-        slots = dict(zip(sorted(self.pairs), slots))
+        slots = _pair_slots(self.pairs, slots)
         self.terms = [(i, j, slots[i, j]) for i, j in self.pairs]
         self.coefficients = [(slots[i, j], minor, sign if i == j else 2.0 * sign) for i, j, minor, sign in self.cofactors]
         self.xi = xi
@@ -271,19 +294,224 @@ def _advance(f: np.ndarray, t: float, dt: float, ops: _Slabs, k, stage, out) -> 
     out += f
 
 
+class _Imex:
+    """Workspace of the IMEX step, allocated once per run: the frozen operator's
+    whole-grid ``c``, one contiguous field per c_ij (``terms``), and ``xi``, whose
+    rows each slab of ``ops`` (``_Slabs``) keeps; ``gain``, the preconditioner's
+    1/d(k) per Fourier mode, the iterate ``x``, ``z`` and the Krylov ``basis`` of the
+    solver and the FFT's ``spectrum``.  ``prev`` is the positions before the last step,
+    held by reference, and ``dt_prev`` that step's size; None before a run's first step.
+    """
+
+    def __init__(self, grid, kind):
+        m, sizes = grid.m, grid.sizes
+        self.grid, self.kind = grid, kind
+        self.c, self.xi = np.empty((math.comb(m + 1, 2),) + sizes), np.empty((math.comb(m + 2, m),) + sizes)
+        self.ops = _Slabs(grid, kind)
+        self.terms = [(i, j, c) for (i, j), c in _pair_slots(self.ops.slabs[0][1].pairs, self.c).items()]
+        # each slab's operator shares its height's buffers but keeps its c_ij and xi in its rows of those
+        self.ops.slabs = [(rows, copy(op)._keep_in(self.c[:, rows], self.xi[:, rows])) for rows, op in self.ops.slabs]
+        vec = (m + 2,) + sizes
+        self.x, self.z, self.prev, self.dt_prev = np.empty(vec), np.empty(vec), None, None
+        self.basis = np.empty((KRYLOV_DIM + 1,) + vec)
+        half = sizes[:-1] + (sizes[-1] // 2 + 1,)
+        self.spectrum = np.empty(half, dtype=complex)
+        self.gain = np.empty(half)
+        # symbols of D_i (over i) and D_ii per axis, shaped to broadcast over the spectrum
+        self.first, self.second = [], []
+        freqs = [np.fft.fftfreq(size) for size in sizes[:-1]] + [np.fft.rfftfreq(sizes[-1])]
+        for axis, (freq, h) in enumerate(zip(freqs, grid.spacings)):
+            kh = (2.0 * np.pi * freq).reshape([-1 if a == axis else 1 for a in range(m)])
+            self.first.append(np.sin(kh) / h)
+            self.second.append((2.0 * np.cos(kh) - 2.0) / (h * h))
+
+
+def _freeze(f: np.ndarray, time: float, s: float, ws: _Imex) -> None:
+    """Freeze the operator and the preconditioner at positions f.
+
+    The operator is frozen slab by slab; the preconditioner's symbol is that
+    of the Laplacian with the whole grid's mean coefficients c_ij.
+    """
+    for _ in _by_slabs(f, time, ws.ops):
+        pass
+    lam, symbols = ws.gain, []
+    for i, j, c in sorted(ws.terms, key=lambda t: t[0] == t[1]):  # off-diagonal first: the order moves the solves
+        mean = float(np.mean(c))
+        symbols.append((ws.second[i], mean) if i == j else (ws.first[i], -mean * ws.first[j]))
+    np.multiply(*symbols[0], out=lam)
+    for a, b in symbols[1:]:
+        lam += a * b
+    # 1/d with d = 1 + s^2 lambda^2 (skew flow) or 1 - s lambda (mean curvature flow)
+    if ws.kind == "SMCF":
+        lam *= s
+        lam *= lam
+    else:
+        lam *= -s
+    lam += 1.0
+    np.reciprocal(lam, out=lam)
+
+
+def _frozen(x: np.ndarray, out: np.ndarray, ws: _Imex) -> np.ndarray:
+    """out = L x, the flow operator frozen by ``_freeze`` applied to x, slab by slab."""
+    for rows, op in ws.ops.slabs:
+        _fill_pad(x, op, rows.start)
+        _apply(op, out[:, rows])
+    return out
+
+
+def _project(v: np.ndarray, ws: _Imex) -> np.ndarray:
+    """v = P_N v = -J(J v) in place, slab by slab."""
+    for rows, op in ws.ops.slabs:
+        _normal_part(v[:, rows], v[:, rows], op.prod, op)
+    return v
+
+
+def _precondition(v: np.ndarray, out: np.ndarray, ws: _Imex) -> np.ndarray:
+    """out = Q v = P_N F^-1 [F(v) / d(k)]: v divided by the symbol d mode by
+    mode, then projected on the normal planes with P_N = -J^2."""
+    m, spectrum = ws.grid.m, ws.spectrum
+    for comp, into in zip(v, out):
+        np.fft.rfft(comp, out=spectrum)
+        for axis in range(m - 1):
+            np.fft.fft(spectrum, axis=axis, out=spectrum)
+        spectrum *= ws.gain
+        for axis in range(m - 1):
+            np.fft.ifft(spectrum, axis=axis, out=spectrum)
+        np.fft.irfft(spectrum, n=ws.grid.sizes[-1], out=into)
+    return _project(out, ws)
+
+
+def _inverse(v: np.ndarray, out: np.ndarray, scratch: np.ndarray, s: float, ws: _Imex) -> np.ndarray:
+    """out = P^-1 v, the approximate inverse of I - sL on normal fields:
+    (I + sL) Q v for the skew flow, where (I - sL)(I + sL) = I - s^2 L^2 and
+    L^2 ~ -Delta^2 on normal fields because J^2 = -1; Q v for the mean
+    curvature flow."""
+    if ws.kind == "MCF":
+        return _precondition(v, out, ws)
+    _precondition(v, scratch, ws)
+    _frozen(scratch, out, ws)
+    out *= s
+    out += scratch
+    return out
+
+
+def _solve(f: np.ndarray, s: float, time: float, ws: _Imex) -> int:
+    """Solve (I - sL) x = (I + sL) f for ws.x, from the guess in ws.x.
+
+    L maps into the normal planes, so the tangential part of x is that of f.
+    The guess is given that part and every correction is normal: restarted
+    GMRES (Saad and Schultz, SISC 7, 1986) with the right preconditioner
+    P^-1 then works on normal fields only, where P^-1 is close to the
+    inverse.  It stops when the residual is at most KRYLOV_RTOL |f|.
+    Returns the iteration count; raises KrylovBreakdownError, carrying
+    ``time``, after KRYLOV_MAX_ITER iterations or on a non-finite residual.
+    """
+    x, z, V = ws.x, ws.z, ws.basis
+    # x = f + P_N (x - f)
+    np.subtract(x, f, out=z)
+    np.add(f, _project(z, ws), out=x)
+    tol = KRYLOV_RTOL * np.linalg.norm(f)
+    iterations = 0
+    while True:
+        # r = (I + sL) f - (I - sL) x = f - x + sL(f + x)
+        r = _frozen(np.add(f, x, out=z), V[0], ws)
+        r *= s
+        r += f
+        r -= x
+        beta = np.linalg.norm(r)
+        if not math.isfinite(beta):
+            raise KrylovBreakdownError(f"IMEX solve produced a non-finite residual near t = {time:.6f}", time=time)
+        if beta <= tol:
+            return iterations
+        r /= beta
+        # Arnoldi with modified Gram-Schmidt.  Givens rotations keep the
+        # Hessenberg columns triangular (R) and |beta e_1 - H y| = |g[-1]|; they
+        # run on Python floats, since a first LAPACK call alone adds 1 MiB of RSS.
+        R, g, rotations = [], [beta], []
+        for k in range(KRYLOV_DIM):
+            if iterations >= KRYLOV_MAX_ITER:
+                raise KrylovBreakdownError(
+                    f"IMEX solve did not converge in {KRYLOV_MAX_ITER} GMRES iterations near t = {time:.6f}",
+                    time=time,
+                )
+            iterations += 1
+            nxt = V[k + 1]
+            _inverse(V[k], z, nxt, s, ws)
+            # nxt = (I - sL) z
+            _frozen(z, nxt, ws)
+            nxt *= -s
+            nxt += z
+            col = []
+            for vi in V[: k + 1]:
+                col.append(float(np.dot(vi.reshape(-1), nxt.reshape(-1))))
+                nxt -= np.multiply(vi, col[-1], out=z)
+            norm_next = np.linalg.norm(nxt)
+            for i, (cs, sn) in enumerate(rotations):
+                col[i], col[i + 1] = cs * col[i] + sn * col[i + 1], cs * col[i + 1] - sn * col[i]
+            rk = math.hypot(col[k], norm_next)
+            cs, sn = col[k] / rk, norm_next / rk
+            rotations.append((cs, sn))
+            col[k] = rk
+            R.append(col)
+            g.append(-sn * g[k])
+            g[k] *= cs
+            converged = abs(g[-1]) <= tol
+            if converged or norm_next == 0.0:
+                break
+            nxt /= norm_next
+        # x += P^-1 V y with R y = g, by back substitution
+        y = [0.0] * len(R)
+        for i in reversed(range(len(R))):
+            y[i] = (g[i] - sum(R[l][i] * y[l] for l in range(i + 1, len(R)))) / R[i][i]
+        np.multiply(V[0], y[0], out=z)
+        for vi, yi in zip(V[1 : len(y)], y[1:]):
+            vi *= yi
+            z += vi
+        x += _inverse(z, V[0], V[1], s, ws)
+        if converged:
+            return iterations
+
+
+def _imex_step(f: np.ndarray, t: float, dt: float, ws: _Imex, out: np.ndarray) -> None:
+    """One linearly implicit Crank-Nicolson step from f into ``out``, which is not f.
+
+    Solves (I - s L) Y = (I + s L) f with s = dt/2 and L frozen near the
+    midpoint.  With r = dt / dt_prev and p the positions before the last
+    step, L is frozen once at f + (r/2)(f - p), from the guess f + r(f - p).
+    A run's first step has no p: it solves with L frozen at f (predictor f*,
+    from the guess f), then at (f + f*)/2 (from the guess f*).  f is the next
+    step's p, not copied: that step reads p before it writes its ``out``, which may be f.
+    """
+    s, x, mid = 0.5 * dt, ws.x, ws.basis[0]
+    if ws.dt_prev is None:
+        _freeze(f, t, s, ws)
+        np.copyto(x, f)
+        _solve(f, s, t, ws)
+        np.add(f, x, out=mid)
+        mid *= 0.5
+    else:
+        r = dt / ws.dt_prev
+        np.subtract(f, ws.prev, out=x)
+        np.multiply(x, 0.5 * r, out=mid)
+        mid += f
+        x *= r
+        x += f
+    _freeze(mid, t + s, s, ws)
+    _solve(f, s, t + s, ws)
+    np.copyto(out, x)
+    ws.prev, ws.dt_prev = f, dt
+
+
 def _stepper(grid, config: FlowConfig):
     """``(ops, advance)``: the scheme's operator slabs and ``advance(f, t, dt, out)``,
     one step of component-first positions f into ``out``, which is not f, by
-    ``_advance`` (RK4) or ``imex._imex_step``; ``_by_slabs`` on ``ops`` rank-checks a state.
+    ``_advance`` (RK4) or ``_imex_step``; ``_by_slabs`` on ``ops`` rank-checks a state.
 
     Each scheme keeps one workspace over all the steps of the returned
     function; f is only read.  IMEX holds f as the next step's history, which that
     step reads before it writes its ``out``: ``out`` may be the f of the step before.
     """
     if config.scheme == "IMEX":
-        # imported here: runs that take no IMEX step do not load the solver
-        from .imex import _Imex, _imex_step
-
         ws = _Imex(grid, config.flow_kind)
         return ws.ops, lambda f, t, dt, out: _imex_step(f, t, dt, ws, out)
     k, stage = (np.empty((grid.m + 2,) + grid.sizes) for _ in range(2))
@@ -356,10 +584,12 @@ def product_torus_ode_oracle(
     The reduction a' = -s/b, b' = s/a keeps a*b = a0*b0 fixed, so
     a = a0 exp(-s t/(a0 b0)) and b = b0 exp(s t/(a0 b0)).  Returns (t, a, b)
     sample arrays, with samples dt * output_every apart from t = 0 and the
-    last one at t_end.
+    last one at t_end.  Raises ValueError where a radius is not positive or
+    ``FlowConfig`` refuses the step, the horizon or ``output_every``.
     """
     if a0 <= 0 or b0 <= 0:
         raise ValueError("radii must be positive")
+    FlowConfig(dt=dt, t_end=t_end, output_every=output_every)
     t = np.append(np.arange(0.0, t_end - _end_tolerance(dt, t_end), dt * output_every), t_end)
     rate = s * t / (a0 * b0)
     return t, a0 * np.exp(-rate), b0 * np.exp(rate)

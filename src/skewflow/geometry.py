@@ -34,8 +34,9 @@ MAX_MODE = 1  # highest mode of the perturbed tori: their coarsest grids are alr
 SLAB_NODES = 4096  # the most grid nodes of one slab of the flow operator or of a residual, at 16 rows or more
 
 
-def _whole(value, what: str) -> int:  # an integer, numpy's too, or a float with no fractional part
-    if isinstance(value, (int, np.integer)) or (isinstance(value, (float, np.floating)) and value.is_integer()):
+def _whole(value, what: str) -> int:  # an integer, numpy's too, or a float with no fractional part; not a bool
+    integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if integer or (isinstance(value, (float, np.floating)) and value.is_integer()):
         return int(value)
     raise ValueError(f"{what} must be a whole number, got {value!r}")
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import DegenerateImmersionError
 from .flow import FlowConfig, Trajectory, run, stable_dt
-from .geometry import FAMILIES, GeometryCache, Immersion, PeriodicGrid, _slab_bounds, diff1, fundamental_forms, periodic_difference, quarter_turn
+from .geometry import FAMILIES, GeometryCache, Immersion, PeriodicGrid, _slab_bounds, _whole, diff1, fundamental_forms, periodic_difference, quarter_turn
 from .grassmann import (
     check_frames,
     frame_curve,
@@ -420,8 +420,9 @@ def convergence_study(problem, resolutions, norm_key: str = "max", **problem_kwa
     A named problem builds its geometry family (``PROBLEMS``) from the keys
     of ``geometry.FAMILIES`` passed as keywords, each unset one at its
     ``FAMILY_DEFAULTS`` value; a keyword that the family does not read raises
-    ``TypeError`` before any resolution runs, and a size that ``PeriodicGrid``
-    refuses (odd, or below 8) raises ``ValueError``.  A callable is called as
+    ``TypeError`` before any resolution runs, and a size that is not a whole
+    number or that ``PeriodicGrid`` refuses (odd, or below 8) raises
+    ``ValueError``.  A callable is called as
     ``problem(size, **problem_kwargs)``.  The table's metadata records the
     norm key and the keywords passed, not the defaults.
 
@@ -431,7 +432,7 @@ def convergence_study(problem, resolutions, norm_key: str = "max", **problem_kwa
     for every dt from 4e-3 to 5e-4.  So the observed order is that of the
     stencils alone and says nothing of the time discretization.
     """
-    resolutions = [int(r) for r in resolutions]
+    resolutions = [_whole(r, "a resolution") for r in resolutions]
     if len(resolutions) < 2:
         raise ValueError("need at least two resolutions")
     if len(set(resolutions)) < len(resolutions):

@@ -3,7 +3,7 @@ import pytest
 
 from skewflow import MultiVector, index_sets, inner, simplicity_residual, wedge, wedge_vectors
 from skewflow.errors import UnsupportedCaseError
-from skewflow.exterior import wedge_field
+from skewflow.exterior import _wedge_table, wedge_field
 from skewflow.grassmann import rho_field
 
 
@@ -64,6 +64,20 @@ def test_wedge_field_matches_minors_oracle():
                     got = wedge_field(head, tail, p, m - p, n)
                     assert got.shape == expect.shape
                     assert np.max(np.abs(got - expect)) <= tol
+
+
+def test_every_wedge_table_row_starts_with_a_plus_sign():
+    # wedge_field writes each row's first term with no sign: R_k's p smallest
+    # members, then its q largest, is an order with no inversion
+    for n in range(1, 7):
+        for p in range(0, n + 1):
+            for q in range(0, n - p + 1):
+                table = _wedge_table(p, q, n)
+                assert len(table) == len(index_sets(p + q, n))
+                for k, terms in enumerate(table):
+                    i, j, sign = terms[0]
+                    assert sign == 1.0, (p, q, n, k)
+                    assert index_sets(p, n)[i] + index_sets(q, n)[j] == index_sets(p + q, n)[k]
 
 
 def test_wedge_field_rejects_wrong_coefficient_count():

@@ -58,8 +58,9 @@ def test_config_validation():
     for bad in ({"dt": math.nan}, {"dt": math.inf}, {"t_end": math.nan}, {"t_end": math.inf}):
         with pytest.raises(ValueError):
             FlowConfig(**bad)
-    # a run recorded the steps whose count modulo 1.5 is 0, steps 3 and 6 of 6
-    for every in (1.5, math.inf, math.nan):
+    # a run recorded the steps whose count modulo 1.5 is 0, steps 3 and 6 of 6;
+    # True was stored as output_every
+    for every in (1.5, math.inf, math.nan, True, np.True_):
         with pytest.raises(ValueError, match="whole number"):
             FlowConfig(dt=0.01, t_end=0.06, output_every=every)
     assert FlowConfig(output_every=np.int64(2)).output_every == FlowConfig(output_every=2.0).output_every == 2
@@ -295,7 +296,7 @@ def test_run_velocity_fn_adapter_and_state_buffers(kind):
 
 
 def test_imex_frozen_operator_matches_velocity():
-    from skewflow.imex import _freeze, _frozen, _Imex
+    from skewflow.flow import _freeze, _frozen, _Imex
 
     for imm in (
         make_perturbed_circle(1.0, 0.2, 3, 256),
@@ -381,10 +382,9 @@ def test_imex_second_order_in_time_with_a_shortened_last_step():
 
 
 def test_krylov_cap_is_a_located_breakdown(monkeypatch):
-    from skewflow import imex
     from skewflow.errors import KrylovBreakdownError
 
-    monkeypatch.setattr(imex, "KRYLOV_MAX_ITER", 1)
+    monkeypatch.setattr(flow, "KRYLOV_MAX_ITER", 1)
     imm = make_perturbed_torus(1.0, 0.7, 0.05, 3, 32)
     cfg = FlowConfig(flow_kind="MCF", dt=0.05, t_end=0.2, scheme="IMEX")
     with pytest.raises(KrylovBreakdownError) as err:
@@ -441,6 +441,26 @@ def test_ode_oracle_sign_flip_reverses():
 def test_ode_oracle_rejects_bad_radii():
     with pytest.raises(ValueError):
         product_torus_ode_oracle(-1.0, 1.0, 0.1, 1e-3)
+
+
+@pytest.mark.parametrize(
+    "t_end, dt, output_every, match",
+    [
+        # a negative step or horizon gave the one sample t = [0.1] or [-0.1]
+        (0.1, -1e-3, 1, "dt must be"),
+        (-0.1, 1e-3, 1, "t_end must be"),
+        # and a zero step or output_every a bare ZeroDivisionError
+        (0.1, 0.0, 1, "dt must be"),
+        (0.1, 1e-3, 0, "output_every must be"),
+        (0.1, 1e-3, 1.5, "whole number"),
+        (math.nan, 1e-3, 1, "t_end must be"),
+    ],
+)
+def test_ode_oracle_rejects_what_a_run_rejects(t_end, dt, output_every, match):
+    with pytest.raises(ValueError, match=match):
+        FlowConfig(dt=dt, t_end=t_end, output_every=output_every)
+    with pytest.raises(ValueError, match=match):
+        product_torus_ode_oracle(1.0, 1.0, t_end, dt, output_every=output_every)
 
 
 @pytest.mark.parametrize("a0, b0, s, output_every", [(1.3, 0.8, 1.0, 100), (1.0, 0.9, -1.0, 1)])

@@ -51,6 +51,10 @@ def test_grid_validation():
     for build in (lambda: PeriodicGrid((64.9,)), lambda: PeriodicGrid((64, 32.5)), lambda: make_circle(1.0, 64.5)):
         with pytest.raises(ValueError, match="whole number"):
             build()
+    # a bool is no size, though Python counts it an int
+    for size in (True, np.True_):
+        with pytest.raises(ValueError, match="whole number"):
+            PeriodicGrid((16, size))
     # numpy integers and whole floats are sizes, as the CLI reads them
     assert PeriodicGrid((np.int64(64), 32.0)).sizes == (64, 32)
     assert make_circle(1.0, np.int32(64)).F.shape == (64, 3)

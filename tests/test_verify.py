@@ -625,6 +625,21 @@ def test_convergence_study_rejects_repeated_resolutions():
     assert calls == []  # rejected before any residual is computed
 
 
+def test_convergence_study_rejects_a_resolution_that_is_not_whole():
+    # int() truncated it: [16.7, 32] ran at 16 and recorded 16
+    calls = []
+
+    def counted(size, **_):
+        calls.append(size)
+        return diff1_error(size)
+
+    for resolutions in ([16.7, 32], [16, 32.5], [16, True], [16, float("nan")]):
+        with pytest.raises(ValueError, match="whole number"):
+            convergence_study(counted, resolutions)
+    assert calls == []  # rejected before any residual is computed
+    assert [row["resolution"] for row in convergence_study(counted, [16.0, np.int64(32)]).rows] == [16, 32]
+
+
 def test_fit_order_floor():
     order, monotone, below = fit_order([0.1, 0.05], [1e-20, 1e-21])
     assert below and order is None

@@ -68,6 +68,7 @@ from .verify import (
     isometry_max_error,
     kahler_residual,
     residual_codazzi,
+    residual_conservation,
     residual_identify,
     residual_theorem1,
     tension,

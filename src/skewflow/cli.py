@@ -5,7 +5,7 @@ Subcommands
 simulate   integrate the flow, write per-output diagnostics (and optional
            node snapshots)
 verify     evaluate one named residual, write a report JSON plus the
-           per-node residual CSV
+           residual CSV (one row per node, or per output of a run)
 converge   run a residual across several resolutions, write the
            convergence table JSON/CSV
 
@@ -27,11 +27,10 @@ import numpy as np
 
 from .errors import DegenerateImmersionError, SkewflowError
 from .flow import FlowConfig, explicit_step_bound, fitted_torus_radii, run, stable_dt
-from .geometry import FAMILIES, Immersion, fundamental_forms, load_immersion_csv, save_immersion_csv, volume
+from .geometry import FAMILIES, Immersion, fundamental_forms, load_immersion_csv, save_immersion_csv
 from .verify import (
     PROBLEMS,
     THEOREM1_FLOWS,
-    Report,
     convergence_study,
     report_to_dict,
     save_json,
@@ -294,21 +293,6 @@ def task_simulate(config: dict, out_dir: Path) -> int:
     return 0
 
 
-def _conservation_report(config: dict, imm: Immersion) -> Report:
-    flow_config = build_flow_config(config, imm)
-    traj = run(imm, flow_config)
-    volumes = np.array([volume(s.immersion, s.t) for s in traj.states])
-    drift = np.abs(volumes - volumes[0]) / volumes[0]
-    return Report(
-        name="conservation",
-        field=drift,
-        norms={"max": float(np.max(drift)), "l2": float(np.sqrt(np.mean(drift**2)))},
-        grid_sizes=traj.grid.sizes,
-        dt=flow_config.dt,
-        metadata={"flow_kind": flow_config.flow_kind, "geometry": config["geometry"]["kind"]},
-    )
-
-
 def task_verify(config: dict, out_dir: Path) -> int:
     name = config["verify_name"]
     seed = _integer(config.get("flow", {}), "seed", "flow", 0)
@@ -322,12 +306,8 @@ def task_verify(config: dict, out_dir: Path) -> int:
         print(f"verify theorem2: order={table.observed_order}, isometry_max={table.metadata['isometry_max']:.3e}")
         return 0
     imm = build_immersion(config)
-    meta = {"geometry": config["geometry"]["kind"], "seed": seed}
-    if name == "conservation":
-        report = _conservation_report(config, imm)
-    else:
-        flow = build_flow_config(config, imm, THEOREM1_FLOWS[name]) if name in THEOREM1_FLOWS else None
-        report = PROBLEMS[name][1](imm, flow, meta)
+    flow = build_flow_config(config, imm, THEOREM1_FLOWS.get(name)) if READS[f"verify {name}"][1] else None
+    report = PROBLEMS[name][1](imm, flow, {"geometry": config["geometry"]["kind"], "seed": seed})
     save_json(report_to_dict(report), out_dir / "report.json")
     save_residual_csv(report, out_dir / "residual.csv")
     print(f"verify {name}: max={report.norms['max']:.6e} l2={report.norms['l2']:.6e}")

@@ -86,9 +86,9 @@ class FlowConfig:
             raise ValueError(f"flow_kind must be one of {FLOW_KINDS}, got {self.flow_kind!r}")
         if self.scheme not in SCHEMES:
             raise ValueError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
-        if not (np.isfinite(self.dt) and self.dt > 0):
+        if isinstance(self.dt, (bool, np.bool_)) or not (np.isfinite(self.dt) and self.dt > 0):
             raise ValueError(f"dt must be finite and positive, got {self.dt}")
-        if not (np.isfinite(self.t_end) and self.t_end >= 0):
+        if isinstance(self.t_end, (bool, np.bool_)) or not (np.isfinite(self.t_end) and self.t_end >= 0):
             raise ValueError(f"t_end must be finite and nonnegative, got {self.t_end}")
         if _whole(self.output_every, "output_every") < 1:
             raise ValueError("output_every must be >= 1")
@@ -584,11 +584,11 @@ def product_torus_ode_oracle(
     The reduction a' = -s/b, b' = s/a keeps a*b = a0*b0 fixed, so
     a = a0 exp(-s t/(a0 b0)) and b = b0 exp(s t/(a0 b0)).  Returns (t, a, b)
     sample arrays, with samples dt * output_every apart from t = 0 and the
-    last one at t_end.  Raises ValueError where a radius is not positive or
-    ``FlowConfig`` refuses the step, the horizon or ``output_every``.
+    last one at t_end.  Raises ValueError where a radius is not a finite positive
+    number (a bool is not) or ``FlowConfig`` refuses the step, the horizon or ``output_every``.
     """
-    if a0 <= 0 or b0 <= 0:
-        raise ValueError("radii must be positive")
+    if not all(0.0 < r < np.inf and not isinstance(r, (bool, np.bool_)) for r in (a0, b0)):
+        raise ValueError(f"radii must be finite and positive, got {a0!r} and {b0!r}")
     FlowConfig(dt=dt, t_end=t_end, output_every=output_every)
     t = np.append(np.arange(0.0, t_end - _end_tolerance(dt, t_end), dt * output_every), t_end)
     rate = s * t / (a0 * b0)

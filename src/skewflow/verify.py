@@ -2,15 +2,15 @@
 
 The central identity under test: along the skew flow, the time derivative of
 the per-node tangent plane equals the complex structure applied to the
-tension field of the plane field.  Every residual here is built from
+tension field of the plane field.  Every field residual here is built from
 second-order stencils, so smooth benchmark families should show observed
 convergence order about 2; orders are always measured, never asserted from
 theory alone.
 
 Finite differences of Grassmann-valued data are projected to the tangent
 space at the center point before any comparison, which removes the normal
-chord component coherently from both sides of each identity.  Every residual
-builds its geometry slab by slab, on the flow operator's cut (``geometry.SLAB_NODES``).
+chord component coherently from both sides of each identity.  Every field
+residual builds its geometry slab by slab, on the flow operator's cut (``geometry.SLAB_NODES``).
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import DegenerateImmersionError
 from .flow import FlowConfig, Trajectory, run, stable_dt
-from .geometry import FAMILIES, GeometryCache, Immersion, PeriodicGrid, _slab_bounds, _whole, diff1, fundamental_forms, periodic_difference, quarter_turn
+from .geometry import FAMILIES, GeometryCache, Immersion, PeriodicGrid, _slab_bounds, _whole, diff1, fundamental_forms, periodic_difference, quarter_turn, volume
 from .grassmann import (
     check_frames,
     frame_curve,
@@ -221,13 +221,17 @@ def residual_theorem1(traj: Trajectory, index: int, use_jtilde: bool = True, met
 THEOREM1_FLOWS = {"theorem1": "SMCF", "theorem1_mcf": "MCF"}
 
 
+def _two_stable_steps(imm: Immersion) -> FlowConfig:
+    """The flow of a residual whose ``flow`` is unset: two steps of ``stable_dt`` under RK4."""
+    dt = stable_dt(imm)
+    return FlowConfig(dt=dt, t_end=2 * dt)
+
+
 def theorem1_residual(imm, config: FlowConfig | None = None, metadata: dict | None = None, *, name="theorem1") -> Report:
     """The residual of ``name`` along its flow, which replaces ``config``'s, with every step
     recorded; it sits at the middle state between two full steps, never before a shortened
-    last one.  Unset, ``config`` is two steps of ``stable_dt`` under RK4."""
-    if config is None:
-        dt = stable_dt(imm)
-        config = FlowConfig(dt=dt, t_end=2 * dt)
+    last one.  Unset, ``config`` is ``_two_stable_steps``."""
+    config = config or _two_stable_steps(imm)
     if config.t_end < 2 * config.dt:
         raise ValueError(
             f"flow.t_end = {config.t_end!r} is below 2 * flow.dt = {2 * config.dt!r}: {name} needs two full steps"
@@ -237,6 +241,18 @@ def theorem1_residual(imm, config: FlowConfig | None = None, metadata: dict | No
     if traj[mid + 1].t - traj[mid].t < (1.0 - 1e-9) * config.dt:
         mid -= 1
     return residual_theorem1(traj, mid, use_jtilde=(name == "theorem1"), metadata=metadata)
+
+
+def residual_conservation(imm: Immersion, flow: FlowConfig | None = None, metadata: dict | None = None) -> Report:
+    """Relative drift of the total volume at each output of the run of ``flow`` (unset,
+    ``_two_stable_steps``), against its start; each volume is the whole grid's."""
+    flow = flow or _two_stable_steps(imm)
+    traj = run(imm, flow)
+    volumes = np.array([volume(s.immersion, s.t) for s in traj.states])
+    drift = np.abs(volumes - volumes[0]) / volumes[0]
+    norms = {"max": float(np.max(drift)), "l2": float(np.sqrt(np.mean(drift**2)))}
+    meta = {"flow_kind": flow.flow_kind, **(metadata or {})}
+    return Report("conservation", drift, norms, traj.grid.sizes, dt=flow.dt, metadata=meta)
 
 
 def _slab_report(name: str, imm: Immersion, field, metadata: dict | None) -> Report:
@@ -404,12 +420,13 @@ def fit_order(hs, norms):
 
 # name -> (geometry family, residual(imm, flow=None, metadata=None) of the immersion that
 # geometry.FAMILIES builds): the one table that verify and converge run a name through;
-# flow is the FlowConfig of a theorem1 name, and codazzi and identify read none
+# flow is the FlowConfig that a theorem1 name or conservation runs, and codazzi and identify read none
 PROBLEMS = {
     "theorem1": ("perturbed_torus", theorem1_residual),
     "theorem1_mcf": ("perturbed_torus", functools.partial(theorem1_residual, name="theorem1_mcf")),
     "codazzi": ("perturbed_torus", residual_codazzi),
     "identify": ("product_torus", residual_identify),
+    "conservation": ("perturbed_torus", residual_conservation),
 }
 FAMILY_DEFAULTS = {"a": 1.0, "b": 0.6, "eps": 0.05, "seed": 7}  # the values of the family keys left unset
 
@@ -430,7 +447,8 @@ def convergence_study(problem, resolutions, norm_key: str = "max", **problem_kwa
     that step the residuals are all space error: on a 48^2 perturbed torus
     under RK4, the theorem1 residual at t = 0.02 is the same to 4 digits
     for every dt from 4e-3 to 5e-4.  So the observed order is that of the
-    stencils alone and says nothing of the time discretization.
+    stencils alone and says nothing of the time discretization.  The volume
+    of conservation drifts at O(h^2) over two steps, 0.2 h^2: order about 4.
     """
     resolutions = [_whole(r, "a resolution") for r in resolutions]
     if len(resolutions) < 2:
@@ -502,7 +520,7 @@ def save_json(payload: dict, path, timestamp: bool = True):
 
 
 def save_residual_csv(report: Report, path):
-    """Per-node residual field; one row per node with its grid multi-index.
+    """A report's residual field; one row per entry, a node or an output, with its multi-index.
 
     The bytes are those of ``csv.writer`` (CRLF rows of ints and float
     reprs), written one grid row at a time, for any number of grid axes.

@@ -159,11 +159,23 @@ def test_verify_theorem2_and_conservation(tmp_path):
     cfg = torus_config(
         tmp_path, out2,
         geometry={"kind": "product_torus", "a": 1.0, "b": 1.0},
-        flow={"dt": 2e-4, "t_end": 2e-3, "output_every": 2},
+        flow={"dt": 2e-4, "t_end": 2e-3, "output_every": 2, "seed": 5},
     )
     assert main(["verify", "--config", cfg, "--verify-name", "conservation"]) == 0
     doc = read_json(out2 / "report.json")
     assert doc["norms"]["max"] < 1e-8
+    # the seed comes from the metadata that verify passes every PROBLEMS row
+    assert doc["params"] == {"grid_sizes": [16, 16], "dt": 2e-4, "flow_kind": "SMCF", "geometry": "product_torus", "seed": 5}
+
+
+def test_converge_conservation_fits_an_order_of_four(tmp_path):
+    # the drift rate is O(h^2), over a horizon of two stable_dt = 0.1 h^2 steps; measured 3.961
+    out = tmp_path / "out"
+    payload = {"verify_name": "conservation", "resolutions": [16, 32, 64], "output_dir": str(out)}
+    assert main(["converge", "--config", write_config(tmp_path / "c.json", payload)]) == 0
+    doc = read_json(out / "convergence_table.json")
+    assert doc["monotone"] and not doc["below_floor"]
+    assert 3.9 <= doc["observed_order"] <= 4.05, doc["observed_order"]
 
 
 @pytest.mark.parametrize(
@@ -360,7 +372,9 @@ def test_verify_and_converge_run_a_name_through_its_problems_row(tmp_path, monke
     assert main(["verify", "--config", write_config(tmp_path / "v.json", payload)]) == 0
     ((sizes, flow, metadata),) = calls
     assert sizes == (16,) * axes and metadata == {"geometry": family, "seed": 0}
-    assert getattr(flow, "flow_kind", None) == verify.THEOREM1_FLOWS.get(name)  # codazzi and identify read no flow
+    # codazzi and identify read no flow; conservation runs the config's flow_kind, SMCF unset
+    expected = verify.THEOREM1_FLOWS.get(name, "SMCF") if cli.READS[f"verify {name}"][1] else None
+    assert getattr(flow, "flow_kind", None) == expected
     assert read_json(out / "report.json")["norms"]["max"] == 1.0 / 256
     calls.clear()
     payload = {"verify_name": name, "resolutions": [16, 32], "output_dir": str(out)}

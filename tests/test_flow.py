@@ -55,9 +55,11 @@ def test_config_validation():
         FlowConfig(scheme="RK2")
     with pytest.raises(ValueError):
         FlowConfig(output_every=0)
-    for bad in ({"dt": math.nan}, {"dt": math.inf}, {"t_end": math.nan}, {"t_end": math.inf}):
-        with pytest.raises(ValueError):
-            FlowConfig(**bad)
+    # booleans too: FlowConfig(dt=True, t_end=False) was built and stored the two booleans
+    for field in ("dt", "t_end"):
+        for bad in (math.nan, math.inf, True, False, np.True_, np.False_):
+            with pytest.raises(ValueError, match=f"^{field} must be finite"):  # the field first, as cli's flow.{exc} reads
+                FlowConfig(**{field: bad})
     # a run recorded the steps whose count modulo 1.5 is 0, steps 3 and 6 of 6;
     # True was stored as output_every
     for every in (1.5, math.inf, math.nan, True, np.True_):
@@ -461,6 +463,13 @@ def test_ode_oracle_rejects_what_a_run_rejects(t_end, dt, output_every, match):
         FlowConfig(dt=dt, t_end=t_end, output_every=output_every)
     with pytest.raises(ValueError, match=match):
         product_torus_ode_oracle(1.0, 1.0, t_end, dt, output_every=output_every)
+
+
+@pytest.mark.parametrize("a0, b0", [(math.nan, 1.0), (1.0, math.inf), (0.0, 1.0), (1.0, -0.5), (True, 1.0), (1.0, np.True_)])
+def test_ode_oracle_requires_finite_positive_radii(a0, b0):
+    # a NaN radius gave all-NaN samples, an infinite one a = inf at every sample, and True ran as 1
+    with pytest.raises(ValueError, match="radii must be finite and positive"):
+        product_torus_ode_oracle(a0, b0, 0.1, 0.05)
 
 
 @pytest.mark.parametrize("a0, b0, s, output_every", [(1.3, 0.8, 1.0, 100), (1.0, 0.9, -1.0, 1)])

@@ -250,10 +250,24 @@ def test_verify_builds_geometry_only_in_the_slab_driver_and_the_time_difference(
 
 
 def test_cli_runs_named_residuals_through_the_problems_table():
-    assert sorted(_imported("cli.py") & {"theorem1_residual", "residual_codazzi", "residual_identify"}) == []
-    # every verify name but the two without a geometry family is a row of the table
+    residuals = {"theorem1_residual", "residual_codazzi", "residual_identify", "residual_conservation"}
+    assert sorted(_imported("cli.py") & residuals) == []
+    # every verify name but theorem2, which has no geometry family, is a row of the table
     names = {task.split()[1] for task in cli.READS if task.startswith("verify ")}
-    assert names == set(verify.PROBLEMS) | {"theorem2", "conservation"}
+    assert names == set(verify.PROBLEMS) | {"theorem2"}
+
+
+def test_cli_runs_a_flow_only_to_simulate():
+    # verify and converge run their flows through PROBLEMS: the CLI forms no residual of its own
+    tree = ast.parse((SRC / "cli.py").read_text())
+    callers = [
+        getattr(scope, "name", None)
+        for scope in tree.body
+        for node in ast.walk(scope)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == "run"
+    ]
+    assert callers == ["task_simulate"]
+    assert sorted(_imported("cli.py") & {"volume", "Report"}) == []
 
 
 # comparisons of the dimension that stay, with the reason; any other comparison

@@ -81,8 +81,11 @@ def test_every_slab_height_gives_the_one_slab_bits(monkeypatch, kind, name):
     whole = _bits(name, imm, monkeypatch, ONE_SLAB)
     for height in HEIGHTS:
         assert _bits(name, imm, monkeypatch, height) == whole, height
-    # the negative control: a halo one row thinner reads past a slab's ghost rows
-    assert _bits(name, imm, monkeypatch, 16, verify.HALO - 1)[0] != whole[0]
+    # the negative control: a halo one row thinner reads past a slab's ghost rows; conservation
+    # builds no _by_slabs geometry, so HALO does not reach it: its volumes read first differences
+    # alone, on whole grids, and its run cuts slabs with the flow operator's own ghost row
+    if name != "conservation":
+        assert _bits(name, imm, monkeypatch, 16, verify.HALO - 1)[0] != whole[0]
 
 
 @pytest.mark.parametrize("name", sorted(verify.PROBLEMS))
